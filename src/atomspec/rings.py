@@ -1,9 +1,31 @@
 """Finite associative unital rings given by full addition/multiplication tables.
 
 A ring of order n has element ids 0..n-1.  Id 0 is always the additive zero;
-the multiplicative identity is stored explicitly.  All axioms are checked
-exhaustively over the tables, so a validated ring literally satisfies every
-ring axiom.
+the multiplicative identity is stored explicitly.
+
+Every ring axiom is decided completely, so a validated ring literally
+satisfies all of them, but in O(n^2 log n) rather than by scanning all n^3
+triples.  Once the additive identity, commutativity and inverses are
+checked entry by entry, validation takes a greedy generating set A of the
+magma (R, +): each generator is the least id outside the closure of the
+earlier ones under the addition table itself, so associativity is not
+assumed.  Three reductions then make checks over A complete:
+
+* additive associativity, by Light's test: the g with (x+g)+y = x+(g+y)
+  for all x, y are closed under +, so it is enough to test each g in A
+  (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961, §1.2);
+* distributivity on each side: once (R, +) is an abelian group, x -> xc and
+  x -> cx are additive when f(x+g) = f(x)+f(g) for all x and each g in A;
+* multiplicative associativity: once both distributive laws hold,
+  (ab)c - a(bc) is additive in each argument, so it vanishes everywhere if
+  it vanishes on A^3 (Rajagopalan & Schulman, "Verification of
+  identities", SIAM J. Comput. 29, 2000).
+
+Each generator that passes Light's test at least doubles the subgroup the
+earlier ones span, so |A| <= log2 n once + is associative.  Multiplicative
+associativity is checked after distributivity, so an invalid table may be
+reported under a different axiom or witness than a scan of all triples
+would give first; every witness is still a genuine counterexample.
 """
 
 from __future__ import annotations
@@ -17,8 +39,9 @@ import numpy as np
 
 DEFAULT_ORDER_CAP = 4096
 
-# chunk size for the O(n^3) axiom scans, keeps peak memory ~ tens of MB
-_TRIPLE_CHUNK = 4_000_000
+# entries per row chunk of the n x n checks and of the fp_algebra product,
+# which keeps their temporaries to a few MB at any order
+_CHUNK = 1 << 20
 
 
 class RingError(Exception):
@@ -57,14 +80,6 @@ class FiniteRing:
             out[x] = self.add[x].index(0)
         return tuple(out)
 
-    @cached_property
-    def add_np(self) -> np.ndarray:
-        return np.array(self.add, dtype=np.int64)
-
-    @cached_property
-    def mul_np(self) -> np.ndarray:
-        return np.array(self.mul, dtype=np.int64)
-
     def is_commutative(self) -> bool:
         m = self.mul
         n = self.order
@@ -78,48 +93,136 @@ class FiniteRing:
         return f"FiniteRing({label})"
 
 
-def _as_table(raw, what: str) -> tuple[tuple[int, ...], ...]:
+def _require_order(n: int, order_cap: int) -> None:
+    if n > order_cap:
+        raise CapExceededError(f"order {n} exceeds cap {order_cap}")
+
+
+def _require_power_order(p: int, d: int, order_cap: int) -> None:
+    """p^d <= order_cap for a prime p, without forming p^d when d alone
+    rules it out: a huge p^d takes long to compute and str() refuses it."""
+    if d >= order_cap.bit_length():
+        raise CapExceededError(f"order {p}^{d} exceeds cap {order_cap}")
+    _require_order(p ** d, order_cap)
+
+
+def _int_array(raw, problem: str) -> np.ndarray:
     try:
-        table = tuple(tuple(int(v) for v in row) for row in raw)
-    except (TypeError, ValueError) as exc:
-        raise RingFormatError(f"{what} table is not a matrix of integers") from exc
+        return np.asarray(raw, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise RingFormatError(problem) from exc
+
+
+def _as_table(raw, what: str) -> np.ndarray:
+    """raw as an int64 matrix; an empty table passes, for the order check."""
+    problem = f"{what} table is not a matrix of integers"
+    try:
+        table = np.asarray(raw, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        _name_refused_entry(raw, what)
+        raise RingFormatError(problem) from exc
+    if table.ndim != 2 and table.size:
+        raise RingFormatError(problem)
     return table
 
 
-def _check_shape(table, n: int, ncols: int, what: str) -> None:
-    if len(table) != n:
-        raise RingFormatError(f"{what} table has {len(table)} rows, expected {n}")
-    for i, row in enumerate(table):
-        if len(row) != ncols:
+def _name_refused_entry(raw, what: str) -> None:
+    """numpy also refuses ragged rows and integers beyond int64; raise the
+    shape or range error for the first of these, as for an int64 table."""
+    n = len(raw) if isinstance(raw, (list, tuple)) else 0
+    for i, row in enumerate(raw if n else ()):
+        if not isinstance(row, (list, tuple)):
+            return
+        if len(row) != n:
             raise RingFormatError(
-                f"{what} table row {i} has {len(row)} entries, expected {ncols}"
+                f"{what} table row {i} has {len(row)} entries, expected {n}"
             )
-
-
-def _check_entries(table, limit: int, what: str) -> None:
-    for i, row in enumerate(table):
         for j, v in enumerate(row):
-            if not 0 <= v < limit:
+            if type(v) is int and not 0 <= v < n:
                 raise RingFormatError(
-                    f"{what}[{i}][{j}] = {v} out of range 0..{limit - 1}"
+                    f"{what}[{i}][{j}] = {v} out of range 0..{n - 1}"
                 )
 
 
-def _scan_triples(n: int, build):
-    """Run build(a_slice) -> (lhs, rhs) over chunks of the first axis.
+def _check_shape(table: np.ndarray, n: int, what: str) -> None:
+    if len(table) != n:
+        raise RingFormatError(f"{what} table has {len(table)} rows, expected {n}")
+    if table.shape[1] != n:
+        raise RingFormatError(
+            f"{what} table row 0 has {table.shape[1]} entries, expected {n}"
+        )
 
-    Returns the first differing (a, b, c) triple or None.
-    """
-    if n == 0:
+
+def _check_entries(table: np.ndarray, n: int, what: str) -> None:
+    bad = np.flatnonzero((table < 0) | (table >= n))
+    if bad.size:
+        i, j = divmod(int(bad[0]), n)
+        raise RingFormatError(
+            f"{what}[{i}][{j}] = {table[i, j]} out of range 0..{n - 1}"
+        )
+
+
+def _first_failure(lhs: np.ndarray, rhs: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first entry, in row-major order, where lhs != rhs."""
+    bad = lhs != rhs
+    if not bad.any():
         return None
-    step = max(1, _TRIPLE_CHUNK // max(1, n * n))
+    return tuple(map(int, np.unravel_index(np.argmax(bad), bad.shape)))
+
+
+def _identity_failure(table: np.ndarray, e: int) -> tuple[int, int] | None:
+    """First (e, x) or (x, e) with e.x != x or x.e != x."""
+    ids = np.arange(len(table))
+    bad = np.flatnonzero((table[e] != ids) | (table[:, e] != ids))
+    if not bad.size:
+        return None
+    x = int(bad[0])
+    return (e, x) if table[e, x] != x else (x, e)
+
+
+def _rows_failure(n: int, sides) -> tuple[int, int] | None:
+    """First (x, y) with lhs[x, y] != rhs[x, y], where sides(rows) builds
+    both n-column sides for a slice of rows x, a chunk at a time."""
+    step = max(1, _CHUNK // n)
     for start in range(0, n, step):
-        sl = slice(start, min(n, start + step))
-        lhs, rhs = build(sl)
-        if not np.array_equal(lhs, rhs):
-            bad = np.argwhere(lhs != rhs)[0]
-            return (int(bad[0]) + start, int(bad[1]), int(bad[2]))
+        bad = _first_failure(*sides(slice(start, start + step)))
+        if bad is not None:
+            return start + bad[0], bad[1]
     return None
+
+
+def additive_generators(add: np.ndarray) -> list[int]:
+    """Greedy generators of the magma (R, +) under a commutative table `add`.
+
+    Each generator is the least id outside the closure of {0} and the
+    earlier generators under the table itself, so + need not be
+    associative.  Each sum of two closure members is formed once, O(n^2)
+    in all.
+    """
+    inside = np.zeros(len(add), dtype=bool)
+    inside[0] = True
+    gens = []
+    while not inside.all():
+        g = int(np.argmin(inside))
+        gens.append(g)
+        inside[g] = True
+        new = np.array([g])
+        while new.size:
+            sums = add[np.ix_(new, np.flatnonzero(inside))]
+            new = np.unique(sums[~inside[sums]])
+            inside[new] = True
+    return gens
+
+
+def _distributivity_failure(add: np.ndarray, mul: np.ndarray, g: int):
+    """First (c, x) with c(x+g) != cx + cg; with mul transposed, the same
+    test checks (x+g)c == xc + gc.  `add` must be commutative: cx + cg is
+    read as entry cx of row cg, so the gathers stay within rows."""
+    n = len(add)
+    return _rows_failure(n, lambda c: (
+        np.take(mul[c], add[:, g], axis=1),
+        np.take(add, mul[c, g][:, None] * n + mul[c]),
+    ))
 
 
 def validate_ring(
@@ -134,151 +237,129 @@ def validate_ring(
 
     Raises RingFormatError for shape problems, RingAxiomError naming the
     first violated axiom with a witnessing element tuple, CapExceededError
-    above the order cap.
+    above the order cap.  The checks, in order: additive identity,
+    commutativity and inverses; additive associativity (x, g, y); one is a
+    two-sided identity; right distributivity (x, g, c); left distributivity
+    (c, x, g); multiplicative associativity (a, b, c) on generators.
     """
-    add = _as_table(add, "add")
-    mul = _as_table(mul, "mul")
-    n = len(add)
+    A = _as_table(add, "add")
+    M = _as_table(mul, "mul")
+    n = len(A)
     if n < 1:
         raise RingFormatError("ring order must be at least 1")
-    if n > order_cap:
-        raise CapExceededError(f"order {n} exceeds cap {order_cap}")
-    _check_shape(add, n, n, "add")
-    _check_shape(mul, n, n, "mul")
-    _check_entries(add, n, "add")
-    _check_entries(mul, n, "mul")
+    _require_order(n, order_cap)
+    _check_shape(A, n, "add")
+    _check_shape(M, n, "mul")
+    _check_entries(A, n, "add")
+    _check_entries(M, n, "mul")
     if not 0 <= one < n:
         raise RingFormatError(f"one = {one} out of range")
 
-    A = np.array(add, dtype=np.int64)
-    M = np.array(mul, dtype=np.int64)
-
     # additive identity: 0 + x = x + 0 = x
-    for x in range(n):
-        if add[0][x] != x:
-            raise RingAxiomError("additive identity", (0, x))
-        if add[x][0] != x:
-            raise RingAxiomError("additive identity", (x, 0))
+    bad = _identity_failure(A, 0)
+    if bad is not None:
+        raise RingAxiomError("additive identity", bad)
     # commutativity of addition
-    if not np.array_equal(A, A.T):
-        a, b = map(int, np.argwhere(A != A.T)[0])
-        raise RingAxiomError("additive commutativity", (a, b))
+    bad = _first_failure(A, A.T)
+    if bad is not None:
+        raise RingAxiomError("additive commutativity", bad)
     # additive inverses
-    for x in range(n):
-        if 0 not in add[x]:
-            raise RingAxiomError("additive inverse", (x,))
-    def rows(sl: slice) -> np.ndarray:
-        return np.arange(*sl.indices(n))
-
-    # associativity of addition: (a+b)+c == a+(b+c)
-    bad = _scan_triples(
-        n, lambda sl: (A[A[sl]], A[rows(sl)[:, None, None], A[None, :, :]])
-    )
-    if bad is not None:
-        raise RingAxiomError("additive associativity", bad)
-    # associativity of multiplication: (ab)c == a(bc)
-    bad = _scan_triples(
-        n, lambda sl: (M[M[sl]], M[rows(sl)[:, None, None], M[None, :, :]])
-    )
-    if bad is not None:
-        raise RingAxiomError("multiplicative associativity", bad)
+    lacking = np.flatnonzero(~(A == 0).any(axis=1))
+    if lacking.size:
+        raise RingAxiomError("additive inverse", (int(lacking[0]),))
+    gens = additive_generators(A)
+    # associativity of addition, Light's test: (x+g)+y == x+(g+y)
+    for g in gens:
+        bad = _rows_failure(
+            n, lambda x: (A[A[x, g]], np.take(A[x], A[g], axis=1))
+        )
+        if bad is not None:
+            raise RingAxiomError("additive associativity", (bad[0], g, bad[1]))
     # one is a two-sided identity
-    for x in range(n):
-        if mul[one][x] != x:
-            raise RingAxiomError("one is not identity", (one, x))
-        if mul[x][one] != x:
-            raise RingAxiomError("one is not identity", (x, one))
-    # right distributivity: (a+b)c == ac + bc
-    bad = _scan_triples(
-        n, lambda sl: (M[A[sl]], A[M[sl][:, None, :], M[None, :, :]])
-    )
+    bad = _identity_failure(M, one)
     if bad is not None:
-        raise RingAxiomError("right distributivity", bad)
-    # left distributivity: a(b+c) == ab + ac
-    bad = _scan_triples(
-        n,
-        lambda sl: (
-            M[rows(sl)[:, None, None], A[None, :, :]],
-            A[M[sl][:, :, None], M[sl][:, None, :]],
-        ),
-    )
+        raise RingAxiomError("one is not identity", bad)
+    # right distributivity: (x+g)c == xc + gc
+    MT = np.ascontiguousarray(M.T)
+    for g in gens:
+        bad = _distributivity_failure(A, MT, g)
+        if bad is not None:
+            raise RingAxiomError("right distributivity", (bad[1], g, bad[0]))
+    # left distributivity: c(x+g) == cx + cg
+    for g in gens:
+        bad = _distributivity_failure(A, M, g)
+        if bad is not None:
+            raise RingAxiomError("left distributivity", (bad[0], bad[1], g))
+    # associativity of multiplication on generators: (ab)c == a(bc)
+    G = np.array(gens, dtype=np.int64)
+    MG = M[np.ix_(G, G)]
+    bad = _first_failure(M[MG][:, :, G], M[G[:, None, None], MG[None, :, :]])
     if bad is not None:
-        raise RingAxiomError("left distributivity", bad)
+        raise RingAxiomError(
+            "multiplicative associativity", tuple(int(G[i]) for i in bad)
+        )
 
-    return FiniteRing(order=n, add=add, mul=mul, one=one, name=name)
+    return FiniteRing(order=n, add=_as_tuples(A), mul=_as_tuples(M),
+                      one=one, name=name)
+
+
+def _as_tuples(table: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, table.tolist()))
 
 
 # ---------------------------------------------------------------------------
 # builtin families
-
-def _matrix_ring(p: int, positions: list[tuple[int, int]], k: int, name: str,
-                 order_cap: int) -> FiniteRing:
-    """Ring of k x k matrices over F_p supported on the given entry positions.
-
-    Elements are enumerated lexicographically over the entry vector in
-    row-major position order; the zero matrix gets id 0.
-    """
-    _require_prime(p)
-    d = len(positions)
-    if p ** d > order_cap:
-        raise CapExceededError(f"order {p ** d} exceeds cap {order_cap}")
-    pos_index = {pos: i for i, pos in enumerate(positions)}
-
-    def decode(idx: int) -> list[list[int]]:
-        mat = [[0] * k for _ in range(k)]
-        for i in range(d - 1, -1, -1):
-            r, c = positions[i]
-            mat[r][c] = idx % p
-            idx //= p
-        return mat
-
-    def encode(mat) -> int:
-        idx = 0
-        for r, c in positions:
-            idx = idx * p + mat[r][c] % p
-        return idx
-
-    n = p ** d
-    mats = [decode(i) for i in range(n)]
-    add = []
-    mul = []
-    for x in mats:
-        add_row = []
-        mul_row = []
-        for y in mats:
-            s = [[(x[r][c] + y[r][c]) % p for c in range(k)] for r in range(k)]
-            add_row.append(encode(s))
-            prod = [[sum(x[r][t] * y[t][c] for t in range(k)) % p
-                     for c in range(k)] for r in range(k)]
-            if any(prod[r][c] and (r, c) not in pos_index
-                   for r in range(k) for c in range(k)):
-                raise RingFormatError("entry pattern not closed under product")
-            mul_row.append(encode(prod))
-        add.append(add_row)
-        mul.append(mul_row)
-    ident = [[1 if r == c else 0 for c in range(k)] for r in range(k)]
-    return validate_ring(add, mul, encode(ident), name=name, order_cap=order_cap)
-
 
 def _require_prime(p: int) -> None:
     if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
         raise RingFormatError(f"field characteristic {p} is not prime")
 
 
+def _product_table(tables) -> np.ndarray:
+    """Componentwise table of a direct product, with element ids enumerated
+    lexicographically by component ids, the first component most significant."""
+    out = np.zeros((1, 1), dtype=np.int64)
+    for table in tables:
+        t = np.asarray(table, dtype=np.int64)
+        k, m = len(t), len(out)
+        out = (out[:, None, :, None] * k + t[None, :, None, :]).reshape(m * k, m * k)
+    return out
+
+
 def zmod(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """The ring of integers modulo n."""
     if n < 1:
         raise RingFormatError("modulus must be positive")
-    if n > order_cap:
-        raise CapExceededError(f"order {n} exceeds cap {order_cap}")
-    add = [[(a + b) % n for b in range(n)] for a in range(n)]
-    mul = [[(a * b) % n for b in range(n)] for a in range(n)]
-    return validate_ring(add, mul, 1 % n, name=f"zmod:{n}", order_cap=order_cap)
+    _require_order(n, order_cap)
+    a = np.arange(n, dtype=np.int64)
+    return validate_ring(np.add.outer(a, a) % n, np.multiply.outer(a, a) % n,
+                         1 % n, name=f"zmod:{n}", order_cap=order_cap)
+
+
+def _matrix_algebra(p: int, positions: list[tuple[int, int]], name: str,
+                    order_cap: int) -> FiniteRing:
+    """Matrices over F_p supported on `positions`, as the fp_algebra with
+    basis the matrix units E_rc in position order, E_rt E_tc = E_rc.
+
+    So elements are enumerated lexicographically over the entry vector in
+    position order, and the zero matrix gets id 0.
+    """
+    _require_prime(p)
+    d = len(positions)
+    _require_power_order(p, d, order_cap)  # before the d^3 constants exist
+    index = {pos: i for i, pos in enumerate(positions)}
+    consts = np.zeros((d, d, d), dtype=np.int64)
+    for i, (r, t) in enumerate(positions):
+        for j, (u, c) in enumerate(positions):
+            if t == u:
+                consts[i, j, index[r, c]] = 1
+    unit = [int(r == c) for r, c in positions]
+    return fp_algebra(p, d, consts, unit, name=name, order_cap=order_cap)
 
 
 def tri2(p: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """Lower triangular 2x2 matrices over the prime field F_p (order p^3)."""
-    return _matrix_ring(p, [(0, 0), (1, 0), (1, 1)], 2, f"tri2:{p}", order_cap)
+    return _matrix_algebra(p, [(0, 0), (1, 0), (1, 1)], f"tri2:{p}", order_cap)
 
 
 def mat(k: int, p: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
@@ -286,7 +367,7 @@ def mat(k: int, p: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     if k < 1:
         raise RingFormatError("matrix size must be positive")
     positions = [(r, c) for r in range(k) for c in range(k)]
-    return _matrix_ring(p, positions, k, f"mat:{k}:{p}", order_cap)
+    return _matrix_algebra(p, positions, f"mat:{k}:{p}", order_cap)
 
 
 def product(*rings: FiniteRing, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
@@ -296,32 +377,14 @@ def product(*rings: FiniteRing, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRin
     n = 1
     for r in rings:
         n *= r.order
-    if n > order_cap:
-        raise CapExceededError(f"order {n} exceeds cap {order_cap}")
-
-    sizes = [r.order for r in rings]
-
-    def decode(idx: int) -> list[int]:
-        out = []
-        for size in reversed(sizes):
-            out.append(idx % size)
-            idx //= size
-        return out[::-1]
-
-    def encode(parts) -> int:
-        idx = 0
-        for size, v in zip(sizes, parts):
-            idx = idx * size + v
-        return idx
-
-    elems = [decode(i) for i in range(n)]
-    add = [[encode([r.add[x[i]][y[i]] for i, r in enumerate(rings)])
-            for y in elems] for x in elems]
-    mul = [[encode([r.mul[x[i]][y[i]] for i, r in enumerate(rings)])
-            for y in elems] for x in elems]
-    one = encode([r.one for r in rings])
+    _require_order(n, order_cap)
+    one = 0
+    for r in rings:
+        one = one * r.order + r.one
     name = "prod:" + ",".join(r.name or "?" for r in rings)
-    return validate_ring(add, mul, one, name=name, order_cap=order_cap)
+    return validate_ring(_product_table(r.add for r in rings),
+                         _product_table(r.mul for r in rings),
+                         one, name=name, order_cap=order_cap)
 
 
 def fp_algebra(
@@ -341,52 +404,29 @@ def fp_algebra(
     _require_prime(p)
     if dim < 1:
         raise RingFormatError("dimension must be positive")
-    if p ** dim > order_cap:
-        raise CapExceededError(f"order {p ** dim} exceeds cap {order_cap}")
-    c = [[[int(v) % p for v in row] for row in plane] for plane in structure_constants]
-    if len(c) != dim or any(len(pl) != dim for pl in c) or any(
-        len(row) != dim for pl in c for row in pl
-    ):
-        raise RingFormatError("structure constants must be d x d x d")
-    unit = [int(v) % p for v in unit_vector]
-    if len(unit) != dim:
+    _require_power_order(p, dim, order_cap)
+    shape_problem = "structure constants must be d x d x d"
+    c = _int_array(structure_constants, shape_problem) % p
+    if c.shape != (dim, dim, dim):
+        raise RingFormatError(shape_problem)
+    unit = _int_array(unit_vector, "unit vector must have length d") % p
+    if unit.shape != (dim,):
         raise RingFormatError("unit vector must have length d")
 
     n = p ** dim
-
-    def decode(idx: int) -> list[int]:
-        out = []
-        for _ in range(dim):
-            out.append(idx % p)
-            idx //= p
-        return out[::-1]
-
-    def encode(vec) -> int:
-        idx = 0
-        for v in vec:
-            idx = idx * p + v % p
-        return idx
-
-    vecs = [decode(i) for i in range(n)]
-    add = [[encode([(x[i] + y[i]) % p for i in range(dim)]) for y in vecs]
-           for x in vecs]
-    mul = []
-    for x in vecs:
-        row = []
-        for y in vecs:
-            out = [0] * dim
-            for i in range(dim):
-                if not x[i]:
-                    continue
-                for j in range(dim):
-                    if not y[j]:
-                        continue
-                    coef = x[i] * y[j]
-                    for k in range(dim):
-                        out[k] = (out[k] + coef * c[i][j][k]) % p
-            row.append(encode(out))
-        mul.append(row)
-    return validate_ring(add, mul, encode(unit), name=name, order_cap=order_cap)
+    weights = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    vecs = np.arange(n, dtype=np.int64)[:, None] // weights % p
+    # (x, y) are F_p^dim, which is (Z/p)^dim with the same enumeration
+    zp = np.add.outer(np.arange(p), np.arange(p)) % p
+    add = _product_table([zp] * dim)
+    mul = np.empty((n, n), dtype=np.int64)
+    step = max(1, _CHUNK // (n * dim))
+    for start in range(0, n, step):
+        xc = np.einsum("xi,ijk->xjk", vecs[start:start + step], c) % p
+        coeffs = np.einsum("xjk,yj->xyk", xc, vecs) % p
+        mul[start:start + step] = coeffs @ weights
+    return validate_ring(add, mul, int(unit @ weights), name=name,
+                         order_cap=order_cap)
 
 
 BUILTIN_PREFIXES = ("zmod", "tri2", "mat", "prod")
@@ -433,9 +473,28 @@ _FP_FIELDS = {"fp_algebra"}
 _FP_INNER = {"p", "dim", "structure_constants", "unit_vector"}
 
 
+def _require_ints(value, depth: int, what: str) -> None:
+    """RingFormatError unless value is lists nested `depth` deep around JSON
+    integers.  Booleans are refused: numpy would read them as 0 and 1."""
+    if depth == 0:
+        if type(value) is not int:
+            raise RingFormatError(f"{what} = {value!r} is not an integer")
+        return
+    if not isinstance(value, list):
+        raise RingFormatError(f"{what} must be a list")
+    if depth == 1 and set(map(type, value)) <= {int}:
+        return
+    for i, v in enumerate(value):
+        _require_ints(v, depth - 1, f"{what}[{i}]")
+
+
 def parse_ring_document(data: bytes | str, *,
                         order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
-    """Parse and fully validate a ring document (table or fp_algebra form)."""
+    """Parse and fully validate a ring document (table or fp_algebra form).
+
+    Only the JSON types are checked here; shapes and ranges are left to
+    validate_ring.
+    """
     if isinstance(data, bytes):
         data = data.decode()
     try:
@@ -451,8 +510,11 @@ def parse_ring_document(data: bytes | str, *,
             raise RingFormatError(
                 f"fp_algebra must have exactly fields {sorted(_FP_INNER)}"
             )
+        for key, depth in (("p", 0), ("dim", 0), ("structure_constants", 3),
+                           ("unit_vector", 1)):
+            _require_ints(inner[key], depth, key)
         return fp_algebra(
-            int(inner["p"]), int(inner["dim"]),
+            inner["p"], inner["dim"],
             inner["structure_constants"], inner["unit_vector"],
             order_cap=order_cap,
         )
@@ -465,17 +527,9 @@ def parse_ring_document(data: bytes | str, *,
         if missing:
             parts.append(f"missing fields {sorted(missing)}")
         raise RingFormatError("; ".join(parts))
-    n = int(doc["order"])
-    add, mul = doc["add"], doc["mul"]
-    for what, table in (("add", add), ("mul", mul)):
-        if not isinstance(table, list) or len(table) != n:
-            raise RingFormatError(f"{what} table must have {n} rows")
-        for i, row in enumerate(table):
-            if not isinstance(row, list) or len(row) != n:
-                raise RingFormatError(f"{what} row {i} must have {n} entries")
-            for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < n:
-                    raise RingFormatError(
-                        f"{what}[{i}][{j}] = {v!r} out of range 0..{n - 1}"
-                    )
-    return validate_ring(add, mul, int(doc["one"]), order_cap=order_cap)
+    for key, depth in (("order", 0), ("one", 0), ("add", 2), ("mul", 2)):
+        _require_ints(doc[key], depth, key)
+    n = doc["order"]
+    if len(doc["add"]) != n:
+        raise RingFormatError(f"add table must have {n} rows")
+    return validate_ring(doc["add"], doc["mul"], doc["one"], order_cap=order_cap)

@@ -164,3 +164,62 @@ def test_text_output_includes_timing(capsys):
     out = capsys.readouterr().out
     assert "elapsed:" in out
     assert "2 atoms" in out
+
+
+def _zmod2_doc(**changes) -> dict:
+    doc = json.loads(serialize_ring(zmod(2)))
+    doc.update(changes)
+    return doc
+
+
+def _fp_doc(**changes) -> dict:
+    inner = {"p": 2, "dim": 1, "structure_constants": [[[1]]],
+             "unit_vector": [1]}
+    inner.update(changes)
+    return {"fp_algebra": inner}
+
+
+def _validate_document(tmp_path, capsys, doc) -> tuple[int, dict]:
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run(["validate", "--ring", str(path), "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("doc", [
+    _zmod2_doc(one="x"),
+    _zmod2_doc(order="a"),
+    _fp_doc(p="x"),
+    _fp_doc(structure_constants=5),
+    _fp_doc(unit_vector=None),
+], ids=["one-str", "order-str", "p-str", "constants-int", "unit-null"])
+def test_malformed_document_is_format_error(tmp_path, capsys, doc):
+    code, out = _validate_document(tmp_path, capsys, doc)
+    assert code == 1
+    assert out["error"]["type"] == "RingFormatError"
+
+
+@pytest.mark.parametrize("doc", [
+    _zmod2_doc(one=True),
+    _zmod2_doc(order=True, add=[[0]], mul=[[0]], one=0),
+    _zmod2_doc(mul=[[0, 0], [0, True]]),
+    _zmod2_doc(add=[[0, True], [1, 0]]),
+    _fp_doc(p=True),
+    _fp_doc(dim=True),
+], ids=["one", "order", "mul-entry", "add-entry", "p", "dim"])
+def test_json_booleans_are_rejected(tmp_path, capsys, doc):
+    code, out = _validate_document(tmp_path, capsys, doc)
+    assert code == 1
+    assert out["error"]["type"] == "RingFormatError"
+    assert "True" in out["error"]["message"]
+
+
+def test_astronomical_order_exceeds_cap(tmp_path, capsys):
+    # 2^90000 and 2^20000 are past what str() will format
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(_fp_doc(dim=20000)))
+    for ring in ("mat:300:2", str(path)):
+        code, _ = run(["validate", "--ring", ring, "--format", "json"])
+        assert code == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"]["type"] == "CapExceededError"
