@@ -5,13 +5,30 @@ frozensets of element ids of their parent; all submodule-producing
 functions return such sets, and module-producing functions (quotient,
 sub, direct sum) return fresh RightModule values with canonical element
 enumeration so that equal constructions compare equal.
+
+Each module's submodule lattice is computed once, by a breadth-first
+search from {0} whose successors of S are the sums S + xR for x outside
+S.  The cyclic submodule xR = {x.a : a in R} is read directly off the
+action table, since it is already closed under addition and the action.
+Every submodule is a sum of the cyclics it contains, so the search
+reaches all of them.
+
+Everything about the quotients M/N is read from one colon table instead
+of building M/N: row N holds the colon ideals (N : x) = {a : x.a in N}
+for x outside N, and (N : x) is exactly Ann(x + N) in M/N, so row N is
+the annihilator set of M/N.  The submodules of M/N are the L/N for L
+containing N, with (M/N)/(L/N) = M/L, so monoform tests and atom
+supports of every quotient are unions and intersections of rows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+
+import numpy as np
 
 from .rings import CapExceededError, FiniteRing, RingAxiomError
 
@@ -35,6 +52,13 @@ class RightModule:
     add: tuple[tuple[int, ...], ...]
     act: tuple[tuple[int, ...], ...]
     provenance: str = field(default="", compare=False)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.ring, self.order, self.add, self.act))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def elements(self) -> range:
         return range(self.order)
@@ -110,39 +134,25 @@ def is_submodule(module: RightModule, members: frozenset) -> bool:
     return True
 
 
-def _additive_closure(module: RightModule, seed) -> frozenset:
-    add = module.add
-    members = {0}
-    members.update(seed)
-    queue = list(members)
-    while queue:
-        x = queue.pop()
-        for y in tuple(members):
-            s = add[x][y]
-            if s not in members:
-                members.add(s)
-                queue.append(s)
-    return frozenset(members)
-
-
 def generated_submodule(module: RightModule, xs) -> frozenset:
-    """Least submodule containing xs.
-
-    The R-orbit of the generators is closed under the action, so the
-    additive closure of the orbit is already a submodule.
-    """
-    act = module.act
-    n = module.ring.order
-    orbit = {act[x][a] for x in xs for a in range(n)}
-    return _additive_closure(module, orbit)
+    """Least submodule containing xs: the sum of the cyclics xR."""
+    total = frozenset({0})
+    for x in xs:
+        total = submodule_sum(module, total, cyclic_submodule(module, x))
+    return total
 
 
 def cyclic_submodule(module: RightModule, x: int) -> frozenset:
-    return generated_submodule(module, (x,))
+    """xR, which is already closed under addition (x.a + x.b = x.(a+b))
+    and under the action ((x.a).b = x.(ab))."""
+    return frozenset(module.act[x])
 
 
 def submodule_sum(module: RightModule, a: frozenset, b: frozenset) -> frozenset:
-    return _additive_closure(module, a | b)
+    """a + b for submodules a and b: the pairwise sums are already closed
+    under addition and the action."""
+    add = module.add
+    return frozenset(add[x][y] for x in a for y in b)
 
 
 @lru_cache(maxsize=None)
@@ -151,26 +161,37 @@ def submodule_lattice(
 ) -> tuple[frozenset, ...]:
     """All submodules, sorted by (cardinality, sorted element tuple).
 
-    Computed as the join-closure of the cyclic submodules; every submodule
-    is a sum of the cyclics it contains, so the closure is complete.
+    Breadth-first search from {0}; the successors of S are S + xR for
+    every x outside S, all found in one vectorised step: label each
+    element by its coset of S, mark the cosets that each row act[x]
+    meets, and pull the marks back through the labels.  Every submodule
+    is a sum of cyclics, so the search is complete.
     """
-    cyclics = {cyclic_submodule(module, x) for x in range(module.order)}
-    cyclics.add(frozenset({0}))
-    found = set(cyclics)
-    frontier = list(cyclics)
-    while frontier:
-        current = frontier.pop()
-        for other in tuple(found):
-            join = submodule_sum(module, current, other)
-            if join not in found:
-                found.add(join)
-                frontier.append(join)
-                if len(found) > cap:
-                    raise CapExceededError(
-                        f"submodule lattice exceeded cap {cap} "
-                        f"(blew up at {len(found)} submodules)"
-                    )
-    return tuple(sorted(found, key=submodule_key))
+    m = module.order
+    add = np.array(module.add, dtype=np.intp)
+    act = np.array(module.act, dtype=np.intp)
+    ids = np.arange(m)
+    zero = ids == 0
+    found = {zero.tobytes(): zero}
+    queue = [zero]
+    for inside in queue:
+        labels = add[:, inside].min(axis=1)  # least element of v + S
+        reps = np.flatnonzero((labels == ids) & ~inside)
+        met = np.zeros((len(reps), m), dtype=bool)
+        met[np.arange(len(reps))[:, None], labels[act[reps]]] = True
+        for members in met[:, labels]:
+            key = members.tobytes()
+            if key in found:
+                continue
+            found[key] = members
+            queue.append(members)
+            if len(found) > cap:
+                raise CapExceededError(
+                    f"submodule lattice exceeded cap {cap} "
+                    f"(blew up at {len(found)} submodules)"
+                )
+    subs = (frozenset(np.flatnonzero(mask).tolist()) for mask in queue)
+    return tuple(sorted(subs, key=submodule_key))
 
 
 def submodule_key(members: frozenset) -> tuple:
@@ -289,6 +310,37 @@ def annihilator_set(module: RightModule) -> frozenset:
     set intersections.
     """
     return frozenset(annihilator(module, x) for x in range(1, module.order))
+
+
+@lru_cache(maxsize=None)
+def colon_table(module: RightModule) -> MappingProxyType:
+    """{N: {(N : x) : x not in N}} for every proper submodule N.
+
+    (N : x) = {a in R : x.a in N} is Ann(x + N) in M/N, so row N equals
+    annihilator_set(M/N), computed without building M/N.  Row {0} is
+    annihilator_set(M).  Equal colon ideals are shared between rows.
+    """
+    m = module.order
+    add = np.array(module.add, dtype=np.intp)
+    act = np.array(module.act, dtype=np.intp)
+    ids = np.arange(m)
+    interned: dict[bytes, frozenset] = {}
+    table = {}
+    for sub in submodule_lattice(module):
+        if len(sub) == m:
+            continue
+        inside = np.zeros(m, dtype=bool)
+        inside[list(sub)] = True
+        # (N : x) depends only on the coset x + N; take its least element
+        reps = np.flatnonzero((add[:, inside].min(axis=1) == ids) & ~inside)
+        row = set()
+        for colon in inside[act[reps]]:
+            key = np.packbits(colon).tobytes()
+            if key not in interned:
+                interned[key] = frozenset(np.flatnonzero(colon).tolist())
+            row.add(interned[key])
+        table[sub] = frozenset(row)
+    return MappingProxyType(table)
 
 
 def shares_nonzero_submodule(a: RightModule, b: RightModule) -> bool:

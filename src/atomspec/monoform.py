@@ -8,7 +8,7 @@ from functools import lru_cache
 from .modules import (
     RightModule,
     annihilator,
-    annihilator_set,
+    colon_table,
     composition_factors,
     cyclic_submodule,
     is_submodule,
@@ -43,17 +43,15 @@ class Filtration:
 def is_monoform(module: RightModule) -> bool:
     """M nonzero and no nonzero submodule is shared between M and any M/N.
 
-    Subobject sharing is decided by annihilator-set intersection.
+    Subobject sharing is decided by annihilator-set intersection, and the
+    annihilator set of M/N is row N of the colon table, so no quotient is
+    built: M is monoform iff row {0} is disjoint from every row N != 0.
     """
     if module.order == 1:
         return False
-    ann_m = annihilator_set(module)
-    for sub in submodule_lattice(module):
-        if len(sub) == 1:
-            continue
-        if ann_m & annihilator_set(quotient(module, sub)):
-            return False
-    return True
+    table = colon_table(module)
+    ann_m = table[frozenset({0})]
+    return not any(ann_m & row for sub, row in table.items() if len(sub) > 1)
 
 
 @lru_cache(maxsize=None)
@@ -70,14 +68,28 @@ def monoform_oracle_artinian(module: RightModule) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _comonoform_flags(ring: FiniteRing) -> dict:
+    """{p: R/p is monoform} for every proper right ideal p.
+
+    The submodules of R/p are the q/p for q containing p, and
+    (R/p)/(q/p) = R/q, so R/p is monoform iff row p of the regular
+    module's colon table is disjoint from row q for every proper q > p.
+    """
+    table = colon_table(regular_module(ring))
+    return {
+        p: not any(row & other for q, other in table.items() if q > p)
+        for p, row in table.items()
+    }
+
+
 def is_comonoform(ring: FiniteRing, ideal: frozenset) -> bool:
     """Right ideal p with R/p monoform."""
-    reg = regular_module(ring)
-    if not is_submodule(reg, ideal):
+    flags = _comonoform_flags(ring)
+    if ideal not in flags:
+        if ideal == frozenset(range(ring.order)):
+            raise MonoformError("the full ring is not a comonoform right ideal")
         raise MonoformError(f"{sorted(ideal)} is not a right ideal")
-    if len(ideal) == ring.order:
-        raise MonoformError("the full ring is not a comonoform right ideal")
-    return is_monoform(quotient(reg, ideal))
+    return flags[ideal]
 
 
 def is_completely_prime(ring: FiniteRing, ideal: frozenset) -> bool:

@@ -74,6 +74,13 @@ class FiniteRing:
     name: str = field(default="", compare=False)
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.order, self.add, self.mul, self.one))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
     def neg(self) -> tuple[int, ...]:
         out = [0] * self.order
         for x in range(self.order):
@@ -99,9 +106,9 @@ def _require_order(n: int, order_cap: int) -> None:
 
 
 def _require_power_order(p: int, d: int, order_cap: int) -> None:
-    """p^d <= order_cap for a prime p, without forming p^d when d alone
+    """p^d <= order_cap for d >= 1, without forming p^d when p or d alone
     rules it out: a huge p^d takes long to compute and str() refuses it."""
-    if d >= order_cap.bit_length():
+    if d >= order_cap.bit_length() or p > order_cap:
         raise CapExceededError(f"order {p}^{d} exceeds cap {order_cap}")
     _require_order(p ** d, order_cap)
 
@@ -344,9 +351,9 @@ def _matrix_algebra(p: int, positions: list[tuple[int, int]], name: str,
     So elements are enumerated lexicographically over the entry vector in
     position order, and the zero matrix gets id 0.
     """
-    _require_prime(p)
     d = len(positions)
     _require_power_order(p, d, order_cap)  # before the d^3 constants exist
+    _require_prime(p)  # after the cap, which bounds the trial division
     index = {pos: i for i, pos in enumerate(positions)}
     consts = np.zeros((d, d, d), dtype=np.int64)
     for i, (r, t) in enumerate(positions):
@@ -401,10 +408,10 @@ def fp_algebra(
     Elements are coefficient vectors enumerated lexicographically; the
     resulting tables are validated in full.
     """
-    _require_prime(p)
     if dim < 1:
         raise RingFormatError("dimension must be positive")
     _require_power_order(p, dim, order_cap)
+    _require_prime(p)  # after the cap, which bounds the trial division
     shape_problem = "structure constants must be d x d x d"
     c = _int_array(structure_constants, shape_problem) % p
     if c.shape != (dim, dim, dim):

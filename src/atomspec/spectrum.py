@@ -4,15 +4,15 @@ right ideals, atom support, associated atoms, and the open-set topology."""
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .modules import (
     RightModule,
     annihilator,
-    annihilator_set,
+    colon_table,
     quotient,
-    quotient_module,
     regular_module,
     submodule_key,
     submodule_lattice,
@@ -87,11 +87,24 @@ def _atom_index(spec: AtomSpectrum) -> dict:
 
 @lru_cache(maxsize=None)
 def _support_cache(spec: AtomSpectrum) -> dict:
-    reg = regular_module(spec.ring)
+    """Supp R/p is the set of atoms met by the rows q >= p of the regular
+    module's colon table: the subquotients R/p / q/p are the R/q."""
+    met = _atoms_met(spec, colon_table(regular_module(spec.ring)))
     return {
-        ideal: atom_support(spec, quotient(reg, ideal))
+        ideal: frozenset().union(*(
+            atoms for q, atoms in met.items() if ideal <= q
+        ))
         for atom in spec.atoms
         for ideal in atom.members
+    }
+
+
+def _atoms_met(spec: AtomSpectrum, table: Mapping) -> dict:
+    """{N: atom ids of the comonoform ideals in row N}."""
+    index = _atom_index(spec)
+    return {
+        sub: frozenset(index[c] for c in row if c in index)
+        for sub, row in table.items()
     }
 
 
@@ -102,10 +115,8 @@ def atom_equivalent(ring: FiniteRing, p: frozenset, q: frozenset) -> bool:
             raise SpectrumError(
                 f"{sorted(ideal)} is not a comonoform right ideal"
             )
-    reg = regular_module(ring)
-    return bool(
-        annihilator_set(quotient(reg, p)) & annihilator_set(quotient(reg, q))
-    )
+    table = colon_table(regular_module(ring))
+    return bool(table[p] & table[q])
 
 
 @lru_cache(maxsize=None)
@@ -115,14 +126,12 @@ def atom_spectrum(ring: FiniteRing) -> AtomSpectrum:
     Canonical class representative: the ideal with lexicographically
     smallest sorted element tuple.
     """
-    reg = regular_module(ring)
-    full = frozenset(range(ring.order))
-    ideals = [
-        ideal for ideal in submodule_lattice(reg)
-        if ideal != full and is_comonoform(ring, ideal)
-    ]
-    ideals.sort(key=submodule_key)
-    annsets = [annihilator_set(quotient(reg, ideal)) for ideal in ideals]
+    table = colon_table(regular_module(ring))
+    ideals = sorted(
+        (ideal for ideal in table if is_comonoform(ring, ideal)),
+        key=submodule_key,
+    )
+    annsets = [table[ideal] for ideal in ideals]
     uf = UnionFind(len(ideals))
     for i in range(len(ideals)):
         for j in range(i + 1, len(ideals)):
@@ -152,19 +161,12 @@ def atom_support(spec: AtomSpectrum, module: RightModule) -> frozenset:
     """Atom ids with a representative occurring as a subquotient of M.
 
     Reduction to cyclic subquotients: every monoform subquotient contains
-    a cyclic monoform submodule R/Ann(x+N) in the same atom.
+    a cyclic monoform submodule R/Ann(x+N) in the same atom, and the
+    Ann(x+N) are the entries of M's colon table.
     """
     if module.ring != spec.ring:
         raise SpectrumError("module is over a different ring")
-    index = _atom_index(spec)
-    out = set()
-    for sub in submodule_lattice(module):
-        quot, _ = quotient_module(module, sub)
-        for x in range(1, quot.order):
-            atom = index.get(annihilator(quot, x))
-            if atom is not None:
-                out.add(atom)
-    return frozenset(out)
+    return frozenset().union(*_atoms_met(spec, colon_table(module)).values())
 
 
 def associated_atoms(spec: AtomSpectrum, module: RightModule) -> frozenset:

@@ -214,12 +214,20 @@ def test_json_booleans_are_rejected(tmp_path, capsys, doc):
     assert "True" in out["error"]["message"]
 
 
+MERSENNE_61 = 2 ** 61 - 1  # prime; trial division up to its root never ends
+
+
 def test_astronomical_order_exceeds_cap(tmp_path, capsys):
-    # 2^90000 and 2^20000 are past what str() will format
-    path = tmp_path / "ring.json"
-    path.write_text(json.dumps(_fp_doc(dim=20000)))
-    for ring in ("mat:300:2", str(path)):
+    # 2^90000 and 2^20000 are past what str() will format, and the cap
+    # must refuse 2^61 - 1 before its primality is tested
+    rings = ["mat:300:2", f"tri2:{MERSENNE_61}", f"mat:2:{MERSENNE_61}"]
+    for i, doc in enumerate([_fp_doc(dim=20000), _fp_doc(p=MERSENNE_61)]):
+        path = tmp_path / f"ring{i}.json"
+        path.write_text(json.dumps(doc))
+        rings.append(str(path))
+    for ring in rings:
         code, _ = run(["validate", "--ring", ring, "--format", "json"])
         assert code == 1
         out = json.loads(capsys.readouterr().out)
         assert out["error"]["type"] == "CapExceededError"
+

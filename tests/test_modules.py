@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from atomspec.modules import (
     NotASubmoduleError,
+    RightModule,
     annihilator,
     annihilator_set,
     composition_factors,
@@ -33,7 +34,7 @@ from atomspec.modules import (
     submodule_sum,
     validate_module,
 )
-from atomspec.rings import tri2, zmod
+from atomspec.rings import CapExceededError, mat, product, tri2, zmod
 
 from conftest import ZMOD_ORDERS
 
@@ -48,6 +49,32 @@ def brute_force_submodules(module):
             if is_submodule(module, members):
                 found.append(members)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def pruned_subset_scan(module):
+    """Every subset containing 0, decided element by element in id order.
+
+    A branch stops once a sum or multiple of chosen elements is an element
+    already decided out, since no closed set extends it; each surviving
+    subset is still tested with is_submodule.
+    """
+    m, n = module.order, module.ring.order
+    add, act = module.add, module.act
+    found = []
+
+    def extend(x, chosen, forced):
+        if x == m:
+            if is_submodule(module, chosen):
+                found.append(chosen)
+            return
+        new = {add[x][y] for y in chosen} | {add[x][x]} | set(act[x])
+        if all(f > x or f in chosen for f in new - {x}):
+            extend(x + 1, chosen | {x}, forced | new)
+        if x not in forced:
+            extend(x + 1, chosen, forced)
+
+    extend(1, frozenset({0}), frozenset())
+    return found
 
 
 def divisors(n):
@@ -78,6 +105,51 @@ def test_tri2_lattice_agrees_with_brute_force():
     lattice = sorted(submodule_lattice(module), key=sorted)
     assert lattice == sorted(brute_force_submodules(module), key=sorted)
     assert sorted(len(s) for s in lattice) == [1, 2, 2, 2, 4, 4, 8]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: regular_module(tri2(3)),
+    lambda: regular_module(mat(2, 2)),
+    lambda: regular_module(product(*[zmod(2)] * 4)),
+    lambda: direct_sum(regular_module(zmod(6)), regular_module(zmod(6))),
+], ids=["tri2:3", "mat:2:2", "F2^4", "zmod:6+zmod:6"])
+def test_lattice_agrees_with_pruned_subset_scan(make):
+    module = make()
+    lattice = submodule_lattice(module)
+    assert list(lattice) == sorted(lattice, key=lambda s: (len(s), sorted(s)))
+    assert sorted(lattice, key=sorted) == sorted(
+        pruned_subset_scan(module), key=sorted
+    )
+
+
+def test_pruned_subset_scan_agrees_with_brute_force():
+    for n in (4, 6, 8, 12):
+        module = regular_module(zmod(n))
+        assert sorted(pruned_subset_scan(module), key=sorted) == sorted(
+            brute_force_submodules(module), key=sorted
+        )
+
+
+def test_lattice_cap_is_enforced():
+    # zmod:12 has six ideals
+    module = regular_module(zmod(12))
+    with pytest.raises(CapExceededError):
+        submodule_lattice(module, cap=3)
+    assert len(submodule_lattice(module, cap=6)) == 6
+
+
+def test_equal_modules_hash_alike():
+    ring = zmod(6)
+    a = direct_sum(regular_module(ring), regular_module(ring))
+    b = direct_sum(regular_module(zmod(6)), regular_module(zmod(6)))
+    renamed = RightModule(ring=ring, order=a.order, add=a.add, act=a.act,
+                          provenance="other")
+    assert a is not b
+    for other in (b, renamed):
+        assert a == other
+        assert hash(a) == hash(other)
+    assert a != regular_module(zmod(36))
+    assert len({a, b, renamed, regular_module(ring)}) == 2
 
 
 def test_cyclic_and_generated_submodules():

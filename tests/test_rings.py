@@ -95,6 +95,19 @@ def test_nonprime_field_rejected():
         tri2(4)
 
 
+def test_equal_rings_hash_alike():
+    built = tri2(2)
+    again = tri2(2)
+    parsed = parse_ring_document(serialize_ring(built))  # no name
+    assert built is not again
+    for other in (again, parsed):
+        assert built == other
+        assert hash(built) == hash(other)
+    assert parsed.name != built.name
+    assert built != tri2(3)
+    assert len({built, again, parsed, zmod(8)}) == 2
+
+
 def test_serialization_roundtrip():
     for ring in (zmod(2), tri2(2)):
         doc = serialize_ring(ring)
