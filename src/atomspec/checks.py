@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
+
+import numpy as np
 
 from .modules import (
     RightModule,
@@ -25,6 +28,7 @@ from .modules import (
     is_uniform,
     is_uniform_bruteforce,
     quotient,
+    quotient_module,
     regular_module,
     sub_module,
     submodule_lattice,
@@ -56,18 +60,15 @@ from .spectrum import (
 SMALL_MODULE_ORDER = 64
 
 
-def _cyclic_modules(ring: FiniteRing) -> list[RightModule]:
+@lru_cache(maxsize=None)
+def _cyclic_modules(ring: FiniteRing) -> tuple[RightModule, ...]:
     """R/I for every proper right ideal I (includes the regular module)."""
     reg = regular_module(ring)
-    return [
+    return tuple(
         quotient(reg, ideal)
         for ideal in submodule_lattice(reg)
         if len(ideal) < ring.order
-    ]
-
-
-def _all_submodule_modules(module: RightModule) -> list[RightModule]:
-    return [sub_module(module, s)[0] for s in submodule_lattice(module)]
+    )
 
 
 def check_ring_axioms(ring: FiniteRing):
@@ -96,15 +97,55 @@ def check_index_multiplicativity(ring: FiniteRing):
 
 
 def check_cyclic_iso_quotient(ring: FiniteRing):
-    """xR is isomorphic to R / Ann(x)."""
+    """xR is isomorphic to R / Ann(x), through r + Ann(x) -> x.r.
+
+    The map is checked on the built modules R/Ann(x) and xR, so this
+    exhibits an isomorphism instead of searching for one.
+    """
     reg = regular_module(ring)
+    quotients = {}  # R/Ann(x) once per distinct annihilator
     for mod in _cyclic_modules(ring):
+        cyclics = {}  # xR once per distinct cyclic submodule of mod
         for x in range(mod.order):
-            cyc = sub_module(mod, cyclic_submodule(mod, x))[0]
-            quo = quotient(reg, annihilator(mod, x))
-            if not is_isomorphic(cyc, quo):
+            ann = annihilator(mod, x)
+            if ann not in quotients:
+                quotients[ann] = quotient_module(reg, ann)
+            members = cyclic_submodule(mod, x)
+            if members not in cyclics:
+                cyclics[members] = sub_module(mod, members)
+            if not _canonical_map_is_iso(mod, x, *quotients[ann],
+                                         *cyclics[members]):
                 return "cyclic is R mod annihilator", False, (mod.provenance, x)
     return "cyclic is R mod annihilator", True, None
+
+
+def _canonical_map_is_iso(mod: RightModule, x: int, quo: RightModule,
+                          proj: tuple, cyc: RightModule, incl: tuple) -> bool:
+    """phi(r + Ann(x)) = x.r is a well-defined, bijective, additive and
+    R-linear map from quo = R/Ann(x) to cyc = xR.
+
+    proj sends each r in R to its coset id in quo; incl sends the ids of
+    cyc to elements of mod.
+    """
+    row = mod.tables[1][x]  # x.r for each r
+    proj = np.array(proj, dtype=np.intp)
+    if (len(proj) != len(row) or quo.order != cyc.order
+            or proj.max() >= quo.order):
+        return False
+    index = np.full(mod.order, -1, dtype=np.intp)  # mod id -> cyc id
+    index[list(incl)] = np.arange(len(incl))
+    image = index[row]  # phi(proj[r]) for each r
+    phi = np.full(quo.order, -1, dtype=np.intp)
+    phi[proj] = image
+    if (image < 0).any() or (phi[proj] != image).any():
+        return False  # x.r outside xR, or phi not well defined
+    if not np.array_equal(np.sort(phi), np.arange(cyc.order)):
+        return False
+    (q_add, q_act), (c_add, c_act) = quo.tables, cyc.tables
+    return bool(
+        (phi[q_add] == c_add[phi[:, None], phi]).all()
+        and (phi[q_act] == c_act[phi]).all()
+    )
 
 
 def check_lattice_closure(ring: FiniteRing):

@@ -85,11 +85,11 @@ def _payload(args, ring: FiniteRing) -> dict:
             ],
         }
     if verb == "monoform":
-        module = parse_module_spec(ring, args.module)
+        module = parse_module_spec(ring, args.module, order_cap=args.max_order)
         return {"module": args.module, "monoform": is_monoform(module)}
     if verb == "support":
+        module = parse_module_spec(ring, args.module, order_cap=args.max_order)
         spec = atom_spectrum(ring)
-        module = parse_module_spec(ring, args.module)
         atoms = sorted(atom_support(spec, module))
         return {
             "module": args.module,
@@ -97,8 +97,8 @@ def _payload(args, ring: FiniteRing) -> dict:
             "reps": [sorted(spec.atoms[a].canonical_rep) for a in atoms],
         }
     if verb == "ass":
+        module = parse_module_spec(ring, args.module, order_cap=args.max_order)
         spec = atom_spectrum(ring)
-        module = parse_module_spec(ring, args.module)
         atoms = sorted(associated_atoms(spec, module))
         return {
             "module": args.module,
@@ -106,7 +106,7 @@ def _payload(args, ring: FiniteRing) -> dict:
             "reps": [sorted(spec.atoms[a].canonical_rep) for a in atoms],
         }
     if verb == "filtration":
-        module = parse_module_spec(ring, args.module)
+        module = parse_module_spec(ring, args.module, order_cap=args.max_order)
         filt = monoform_filtration(module)
         return {
             "module": args.module,

@@ -6,6 +6,14 @@ functions return such sets, and module-producing functions (quotient,
 sub, direct sum) return fresh RightModule values with canonical element
 enumeration so that equal constructions compare equal.
 
+The tables are tuples of tuples, which define equality and the hash, and
+each module also converts them once to numpy arrays (`RightModule.tables`)
+of the smallest signed dtype that holds its element ids.  Submodule
+tests, quotients, submodules and direct sums are computed on those
+arrays: the quotient M/N labels each element by the least element of its
+coset x + N, and the representatives are the elements that label
+themselves.
+
 Each module's submodule lattice is computed once, by a breadth-first
 search from {0} whose successors of S are the sums S + xR for x outside
 S.  The cyclic submodule xR = {x.a : a in R} is read directly off the
@@ -23,14 +31,22 @@ supports of every quotient are unions and intersections of rows.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
 
 import numpy as np
 
-from .rings import CapExceededError, FiniteRing, RingAxiomError
+from .rings import (
+    DEFAULT_ORDER_CAP,
+    CapExceededError,
+    FiniteRing,
+    RingAxiomError,
+    _as_tuples,
+)
 
 DEFAULT_LATTICE_CAP = 1 << 20
 
@@ -60,12 +76,48 @@ class RightModule:
     def __hash__(self) -> int:
         return self._hash
 
+    @cached_property
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(add, act) as read-only numpy arrays of table_dtype(order)."""
+        dtype = table_dtype(self.order)
+        return (_read_only(np.array(self.add, dtype=dtype)),
+                _read_only(np.array(self.act, dtype=dtype)))
+
     def elements(self) -> range:
         return range(self.order)
 
     def __repr__(self):
         tag = self.provenance or f"order {self.order}"
         return f"RightModule({tag} over {self.ring.name or self.ring.order})"
+
+
+_SIGNED_DTYPES = tuple(
+    (np.iinfo(t).max, np.dtype(t))
+    for t in (np.int8, np.int16, np.int32, np.int64)
+)
+
+
+def table_dtype(order: int) -> np.dtype:
+    """The smallest signed integer dtype that holds the ids 0..order-1."""
+    return next(dtype for top, dtype in _SIGNED_DTYPES if order - 1 <= top)
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+def _module_from_arrays(ring: FiniteRing, add: np.ndarray, act: np.ndarray,
+                        provenance: str) -> RightModule:
+    """A RightModule with tuple tables, its numpy tables already cached."""
+    dtype = table_dtype(len(add))
+    add, act = add.astype(dtype), act.astype(dtype)
+    module = RightModule(
+        ring=ring, order=len(add), add=_as_tuples(add), act=_as_tuples(act),
+        provenance=provenance,
+    )
+    module.__dict__["tables"] = (_read_only(add), _read_only(act))
+    return module
 
 
 def validate_module(module: RightModule) -> RightModule:
@@ -119,19 +171,17 @@ def zero_module(ring: FiniteRing) -> RightModule:
 
 
 def is_submodule(module: RightModule, members: frozenset) -> bool:
-    if 0 not in members:
+    """members holds 0, lies in M, and is closed under addition and the
+    action."""
+    if 0 not in members or min(members) < 0 or max(members) >= module.order:
         return False
-    if any(not 0 <= x < module.order for x in members):
-        return False
-    add, act = module.add, module.act
-    for x in members:
-        for y in members:
-            if add[x][y] not in members:
-                return False
-        for a in range(module.ring.order):
-            if act[x][a] not in members:
-                return False
-    return True
+    add, act = module.tables
+    ids = np.fromiter(members, dtype=np.intp, count=len(members))
+    inside = np.zeros(module.order, dtype=bool)
+    inside[ids] = True
+    return bool(
+        inside[act[ids]].all() and inside[add[ids[:, None], ids]].all()
+    )
 
 
 def generated_submodule(module: RightModule, xs) -> frozenset:
@@ -168,8 +218,7 @@ def submodule_lattice(
     is a sum of cyclics, so the search is complete.
     """
     m = module.order
-    add = np.array(module.add, dtype=np.intp)
-    act = np.array(module.act, dtype=np.intp)
+    add, act = module.tables
     ids = np.arange(m)
     zero = ids == 0
     found = {zero.tobytes(): zero}
@@ -210,29 +259,16 @@ def quotient_module(
         raise NotASubmoduleError(
             f"{sorted(sub)} is not a submodule of {module!r}"
         )
-    add, act = module.add, module.act
-    m = module.order
-    rep_of = [-1] * m
-    reps = []
-    for x in range(m):
-        if rep_of[x] == -1:
-            coset = {add[x][s] for s in sub}
-            for y in coset:
-                rep_of[y] = x
-            reps.append(x)
-    index = {rep: i for i, rep in enumerate(reps)}
-    proj = tuple(index[rep_of[x]] for x in range(m))
-    q_add = tuple(
-        tuple(proj[add[r1][r2]] for r2 in reps) for r1 in reps
+    add, act = module.tables
+    members = sorted(sub)
+    labels = add[:, members].min(axis=1)  # least element of x + N
+    reps = np.flatnonzero(labels == np.arange(module.order))
+    proj = np.searchsorted(reps, labels)
+    quot = _module_from_arrays(
+        module.ring, proj[add[reps[:, None], reps]], proj[act[reps]],
+        provenance=f"({module.provenance})/{members}",
     )
-    q_act = tuple(
-        tuple(proj[act[r][a]] for a in range(module.ring.order)) for r in reps
-    )
-    quot = RightModule(
-        ring=module.ring, order=len(reps), add=q_add, act=q_act,
-        provenance=f"({module.provenance})/{sorted(sub)}",
-    )
-    return quot, proj
+    return quot, tuple(proj.tolist())
 
 
 def sub_module(
@@ -243,20 +279,16 @@ def sub_module(
         raise NotASubmoduleError(
             f"{sorted(sub)} is not a submodule of {module!r}"
         )
-    incl = tuple(sorted(sub))
-    index = {x: i for i, x in enumerate(incl)}
-    s_add = tuple(
-        tuple(index[module.add[x][y]] for y in incl) for x in incl
+    add, act = module.tables
+    members = sorted(sub)
+    incl = np.array(members, dtype=np.intp)
+    index = np.zeros(module.order, dtype=np.intp)
+    index[incl] = np.arange(len(incl))
+    new = _module_from_arrays(
+        module.ring, index[add[incl[:, None], incl]], index[act[incl]],
+        provenance=f"sub{members} of ({module.provenance})",
     )
-    s_act = tuple(
-        tuple(index[module.act[x][a]] for a in range(module.ring.order))
-        for x in incl
-    )
-    new = RightModule(
-        ring=module.ring, order=len(incl), add=s_add, act=s_act,
-        provenance=f"sub{sorted(sub)} of ({module.provenance})",
-    )
-    return new, incl
+    return new, tuple(members)
 
 
 def direct_sum(a: RightModule, b: RightModule) -> RightModule:
@@ -265,23 +297,13 @@ def direct_sum(a: RightModule, b: RightModule) -> RightModule:
         raise ModuleError("direct sum needs modules over the same ring")
     nb = b.order
     order = a.order * nb
-
-    def pid(x, y):
-        return x * nb + y
-
-    add = tuple(
-        tuple(
-            pid(a.add[x1][x2], b.add[y1][y2])
-            for x2 in range(a.order) for y2 in range(nb)
-        )
-        for x1 in range(a.order) for y1 in range(nb)
-    )
-    act = tuple(
-        tuple(pid(a.act[x][r], b.act[y][r]) for r in range(a.ring.order))
-        for x in range(a.order) for y in range(nb)
-    )
-    return RightModule(
-        ring=a.ring, order=order, add=add, act=act,
+    wide = table_dtype(order + 1)  # holds nb itself too
+    (a_add, a_act), (b_add, b_act) = a.tables, b.tables
+    # row (x1, y1), column (x2, y2) holds (x1 + x2, y1 + y2)
+    add = a_add.astype(wide)[:, None, :, None] * nb + b_add[None, :, None, :]
+    act = a_act.astype(wide)[:, None, :] * nb + b_act[None, :, :]
+    return _module_from_arrays(
+        a.ring, add.reshape(order, order), act.reshape(order, -1),
         provenance=f"({a.provenance})+({b.provenance})",
     )
 
@@ -295,8 +317,14 @@ def quotient(module: RightModule, sub: frozenset) -> RightModule:
 
 def annihilator(module: RightModule, x: int) -> frozenset:
     """Ann(x) = {a in R : x.a = 0}, a right ideal of the base ring."""
-    row = module.act[x]
-    return frozenset(a for a in range(module.ring.order) if row[a] == 0)
+    return frozenset(np.flatnonzero(module.tables[1][x] == 0).tolist())
+
+
+def annihilator_keys(module: RightModule) -> list[bytes]:
+    """Per element x, Ann(x) packed as a bitmask over R: equal keys mean
+    equal annihilators."""
+    packed = np.packbits(module.tables[1] == 0, axis=1)
+    return [row.tobytes() for row in packed]
 
 
 @lru_cache(maxsize=None)
@@ -309,7 +337,16 @@ def annihilator_set(module: RightModule) -> frozenset:
     through R/Ann(x).  This turns subobject-sharing questions into finite
     set intersections.
     """
-    return frozenset(annihilator(module, x) for x in range(1, module.order))
+    return distinct_annihilators(module)
+
+
+def distinct_annihilators(module: RightModule) -> frozenset:
+    """{Ann(x) : x nonzero in M}, from the distinct zero patterns of the
+    action table's rows (uncached)."""
+    rows = {row.tobytes(): row for row in module.tables[1][1:] == 0}
+    return frozenset(
+        frozenset(np.flatnonzero(row).tolist()) for row in rows.values()
+    )
 
 
 @lru_cache(maxsize=None)
@@ -321,8 +358,7 @@ def colon_table(module: RightModule) -> MappingProxyType:
     annihilator_set(M).  Equal colon ideals are shared between rows.
     """
     m = module.order
-    add = np.array(module.add, dtype=np.intp)
-    act = np.array(module.act, dtype=np.intp)
+    add, act = module.tables
     ids = np.arange(m)
     interned: dict[bytes, frozenset] = {}
     table = {}
@@ -341,6 +377,18 @@ def colon_table(module: RightModule) -> MappingProxyType:
             row.add(interned[key])
         table[sub] = frozenset(row)
     return MappingProxyType(table)
+
+
+@lru_cache(maxsize=None)
+def regular_colon_table(ring: FiniteRing) -> MappingProxyType:
+    """colon_table of R as a right module over itself, looked up by ring.
+
+    The quotient R/{0} equals the regular module, so it can be the key
+    colon_table's cache holds, and each lookup by the regular module would
+    then compare both modules' full tables.  Looked up by ring, the table
+    is compared at most once.
+    """
+    return colon_table(regular_module(ring))
 
 
 def shares_nonzero_submodule(a: RightModule, b: RightModule) -> bool:
@@ -534,9 +582,8 @@ def is_isomorphic(a: RightModule, b: RightModule) -> bool:
         return False
     if a.order == 1:
         return True
-    ann_a = Counter(annihilator(a, x) for x in range(a.order))
-    ann_b = Counter(annihilator(b, x) for x in range(b.order))
-    if ann_a != ann_b:
+    keys_a, keys_b = annihilator_keys(a), annihilator_keys(b)
+    if Counter(keys_a) != Counter(keys_b):
         return False
     gens = minimal_generating_sequence(a)
 
@@ -546,11 +593,9 @@ def is_isomorphic(a: RightModule, b: RightModule) -> bool:
         g = gens[i]
         if g in phi:
             return search(i + 1, phi)
-        need = annihilator(a, g)
+        used = set(phi.values())
         for y in range(b.order):
-            if y in phi.values():
-                continue
-            if annihilator(b, y) != need:
+            if y in used or keys_b[y] != keys_a[g]:
                 continue
             trial = _close_map(a, b, {**phi, g: y})
             if trial is not None and search(i + 1, trial):
@@ -563,59 +608,69 @@ def is_isomorphic(a: RightModule, b: RightModule) -> bool:
 # ---------------------------------------------------------------------------
 # module spec mini-language
 
-def parse_module_spec(ring: FiniteRing, text: str) -> RightModule:
+def parse_module_spec(ring: FiniteRing, text: str, *,
+                      order_cap: int = DEFAULT_ORDER_CAP) -> RightModule:
     """Build a module from a spec string.
 
     Forms: ``regular``, ``quot:<ids>``, ``cyclic:<x>``, ``sub:<ids>``,
     ``sum:<spec>+<spec>`` where <ids> is a comma-separated element list.
+    The order is worked out from the spec first (a sum's order is the
+    product of its summands' orders), and a spec above order_cap is
+    refused with CapExceededError before any table is built.
     """
     text = text.strip()
-    if text == "regular":
-        return regular_module(ring)
     head, _, rest = text.partition(":")
+    parts = rest.split("+") if head == "sum" else [text]
+    if head == "sum" and len(parts) < 2:
+        raise ModuleError("sum spec needs at least two summands")
+    summands = [_parse_summand(ring, part) for part in parts]
+    order = math.prod(size for size, _ in summands)
+    if order > order_cap:
+        raise CapExceededError(f"module order {order} exceeds cap {order_cap}")
+    mods = [build() for _, build in summands]
+    if head != "sum":
+        return mods[0]
+    return _with_provenance(
+        reduce(direct_sum, mods), f"sum:{'+'.join(parts)}"
+    )
+
+
+def _parse_summand(ring: FiniteRing, text: str) -> tuple[int, Callable]:
+    """The order of a spec other than a sum, and a function building it."""
+    text = text.strip()
     reg = regular_module(ring)
-    if head == "quot":
+    if text == "regular":
+        return ring.order, lambda: reg
+    head, _, rest = text.partition(":")
+    if head in ("quot", "sub"):
         members = _parse_ids(ring, rest)
         if not is_submodule(reg, members):
             raise ModuleError(
                 f"{sorted(members)} is not closed under addition and action"
             )
-        mod = quotient(reg, members)
-        return RightModule(
-            ring=ring, order=mod.order, add=mod.add, act=mod.act,
-            provenance=f"quot:{','.join(map(str, sorted(members)))}",
-        )
+        tag = f"{head}:{','.join(map(str, sorted(members)))}"
+        if head == "quot":
+            return ring.order // len(members), lambda: _with_provenance(
+                quotient(reg, members), tag)
+        return len(members), lambda: _with_provenance(
+            sub_module(reg, members)[0], tag)
     if head == "cyclic":
         x = _parse_id(ring, rest)
-        mod, _ = sub_module(reg, cyclic_submodule(reg, x))
-        return RightModule(
-            ring=ring, order=mod.order, add=mod.add, act=mod.act,
-            provenance=f"cyclic:{x}",
-        )
-    if head == "sub":
-        members = _parse_ids(ring, rest)
-        if not is_submodule(reg, members):
-            raise ModuleError(
-                f"{sorted(members)} is not closed under addition and action"
-            )
-        mod, _ = sub_module(reg, members)
-        return RightModule(
-            ring=ring, order=mod.order, add=mod.add, act=mod.act,
-            provenance=f"sub:{','.join(map(str, sorted(members)))}",
-        )
+        members = cyclic_submodule(reg, x)
+        return len(members), lambda: _with_provenance(
+            sub_module(reg, members)[0], f"cyclic:{x}")
     if head == "sum":
-        parts = rest.split("+")
-        if len(parts) < 2:
-            raise ModuleError("sum spec needs at least two summands")
-        mods = [parse_module_spec(ring, p) for p in parts]
-        out = mods[0]
-        for nxt in mods[1:]:
-            out = direct_sum(out, nxt)
-        return RightModule(
-            ring=ring, order=out.order, add=out.add, act=out.act,
-            provenance=f"sum:{'+'.join(parts)}",
-        )
+        raise ModuleError("sum spec needs at least two summands")
     raise ModuleError(f"unknown module spec {text!r}")
+
+
+def _with_provenance(module: RightModule, provenance: str) -> RightModule:
+    out = RightModule(
+        ring=module.ring, order=module.order, add=module.add, act=module.act,
+        provenance=provenance,
+    )
+    out.__dict__["tables"] = module.tables
+    return out
 
 
 def _parse_ids(ring: FiniteRing, text: str) -> frozenset:

@@ -4,12 +4,16 @@ plus a brute-force closure oracle over bounded subquotient universes."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import Counter
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 from .modules import (
     RightModule,
-    annihilator,
+    annihilator_keys,
+    is_isomorphic,
     quotient,
     sub_module,
     submodule_key,
@@ -151,32 +155,26 @@ class ClosureUniverse:
     sub_classes: tuple[frozenset, ...]   # per member: classes of its submodules
     quot_classes: tuple[frozenset, ...]  # per member: classes of its quotients
     ext_triples: frozenset               # (sub_class, member, quot_class)
+    # _invariant_key -> indices of the members with that key
+    by_key: Mapping = field(compare=False, repr=False)
 
     def class_of(self, module: RightModule) -> int:
-        idx = _find_class(self.members, module)
+        idx = _find_class(self.members, self.by_key, module)
         if idx is None:
             raise SerreError("module is not in the universe")
         return idx
 
 
 def _invariant_key(module: RightModule) -> tuple:
-    from collections import Counter
-
-    anns = Counter(annihilator(module, x) for x in range(module.order))
-    return (
-        module.order,
-        tuple(sorted(
-            (tuple(sorted(k)), v) for k, v in anns.items()
-        )),
-    )
+    """Order and the multiset of annihilators: equal for isomorphic
+    modules."""
+    counts = Counter(annihilator_keys(module))
+    return module.order, tuple(sorted(counts.items()))
 
 
-def _find_class(members, module) -> int | None:
-    from .modules import is_isomorphic
-
-    key = _invariant_key(module)
-    for i, m in enumerate(members):
-        if _invariant_key(m) == key and is_isomorphic(m, module):
+def _find_class(members, by_key: Mapping, module) -> int | None:
+    for i in by_key.get(_invariant_key(module), ()):
+        if is_isomorphic(members[i], module):
             return i
     return None
 
@@ -185,13 +183,13 @@ def _find_class(members, module) -> int | None:
 def build_universe(ambient: RightModule) -> ClosureUniverse:
     """All subquotients of the ambient up to isomorphism, plus structure."""
     members: list[RightModule] = []
+    by_key: dict[tuple, list[int]] = {}
 
-    def intern(module: RightModule) -> int:
-        idx = _find_class(members, module)
-        if idx is None:
+    def intern(module: RightModule) -> None:
+        same_key = by_key.setdefault(_invariant_key(module), [])
+        if not any(is_isomorphic(members[i], module) for i in same_key):
+            same_key.append(len(members))
             members.append(module)
-            idx = len(members) - 1
-        return idx
 
     # seed with every subquotient
     for sub in submodule_lattice(ambient):
@@ -204,13 +202,15 @@ def build_universe(ambient: RightModule) -> ClosureUniverse:
     triples: set[tuple[int, int, int]] = set()
     for e, member in enumerate(members):
         for sub in submodule_lattice(member):
-            l_idx = _find_class(members, sub_module(member, sub)[0])
-            n_idx = _find_class(members, quotient(member, sub))
+            l_idx = _find_class(members, by_key, sub_module(member, sub)[0])
+            n_idx = _find_class(members, by_key, quotient(member, sub))
             assert l_idx is not None and n_idx is not None
             sub_classes[e].add(l_idx)
             quot_classes[e].add(n_idx)
             triples.add((l_idx, e, n_idx))
-    zero_index = _find_class(members, quotient(ambient, frozenset(range(ambient.order))))
+    zero_index = _find_class(
+        members, by_key, quotient(ambient, frozenset(range(ambient.order)))
+    )
     assert zero_index is not None
     return ClosureUniverse(
         ambient=ambient,
@@ -219,6 +219,7 @@ def build_universe(ambient: RightModule) -> ClosureUniverse:
         sub_classes=tuple(frozenset(s) for s in sub_classes),
         quot_classes=tuple(frozenset(s) for s in quot_classes),
         ext_triples=frozenset(triples),
+        by_key=MappingProxyType({k: tuple(v) for k, v in by_key.items()}),
     )
 
 

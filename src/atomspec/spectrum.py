@@ -10,9 +10,10 @@ from functools import lru_cache
 
 from .modules import (
     RightModule,
-    annihilator,
     colon_table,
+    distinct_annihilators,
     quotient,
+    regular_colon_table,
     regular_module,
     submodule_key,
     submodule_lattice,
@@ -89,7 +90,7 @@ def _atom_index(spec: AtomSpectrum) -> dict:
 def _support_cache(spec: AtomSpectrum) -> dict:
     """Supp R/p is the set of atoms met by the rows q >= p of the regular
     module's colon table: the subquotients R/p / q/p are the R/q."""
-    met = _atoms_met(spec, colon_table(regular_module(spec.ring)))
+    met = _atoms_met(spec, regular_colon_table(spec.ring))
     return {
         ideal: frozenset().union(*(
             atoms for q, atoms in met.items() if ideal <= q
@@ -115,7 +116,7 @@ def atom_equivalent(ring: FiniteRing, p: frozenset, q: frozenset) -> bool:
             raise SpectrumError(
                 f"{sorted(ideal)} is not a comonoform right ideal"
             )
-    table = colon_table(regular_module(ring))
+    table = regular_colon_table(ring)
     return bool(table[p] & table[q])
 
 
@@ -126,7 +127,7 @@ def atom_spectrum(ring: FiniteRing) -> AtomSpectrum:
     Canonical class representative: the ideal with lexicographically
     smallest sorted element tuple.
     """
-    table = colon_table(regular_module(ring))
+    table = regular_colon_table(ring)
     ideals = sorted(
         (ideal for ideal in table if is_comonoform(ring, ideal)),
         key=submodule_key,
@@ -174,12 +175,9 @@ def associated_atoms(spec: AtomSpectrum, module: RightModule) -> frozenset:
     if module.ring != spec.ring:
         raise SpectrumError("module is over a different ring")
     index = _atom_index(spec)
-    out = set()
-    for x in range(1, module.order):
-        atom = index.get(annihilator(module, x))
-        if atom is not None:
-            out.add(atom)
-    return frozenset(out)
+    return frozenset(
+        index[ann] for ann in distinct_annihilators(module) if ann in index
+    )
 
 
 def is_open(spec: AtomSpectrum, phi: frozenset) -> bool:

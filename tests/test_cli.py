@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -231,3 +232,35 @@ def test_astronomical_order_exceeds_cap(tmp_path, capsys):
         out = json.loads(capsys.readouterr().out)
         assert out["error"]["type"] == "CapExceededError"
 
+
+
+@pytest.mark.parametrize("verb, ring, module, cap", [
+    ("support", "zmod:12", "sum:regular+regular+regular+regular", None),
+    ("monoform", "zmod:12", "sum:regular+regular", "143"),
+    ("ass", "zmod:12", "sum:quot:0,6+quot:0,6+cyclic:1", "215"),
+    ("filtration", "tri2:5", "sum:regular+regular", None),
+    ("support", "zmod:64", "sum:" + "+".join(["regular"] * 40), None),
+])
+def test_module_spec_over_the_order_cap_is_refused(capsys, verb, ring,
+                                                   module, cap):
+    argv = [verb, "--ring", ring, "--module", module, "--format", "json"]
+    if cap is not None:
+        argv += ["--max-order", cap]
+    start = time.monotonic()
+    code, _ = run(argv)
+    assert time.monotonic() - start < 1.0
+    assert code == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["type"] == "CapExceededError"
+    assert "module order" in out["error"]["message"]
+
+
+def test_module_spec_at_the_order_cap_is_built(capsys):
+    # |R/{0,6}| = 6, so the sum has order 6 * 6 * 12 = 432
+    code, out = capture_json(
+        capsys, ["ass", "--ring", "zmod:12", "--module",
+                 "sum:quot:0,6+quot:0,6+regular", "--max-order", "432",
+                 "--format", "json"]
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["atoms"] == [0, 1]

@@ -1,11 +1,14 @@
 """Output fingerprints: the sha256 of the canonical JSON stdout of the CLI.
 
 `--format json` output is the machine contract and must stay byte-identical
-across refactors.  Each hash below was recorded from the implementation
-that built one quotient lattice per ideal, before the submodule lattice
-became a breadth-first search and quotients were read from the colon
-table, so a change to any reported ideal, atom, support, open set,
-generator or edge shows up here.
+across refactors.  The `ideals`, `spectrum`, `serre` and `support` hashes
+were recorded from the implementation that built one quotient lattice per
+ideal, before the submodule lattice became a breadth-first search and
+quotients were read from the colon table, so a change to any reported
+ideal, atom, support, open set, generator or edge shows up here.  The
+`check` hashes were recorded from the implementation that built modules
+with nested Python loops and decided xR = R/Ann(x) by an isomorphism
+search, before the numpy builders and the canonical-map check.
 """
 
 import contextlib
@@ -67,6 +70,16 @@ FINGERPRINTS = {
         "83540eff557121804f854437678bf1c45ac77eaaafbedb985ebeff39cc46ad74",
     ("support", "prod:tri2:2,zmod:6"):
         "b10ab104ca42178705202168ce9e6db0fdaa568828f4dfd30a4f653c404ca5d4",
+    ("check", "zmod:12"):
+        "31a40af79055e4e4c5f1584c95209848b045fd8c490d14bdd4ca964da7c05379",
+    ("check", "zmod:60"):
+        "bc965041bcb37079f1d255d7d8224d291c98b7b98fa7304b31866483dfa63ca3",
+    ("check", "tri2:3"):
+        "17d500f03bbb0adfc7157082a0ba49cb06ba72bdd0b996e1ce3e5a9ced1088d0",
+    ("check", "mat:2:2"):
+        "6a4cb5e6d32039ff25c5c6039d0ca5824169d076fb4f4b104fc163f36da829f6",
+    ("check", "prod:tri2:2,zmod:6"):
+        "70361081f8f82b28e96cb75c4054dafde4e902904816354ce0046e9540b66d08",
 }
 
 
