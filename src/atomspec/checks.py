@@ -127,7 +127,7 @@ def _canonical_map_is_iso(mod: RightModule, x: int, quo: RightModule,
     proj sends each r in R to its coset id in quo; incl sends the ids of
     cyc to elements of mod.
     """
-    row = mod.tables[1][x]  # x.r for each r
+    row = mod.act[x]  # x.r for each r
     proj = np.array(proj, dtype=np.intp)
     if (len(proj) != len(row) or quo.order != cyc.order
             or proj.max() >= quo.order):
@@ -141,10 +141,9 @@ def _canonical_map_is_iso(mod: RightModule, x: int, quo: RightModule,
         return False  # x.r outside xR, or phi not well defined
     if not np.array_equal(np.sort(phi), np.arange(cyc.order)):
         return False
-    (q_add, q_act), (c_add, c_act) = quo.tables, cyc.tables
     return bool(
-        (phi[q_add] == c_add[phi[:, None], phi]).all()
-        and (phi[q_act] == c_act[phi]).all()
+        (phi[quo.add] == cyc.add[phi[:, None], phi]).all()
+        and (phi[quo.act] == cyc.act[phi]).all()
     )
 
 

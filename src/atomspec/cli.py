@@ -209,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json", "graph"),
                        default="text")
         p.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP)
-        p.add_argument("--max-lattice", type=int, default=1 << 20)
     return parser
 
 

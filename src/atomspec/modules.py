@@ -6,13 +6,12 @@ functions return such sets, and module-producing functions (quotient,
 sub, direct sum) return fresh RightModule values with canonical element
 enumeration so that equal constructions compare equal.
 
-The tables are tuples of tuples, which define equality and the hash, and
-each module also converts them once to numpy arrays (`RightModule.tables`)
-of the smallest signed dtype that holds its element ids.  Submodule
-tests, quotients, submodules and direct sums are computed on those
-arrays: the quotient M/N labels each element by the least element of its
-coset x + N, and the representatives are the elements that label
-themselves.
+The tables are read-only numpy arrays, as for rings (`TableRecord`), and
+equality and the hash read one digest of the ring, the order and the
+tables.  Submodule tests, quotients, submodules and direct sums are
+computed on whole arrays: the quotient M/N labels each element by the
+least element of its coset x + N, and the representatives are the
+elements that label themselves.
 
 Each module's submodule lattice is computed once, by a breadth-first
 search from {0} whose successors of S are the sums S + xR for x outside
@@ -34,8 +33,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from dataclasses import dataclass, replace
+from functools import lru_cache, reduce
 from types import MappingProxyType
 
 import numpy as np
@@ -45,7 +44,8 @@ from .rings import (
     CapExceededError,
     FiniteRing,
     RingAxiomError,
-    _as_tuples,
+    TableRecord,
+    table_dtype,
 )
 
 DEFAULT_LATTICE_CAP = 1 << 20
@@ -61,70 +61,31 @@ class NotASubmoduleError(ModuleError):
     pass
 
 
-@dataclass(frozen=True)
-class RightModule:
+@dataclass(frozen=True, eq=False)
+class RightModule(TableRecord):
+    """add[x, y] = x + y and act[x, a] = x.a; the provenance is not compared."""
+
     ring: FiniteRing
     order: int
-    add: tuple[tuple[int, ...], ...]
-    act: tuple[tuple[int, ...], ...]
-    provenance: str = field(default="", compare=False)
+    add: np.ndarray
+    act: np.ndarray
+    provenance: str = ""
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.ring, self.order, self.add, self.act))
+    _tables = ("add", "act")
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(add, act) as read-only numpy arrays of table_dtype(order)."""
-        dtype = table_dtype(self.order)
-        return (_read_only(np.array(self.add, dtype=dtype)),
-                _read_only(np.array(self.act, dtype=dtype)))
-
-    def elements(self) -> range:
-        return range(self.order)
+    def _identity(self) -> tuple:
+        return self.ring.digest, int(self.order)
 
     def __repr__(self):
         tag = self.provenance or f"order {self.order}"
         return f"RightModule({tag} over {self.ring.name or self.ring.order})"
 
 
-_SIGNED_DTYPES = tuple(
-    (np.iinfo(t).max, np.dtype(t))
-    for t in (np.int8, np.int16, np.int32, np.int64)
-)
-
-
-def table_dtype(order: int) -> np.dtype:
-    """The smallest signed integer dtype that holds the ids 0..order-1."""
-    return next(dtype for top, dtype in _SIGNED_DTYPES if order - 1 <= top)
-
-
-def _read_only(table: np.ndarray) -> np.ndarray:
-    table.flags.writeable = False
-    return table
-
-
-def _module_from_arrays(ring: FiniteRing, add: np.ndarray, act: np.ndarray,
-                        provenance: str) -> RightModule:
-    """A RightModule with tuple tables, its numpy tables already cached."""
-    dtype = table_dtype(len(add))
-    add, act = add.astype(dtype), act.astype(dtype)
-    module = RightModule(
-        ring=ring, order=len(add), add=_as_tuples(add), act=_as_tuples(act),
-        provenance=provenance,
-    )
-    module.__dict__["tables"] = (_read_only(add), _read_only(act))
-    return module
-
-
 def validate_module(module: RightModule) -> RightModule:
     """Exhaustively check the abelian-group and right-module axioms."""
     m, n = module.order, module.ring.order
-    add, act = module.add, module.act
-    radd, rmul = module.ring.add, module.ring.mul
+    add, act = module.add.tolist(), module.act.tolist()
+    radd, rmul = module.ring.add.tolist(), module.ring.mul.tolist()
     one = module.ring.one
     for x in range(m):
         if add[0][x] != x:
@@ -165,8 +126,7 @@ def regular_module(ring: FiniteRing) -> RightModule:
 
 def zero_module(ring: FiniteRing) -> RightModule:
     return RightModule(
-        ring=ring, order=1, add=((0,),), act=(tuple(0 for _ in range(ring.order)),),
-        provenance="zero",
+        ring=ring, order=1, add=[[0]], act=[[0] * ring.order], provenance="zero",
     )
 
 
@@ -175,13 +135,11 @@ def is_submodule(module: RightModule, members: frozenset) -> bool:
     action."""
     if 0 not in members or min(members) < 0 or max(members) >= module.order:
         return False
-    add, act = module.tables
     ids = np.fromiter(members, dtype=np.intp, count=len(members))
     inside = np.zeros(module.order, dtype=bool)
     inside[ids] = True
-    return bool(
-        inside[act[ids]].all() and inside[add[ids[:, None], ids]].all()
-    )
+    return bool(inside[module.act[ids]].all()
+                and inside[module.add[ids[:, None], ids]].all())
 
 
 def generated_submodule(module: RightModule, xs) -> frozenset:
@@ -195,14 +153,15 @@ def generated_submodule(module: RightModule, xs) -> frozenset:
 def cyclic_submodule(module: RightModule, x: int) -> frozenset:
     """xR, which is already closed under addition (x.a + x.b = x.(a+b))
     and under the action ((x.a).b = x.(ab))."""
-    return frozenset(module.act[x])
+    return frozenset(module.act[x].tolist())
 
 
 def submodule_sum(module: RightModule, a: frozenset, b: frozenset) -> frozenset:
     """a + b for submodules a and b: the pairwise sums are already closed
     under addition and the action."""
-    add = module.add
-    return frozenset(add[x][y] for x in a for y in b)
+    sums = np.zeros(module.order, dtype=bool)
+    sums[module.add[np.ix_(list(a), list(b))]] = True
+    return frozenset(np.flatnonzero(sums).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -218,7 +177,7 @@ def submodule_lattice(
     is a sum of cyclics, so the search is complete.
     """
     m = module.order
-    add, act = module.tables
+    add, act = module.add, module.act
     ids = np.arange(m)
     zero = ids == 0
     found = {zero.tobytes(): zero}
@@ -259,14 +218,14 @@ def quotient_module(
         raise NotASubmoduleError(
             f"{sorted(sub)} is not a submodule of {module!r}"
         )
-    add, act = module.tables
+    add, act = module.add, module.act
     members = sorted(sub)
     labels = add[:, members].min(axis=1)  # least element of x + N
     reps = np.flatnonzero(labels == np.arange(module.order))
     proj = np.searchsorted(reps, labels)
-    quot = _module_from_arrays(
-        module.ring, proj[add[reps[:, None], reps]], proj[act[reps]],
-        provenance=f"({module.provenance})/{members}",
+    quot = RightModule(
+        ring=module.ring, order=len(reps), add=proj[add[reps[:, None], reps]],
+        act=proj[act[reps]], provenance=f"({module.provenance})/{members}",
     )
     return quot, tuple(proj.tolist())
 
@@ -279,14 +238,14 @@ def sub_module(
         raise NotASubmoduleError(
             f"{sorted(sub)} is not a submodule of {module!r}"
         )
-    add, act = module.tables
+    add, act = module.add, module.act
     members = sorted(sub)
     incl = np.array(members, dtype=np.intp)
     index = np.zeros(module.order, dtype=np.intp)
     index[incl] = np.arange(len(incl))
-    new = _module_from_arrays(
-        module.ring, index[add[incl[:, None], incl]], index[act[incl]],
-        provenance=f"sub{members} of ({module.provenance})",
+    new = RightModule(
+        ring=module.ring, order=len(incl), add=index[add[incl[:, None], incl]],
+        act=index[act[incl]], provenance=f"sub{members} of ({module.provenance})",
     )
     return new, tuple(members)
 
@@ -298,12 +257,12 @@ def direct_sum(a: RightModule, b: RightModule) -> RightModule:
     nb = b.order
     order = a.order * nb
     wide = table_dtype(order + 1)  # holds nb itself too
-    (a_add, a_act), (b_add, b_act) = a.tables, b.tables
     # row (x1, y1), column (x2, y2) holds (x1 + x2, y1 + y2)
-    add = a_add.astype(wide)[:, None, :, None] * nb + b_add[None, :, None, :]
-    act = a_act.astype(wide)[:, None, :] * nb + b_act[None, :, :]
-    return _module_from_arrays(
-        a.ring, add.reshape(order, order), act.reshape(order, -1),
+    add = a.add.astype(wide)[:, None, :, None] * nb + b.add[None, :, None, :]
+    act = a.act.astype(wide)[:, None, :] * nb + b.act[None, :, :]
+    return RightModule(
+        ring=a.ring, order=order, add=add.reshape(order, order),
+        act=act.reshape(order, -1),
         provenance=f"({a.provenance})+({b.provenance})",
     )
 
@@ -317,13 +276,13 @@ def quotient(module: RightModule, sub: frozenset) -> RightModule:
 
 def annihilator(module: RightModule, x: int) -> frozenset:
     """Ann(x) = {a in R : x.a = 0}, a right ideal of the base ring."""
-    return frozenset(np.flatnonzero(module.tables[1][x] == 0).tolist())
+    return frozenset(np.flatnonzero(module.act[x] == 0).tolist())
 
 
 def annihilator_keys(module: RightModule) -> list[bytes]:
     """Per element x, Ann(x) packed as a bitmask over R: equal keys mean
     equal annihilators."""
-    packed = np.packbits(module.tables[1] == 0, axis=1)
+    packed = np.packbits(module.act == 0, axis=1)
     return [row.tobytes() for row in packed]
 
 
@@ -343,7 +302,7 @@ def annihilator_set(module: RightModule) -> frozenset:
 def distinct_annihilators(module: RightModule) -> frozenset:
     """{Ann(x) : x nonzero in M}, from the distinct zero patterns of the
     action table's rows (uncached)."""
-    rows = {row.tobytes(): row for row in module.tables[1][1:] == 0}
+    rows = {row.tobytes(): row for row in module.act[1:] == 0}
     return frozenset(
         frozenset(np.flatnonzero(row).tolist()) for row in rows.values()
     )
@@ -358,7 +317,7 @@ def colon_table(module: RightModule) -> MappingProxyType:
     annihilator_set(M).  Equal colon ideals are shared between rows.
     """
     m = module.order
-    add, act = module.tables
+    add, act = module.add, module.act
     ids = np.arange(m)
     interned: dict[bytes, frozenset] = {}
     table = {}
@@ -385,8 +344,8 @@ def regular_colon_table(ring: FiniteRing) -> MappingProxyType:
 
     The quotient R/{0} equals the regular module, so it can be the key
     colon_table's cache holds, and each lookup by the regular module would
-    then compare both modules' full tables.  Looked up by ring, the table
-    is compared at most once.
+    then compare the two modules.  Looked up by ring, they are compared at
+    most once.
     """
     return colon_table(regular_module(ring))
 
@@ -542,17 +501,18 @@ def minimal_generating_sequence(module: RightModule) -> list[int]:
     return gens
 
 
-def _close_map(module: RightModule, other: RightModule, phi: dict) -> dict | None:
-    """Close a partial map under addition and action; None on conflict."""
-    add_m, act_m = module.add, module.act
-    add_n, act_n = other.add, other.act
-    n_ring = module.ring.order
+def _close_map(tables: tuple, phi: dict) -> dict | None:
+    """Close a partial map under addition and action; None on conflict.
+
+    tables holds (add, act) of the source and then of the target, as
+    lists: indexing them is much faster than indexing numpy arrays.
+    """
+    add_m, act_m, add_n, act_n = tables
     queue = list(phi)
     while queue:
         x = queue.pop()
         fx = phi[x]
-        for a in range(n_ring):
-            d, v = act_m[x][a], act_n[fx][a]
+        for d, v in zip(act_m[x], act_n[fx]):
             if d in phi:
                 if phi[d] != v:
                     return None
@@ -586,6 +546,7 @@ def is_isomorphic(a: RightModule, b: RightModule) -> bool:
     if Counter(keys_a) != Counter(keys_b):
         return False
     gens = minimal_generating_sequence(a)
+    tables = (a.add.tolist(), a.act.tolist(), b.add.tolist(), b.act.tolist())
 
     def search(i: int, phi: dict) -> bool:
         if i == len(gens):
@@ -597,12 +558,12 @@ def is_isomorphic(a: RightModule, b: RightModule) -> bool:
         for y in range(b.order):
             if y in used or keys_b[y] != keys_a[g]:
                 continue
-            trial = _close_map(a, b, {**phi, g: y})
+            trial = _close_map(tables, {**phi, g: y})
             if trial is not None and search(i + 1, trial):
                 return True
         return False
 
-    return search(0, _close_map(a, b, {0: 0}) or {0: 0})
+    return search(0, _close_map(tables, {0: 0}) or {0: 0})
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +591,7 @@ def parse_module_spec(ring: FiniteRing, text: str, *,
     mods = [build() for _, build in summands]
     if head != "sum":
         return mods[0]
-    return _with_provenance(
-        reduce(direct_sum, mods), f"sum:{'+'.join(parts)}"
-    )
+    return replace(reduce(direct_sum, mods), provenance=f"sum:{'+'.join(parts)}")
 
 
 def _parse_summand(ring: FiniteRing, text: str) -> tuple[int, Callable]:
@@ -650,27 +609,18 @@ def _parse_summand(ring: FiniteRing, text: str) -> tuple[int, Callable]:
             )
         tag = f"{head}:{','.join(map(str, sorted(members)))}"
         if head == "quot":
-            return ring.order // len(members), lambda: _with_provenance(
-                quotient(reg, members), tag)
-        return len(members), lambda: _with_provenance(
-            sub_module(reg, members)[0], tag)
+            return ring.order // len(members), lambda: replace(
+                quotient(reg, members), provenance=tag)
+        return len(members), lambda: replace(
+            sub_module(reg, members)[0], provenance=tag)
     if head == "cyclic":
         x = _parse_id(ring, rest)
         members = cyclic_submodule(reg, x)
-        return len(members), lambda: _with_provenance(
-            sub_module(reg, members)[0], f"cyclic:{x}")
+        return len(members), lambda: replace(
+            sub_module(reg, members)[0], provenance=f"cyclic:{x}")
     if head == "sum":
         raise ModuleError("sum spec needs at least two summands")
     raise ModuleError(f"unknown module spec {text!r}")
-
-
-def _with_provenance(module: RightModule, provenance: str) -> RightModule:
-    out = RightModule(
-        ring=module.ring, order=module.order, add=module.add, act=module.act,
-        provenance=provenance,
-    )
-    out.__dict__["tables"] = module.tables
-    return out
 
 
 def _parse_ids(ring: FiniteRing, text: str) -> frozenset:

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .modules import (
     RightModule,
     annihilator,
@@ -100,16 +102,12 @@ def is_completely_prime(ring: FiniteRing, ideal: frozenset) -> bool:
         raise MonoformError(f"{sorted(ideal)} is not a right ideal")
     if len(ideal) == ring.order:
         return False
-    mul = ring.mul
-    n = ring.order
-    outside = [b for b in range(n) if b not in ideal]
-    for a in outside:
-        if any(mul[a][i] not in ideal for i in ideal):
-            continue
-        for b in outside:
-            if mul[a][b] in ideal:
-                return False
-    return True
+    inside = np.zeros(ring.order, dtype=bool)
+    inside[list(ideal)] = True
+    outside = np.flatnonzero(~inside)
+    # the a outside I with aI <= I, and then each ab with b outside I
+    a = outside[inside[ring.mul[np.ix_(outside, list(ideal))]].all(axis=1)]
+    return not inside[ring.mul[np.ix_(a, outside)]].any()
 
 
 def monoform_filtration(module: RightModule) -> Filtration:

@@ -1,7 +1,9 @@
 """Finite associative unital rings given by full addition/multiplication tables.
 
 A ring of order n has element ids 0..n-1.  Id 0 is always the additive zero;
-the multiplicative identity is stored explicitly.
+the multiplicative identity is stored explicitly.  The tables are read-only
+numpy arrays of the smallest signed dtype that holds the ids, and one sha256
+digest of the order, the identity and the tables decides equality.
 
 Every ring axiom is decided completely, so a validated ring literally
 satisfies all of them, but in O(n^2 log n) rather than by scanning all n^3
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -65,32 +67,71 @@ class CapExceededError(RingError):
     """A configured size cap was exceeded."""
 
 
-@dataclass(frozen=True)
-class FiniteRing:
-    order: int
-    add: tuple[tuple[int, ...], ...]
-    mul: tuple[tuple[int, ...], ...]
-    one: int
-    name: str = field(default="", compare=False)
+_SIGNED_DTYPES = tuple(
+    (np.iinfo(t).max, np.dtype(t))
+    for t in (np.int8, np.int16, np.int32, np.int64)
+)
+
+
+def table_dtype(order: int) -> np.dtype:
+    """The smallest signed integer dtype that holds the ids 0..order-1."""
+    return next(dtype for top, dtype in _SIGNED_DTYPES if order - 1 <= top)
+
+
+class TableRecord:
+    """Tables of ids as read-only arrays of table_dtype(order), and an
+    identity read from one sha256 digest, computed once.
+
+    Any integer table (tuples, lists or arrays) is converted on
+    construction; an array of that dtype is not copied but made read-only
+    in place.  The digest covers `_identity()`, a tuple of ints and bytes,
+    and the bytes of the tables named in `_tables`, whose shapes follow
+    from it.  The hash is the digest's first 8 bytes, so it is the same in
+    every process.
+    """
+
+    _tables: tuple[str, ...]
+
+    def __post_init__(self):
+        dtype = table_dtype(self.order)
+        for name in self._tables:
+            table = np.asarray(getattr(self, name), dtype=dtype)
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     @cached_property
-    def _hash(self) -> int:
-        return hash((self.order, self.add, self.mul, self.one))
+    def digest(self) -> bytes:
+        h = hashlib.sha256(repr(self._identity()).encode())
+        for name in self._tables:
+            h.update(np.ascontiguousarray(getattr(self, name)))
+        return h.digest()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.digest == other.digest
 
     def __hash__(self) -> int:
-        return self._hash
+        return int.from_bytes(self.digest[:8], "little")
 
-    @cached_property
-    def neg(self) -> tuple[int, ...]:
-        out = [0] * self.order
-        for x in range(self.order):
-            out[x] = self.add[x].index(0)
-        return tuple(out)
+
+@dataclass(frozen=True, eq=False)
+class FiniteRing(TableRecord):
+    """add[x, y] = x + y and mul[x, y] = xy; the name is not compared."""
+
+    order: int
+    add: np.ndarray
+    mul: np.ndarray
+    one: int
+    name: str = ""
+
+    _tables = ("add", "mul")
+
+    def _identity(self) -> tuple:
+        return int(self.order), int(self.one)
 
     def is_commutative(self) -> bool:
-        m = self.mul
-        n = self.order
-        return all(m[a][b] == m[b][a] for a in range(n) for b in range(n))
+        return np.array_equal(self.mul, self.mul.T)
 
     def content_hash(self) -> str:
         return hashlib.sha256(serialize_ring(self)).hexdigest()
@@ -215,8 +256,9 @@ def additive_generators(add: np.ndarray) -> list[int]:
         inside[g] = True
         new = np.array([g])
         while new.size:
-            sums = add[np.ix_(new, np.flatnonzero(inside))]
-            new = np.unique(sums[~inside[sums]])
+            fresh = np.zeros(len(add), dtype=bool)
+            fresh[add[np.ix_(new, np.flatnonzero(inside))]] = True
+            new = np.flatnonzero(fresh & ~inside)
             inside[new] = True
     return gens
 
@@ -306,12 +348,7 @@ def validate_ring(
             "multiplicative associativity", tuple(int(G[i]) for i in bad)
         )
 
-    return FiniteRing(order=n, add=_as_tuples(A), mul=_as_tuples(M),
-                      one=one, name=name)
-
-
-def _as_tuples(table: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, table.tolist()))
+    return FiniteRing(order=n, add=A, mul=M, one=one, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +506,8 @@ def serialize_ring(ring: FiniteRing) -> bytes:
     doc = {
         "order": ring.order,
         "one": ring.one,
-        "add": [list(row) for row in ring.add],
-        "mul": [list(row) for row in ring.mul],
+        "add": ring.add.tolist(),
+        "mul": ring.mul.tolist(),
     }
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
 

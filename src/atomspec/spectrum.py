@@ -8,6 +8,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .modules import (
     RightModule,
     colon_table,
@@ -229,14 +231,12 @@ def enumerate_open_sets(spec: AtomSpectrum) -> list[frozenset]:
 def prime_ideals(ring: FiniteRing) -> list[frozenset]:
     """Classical prime ideals of a commutative ring (ab in P => a or b in P)."""
     reg = regular_module(ring)
-    full = frozenset(range(ring.order))
-    mul = ring.mul
     out = []
     for ideal in submodule_lattice(reg):
-        if ideal == full:
-            continue
-        outside = [a for a in range(ring.order) if a not in ideal]
-        if all(mul[a][b] not in ideal for a in outside for b in outside):
+        inside = np.zeros(ring.order, dtype=bool)
+        inside[list(ideal)] = True
+        outside = np.flatnonzero(~inside)
+        if outside.size and not inside[ring.mul[np.ix_(outside, outside)]].any():
             out.append(ideal)
     return sorted(out, key=submodule_key)
 

@@ -1,8 +1,18 @@
+import numpy as np
 import pytest
 
 from atomspec.rings import mat, product, tri2, zmod
 
 ZMOD_ORDERS = (4, 6, 8, 12, 30, 36, 60)
+
+TABLE_FORMS = ("tuples", "int64", "table_dtype")
+
+
+def table_in_form(table, form):
+    """A table as nested tuples, an int64 array or an array of its dtype."""
+    if form == "tuples":
+        return tuple(map(tuple, table.tolist()))
+    return np.array(table, dtype=np.int64 if form == "int64" else table.dtype)
 
 
 def make_zoo():

@@ -1,10 +1,10 @@
 """The numpy module builders against the nested-loop definitions.
 
 `is_submodule`, `quotient_module`, `sub_module` and `direct_sum` work on
-the numpy tables each module converts once (`RightModule.tables`).  The
-oracles below walk the tuple tables element by element, as the
-definitions read, and the builders must reproduce their tables,
-projection and inclusion maps and provenance strings exactly.
+whole numpy tables.  The oracles below walk the tables as lists, element
+by element, as the definitions read, and the builders must reproduce
+their tables, projection and inclusion maps and provenance strings
+exactly.
 """
 
 import functools
@@ -38,7 +38,7 @@ def is_submodule_oracle(module, members):
         return False
     if any(not 0 <= x < module.order for x in members):
         return False
-    add, act = module.add, module.act
+    add, act = module.add.tolist(), module.act.tolist()
     for x in members:
         for y in members:
             if add[x][y] not in members:
@@ -51,7 +51,7 @@ def is_submodule_oracle(module, members):
 
 def quotient_module_oracle(module, sub):
     """Representatives are the first element of each coset in id order."""
-    add, act = module.add, module.act
+    add, act = module.add.tolist(), module.act.tolist()
     rep_of = [-1] * module.order
     reps = []
     for x in range(module.order):
@@ -73,11 +73,12 @@ def quotient_module_oracle(module, sub):
 
 
 def sub_module_oracle(module, sub):
+    add, act = module.add.tolist(), module.act.tolist()
     incl = tuple(sorted(sub))
     index = {x: i for i, x in enumerate(incl)}
-    s_add = tuple(tuple(index[module.add[x][y]] for y in incl) for x in incl)
+    s_add = tuple(tuple(index[add[x][y]] for y in incl) for x in incl)
     s_act = tuple(
-        tuple(index[module.act[x][a]] for a in range(module.ring.order))
+        tuple(index[act[x][a]] for a in range(module.ring.order))
         for x in incl
     )
     new = RightModule(
@@ -89,15 +90,17 @@ def sub_module_oracle(module, sub):
 
 def direct_sum_oracle(a, b):
     nb = b.order
+    a_add, a_act = a.add.tolist(), a.act.tolist()
+    b_add, b_act = b.add.tolist(), b.act.tolist()
     add = tuple(
         tuple(
-            a.add[x1][x2] * nb + b.add[y1][y2]
+            a_add[x1][x2] * nb + b_add[y1][y2]
             for x2 in range(a.order) for y2 in range(nb)
         )
         for x1 in range(a.order) for y1 in range(nb)
     )
     act = tuple(
-        tuple(a.act[x][r] * nb + b.act[y][r] for r in range(a.ring.order))
+        tuple(a_act[x][r] * nb + b_act[y][r] for r in range(a.ring.order))
         for x in range(a.order) for y in range(nb)
     )
     return RightModule(
@@ -109,13 +112,11 @@ def direct_sum_oracle(a, b):
 def assert_same_module(got, want):
     assert got == want
     assert got.provenance == want.provenance
-    # the tuples hold Python ints, so the tables print the same
-    assert repr(got.add) == repr(want.add)
-    assert repr(got.act) == repr(want.act)
-    add, act = got.tables
-    assert add.dtype == act.dtype == table_dtype(got.order)
-    assert add.tolist() == [list(row) for row in want.add]
-    assert act.tolist() == [list(row) for row in want.act]
+    # the tables hold the same ids in the same dtype
+    assert got.add.dtype == got.act.dtype == table_dtype(got.order)
+    assert want.add.dtype == want.act.dtype == table_dtype(got.order)
+    assert got.add.tolist() == want.add.tolist()
+    assert got.act.tolist() == want.act.tolist()
 
 
 def assert_builders_agree(module):
@@ -206,15 +207,16 @@ def test_table_dtype_is_smallest_signed_holding_ids(order, dtype):
 
 def test_tables_are_computed_once_and_read_only(zmod12):
     module = regular_module(zmod12)
-    add, act = module.tables
-    assert module.tables[0] is add and module.tables[1] is act
+    add, act = module.add, module.act
+    assert add is module.ring.add and act is module.ring.mul
     assert add.dtype == np.int8
     with pytest.raises(ValueError):
         add[0, 0] = 1
-    # equality and the hash still come from the tuple tables only
+    # equality and the hash come from the tables only, not the provenance
     copy = RightModule(ring=zmod12, order=module.order, add=module.add,
                        act=module.act, provenance="copy")
     assert copy == module and hash(copy) == hash(module)
+    assert copy.add is add and copy.act is act
 
 
 @pytest.mark.parametrize("n", [64, 128])

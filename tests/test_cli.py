@@ -148,6 +148,27 @@ def test_graph_format_restricted_to_serre():
     assert exc.value.code == 2
 
 
+def test_max_lattice_flag_is_a_usage_error():
+    # the lattice search is bounded by DEFAULT_LATTICE_CAP, not by a flag
+    with pytest.raises(SystemExit) as exc:
+        run(["ideals", "--ring", "zmod:12", "--max-lattice", "10"])
+    assert exc.value.code == 2
+
+
+def test_check_imports_no_masked_arrays():
+    # numpy.ma costs about 16 ms to import; np.unique imports it
+    code = (
+        "import contextlib, io, sys\n"
+        "from atomspec.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run(['check', '--ring', 'zmod:12'])[0] == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_console_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "atomspec.cli", "spectrum", "--ring",

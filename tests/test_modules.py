@@ -1,5 +1,8 @@
 import itertools
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +39,7 @@ from atomspec.modules import (
 )
 from atomspec.rings import CapExceededError, mat, product, tri2, zmod
 
-from conftest import ZMOD_ORDERS
+from conftest import TABLE_FORMS, ZMOD_ORDERS, table_in_form
 
 
 def brute_force_submodules(module):
@@ -330,3 +333,47 @@ def test_lattice_is_join_and_meet_closed(n):
         for b in lattice:
             assert a & b in universe
             assert submodule_sum(module, a, b) in universe
+
+
+@pytest.mark.parametrize("form", TABLE_FORMS)
+def test_module_identity_is_the_digest_of_its_tables(form):
+    module = parse_module_spec(tri2(2), "sum:regular+quot:0,2")
+    built = RightModule(ring=tri2(2), order=module.order,
+                        add=table_in_form(module.add, form),
+                        act=table_in_form(module.act, form))
+    assert built.add.dtype == built.act.dtype == np.int8
+    assert built == module and hash(built) == hash(module)
+    act = module.act.copy()
+    act[1, 1] = 0
+    assert RightModule(ring=module.ring, order=module.order, add=module.add,
+                       act=act) != module
+
+
+def test_submodule_ids_are_python_ints():
+    reg = regular_module(tri2(3))
+    lattice = submodule_lattice(reg)
+    quot, proj = quotient_module(reg, lattice[1])
+    sub, incl = sub_module(reg, lattice[-2])
+    ids = [*itertools.chain.from_iterable(lattice), *proj, *incl,
+           *cyclic_submodule(reg, 5), *cyclic_submodule(quot, 1),
+           *annihilator(sub, 1), *submodule_sum(reg, lattice[1], lattice[2])]
+    assert {type(i) for i in ids} == {int}
+
+
+def test_order_3600_module_stays_small():
+    # the tables of R+R over zmod:60 hold 13M entries; as Python ints
+    # they took over 600 MB
+    code = (
+        "from atomspec.modules import parse_module_spec\n"
+        "from atomspec.rings import zmod\n"
+        "hash(parse_module_spec(zmod(60), 'sum:regular+regular'))\n"
+        "import resource\n"
+        "try:  # ru_maxrss also holds the parent's resident set at the spawn\n"
+        "    status = open('/proc/self/status').read()\n"
+        "    print(status.split('VmHWM:')[1].split()[0])\n"
+        "except OSError:\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert int(proc.stdout) < 250 * 1024  # kB

@@ -101,6 +101,19 @@ def test_comonoform_implies_completely_prime(zoo):
                 assert is_completely_prime(ring, ideal)
 
 
+def test_completely_prime_matches_pairwise_definition(zoo):
+    # the definition, pair by pair over the multiplication table
+    for ring in zoo:
+        mul = ring.mul.tolist()
+        for ideal in submodule_lattice(regular_module(ring))[:-1]:
+            outside = [b for b in range(ring.order) if b not in ideal]
+            want = not any(
+                mul[a][b] in ideal for a in outside
+                if all(mul[a][i] in ideal for i in ideal) for b in outside
+            )
+            assert is_completely_prime(ring, ideal) == want
+
+
 def test_completely_prime_converse_gap_report(zoo, capsys):
     # The converse can fail in general; over this zoo no counterexample
     # appears, so just report the count without asserting emptiness.

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomspec.rings import (
     CapExceededError,
+    FiniteRing,
     RingAxiomError,
     RingFormatError,
     fp_algebra,
@@ -14,10 +19,13 @@ from atomspec.rings import (
     parse_ring_spec,
     product,
     serialize_ring,
+    table_dtype,
     tri2,
     validate_ring,
     zmod,
 )
+
+from conftest import TABLE_FORMS, table_in_form
 
 
 def test_zmod12_is_a_valid_ring():
@@ -61,7 +69,7 @@ def test_mat22_is_valid_of_order_sixteen():
 def test_builtins_are_deterministic():
     assert zmod(12) == zmod(12)
     assert tri2(3) == tri2(3)
-    assert mat(2, 2).mul == mat(2, 2).mul
+    assert np.array_equal(mat(2, 2).mul, mat(2, 2).mul)
 
 
 def test_product_components():
@@ -142,8 +150,8 @@ def test_fp_algebra_reconstructs_tri2():
     c[2][2][2] = 1  # e2 e2 = e2
     ring = fp_algebra(2, d, c, [1, 0, 1])
     built = tri2(2)
-    assert ring.add == built.add
-    assert ring.mul == built.mul
+    assert np.array_equal(ring.add, built.add)
+    assert np.array_equal(ring.mul, built.mul)
     assert ring.one == built.one
 
 
@@ -178,3 +186,43 @@ def test_zmod_family_valid_and_roundtrips(n):
     ring = zmod(n)
     assert ring.order == n
     assert parse_ring_document(serialize_ring(ring)) == ring
+
+
+@pytest.mark.parametrize("form", TABLE_FORMS)
+def test_ring_identity_is_the_digest_of_its_tables(form):
+    ring = mat(2, 2)
+    built = FiniteRing(order=16, add=table_in_form(ring.add, form),
+                       mul=table_in_form(ring.mul, form), one=ring.one,
+                       name="x")
+    assert built.add.dtype == built.mul.dtype == table_dtype(16)
+    assert not built.add.flags.writeable and not built.mul.flags.writeable
+    assert built == ring and hash(built) == hash(ring)
+    assert built.digest == ring.digest
+
+
+def test_ring_with_one_changed_entry_is_another_ring():
+    ring = zmod(6)
+    mul = ring.mul.copy()
+    mul[5, 5] = 0
+    changed = FiniteRing(order=6, add=ring.add, mul=mul, one=ring.one)
+    assert changed != ring and changed.digest != ring.digest
+    assert FiniteRing(order=6, add=ring.add, mul=ring.mul, one=5) != ring
+
+
+def test_table_of_matching_dtype_is_not_copied():
+    ring = zmod(5)
+    again = FiniteRing(order=5, add=ring.add, mul=ring.mul, one=1)
+    assert again.add is ring.add and again.mul is ring.mul
+
+
+def test_ring_hash_is_the_same_in_every_process():
+    code = ("from atomspec.rings import tri2\n"
+            "print(hash(tri2(3)), hash(('salted', 'str')))\n")
+    runs = [
+        subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, check=True,
+                       env={**os.environ, "PYTHONHASHSEED": seed}).stdout.split()
+        for seed in ("1", "2")
+    ]
+    assert runs[0][0] == runs[1][0] == str(hash(tri2(3)))
+    assert runs[0][1] != runs[1][1]  # the seeds do change str hashes

@@ -157,6 +157,17 @@ def test_prime_ideals_of_zmod12(zmod12):
     ]
 
 
+def test_prime_ideals_match_pairwise_definition(zoo):
+    for ring in zoo:
+        mul = ring.mul.tolist()
+        want = []
+        for ideal in submodule_lattice(regular_module(ring))[:-1]:
+            outside = [a for a in range(ring.order) if a not in ideal]
+            if all(mul[a][b] not in ideal for a in outside for b in outside):
+                want.append(ideal)
+        assert prime_ideals(ring) == want
+
+
 def test_classical_support_of_zmod12(zmod12):
     primes = prime_ideals(zmod12)
     whole = regular_module(zmod12)
