@@ -316,9 +316,12 @@ def check_ass_sandwich(ring: FiniteRing):
 
 
 def check_direct_sum_additivity(ring: FiniteRing, pairs: int = 20, seed: int = 0):
-    # factor cap keeps the summed module's tables and lattice tractable
+    # factor cap keeps the summed module's tables and lattice tractable;
+    # it admits the smallest cyclic module, or R itself for the zero ring
     spec = atom_spectrum(ring)
-    mods = [m for m in _cyclic_modules(ring) if m.order <= 16]
+    mods = _cyclic_modules(ring) or (regular_module(ring),)
+    cap = max(16, min(m.order for m in mods))
+    mods = [m for m in mods if m.order <= cap]
     rng = random.Random(seed)
     for _ in range(pairs):
         a, b = rng.choice(mods), rng.choice(mods)
@@ -356,8 +359,10 @@ def check_discreteness(ring: FiniteRing):
     the number of iso-classes of simple modules."""
     spec = atom_spectrum(ring)
     k = len(spec.atoms)
-    if len(enumerate_open_sets(spec)) != 2 ** k:
-        return "discrete topology", False, k
+    for size in range(k + 1):
+        for phi in itertools.combinations(range(k), size):
+            if not is_open(spec, frozenset(phi)):
+                return "discrete topology", False, list(phi)
     reg = regular_module(ring)
     simple_handles = set()
     for mod in _cyclic_modules(ring):
@@ -467,10 +472,15 @@ ALL_CHECKS = [
 
 
 def check_suite(ring: FiniteRing) -> dict:
-    """Run the full battery; report pass/fail per property with witnesses."""
+    """Run the full battery; report pass/fail per property with witnesses.
+    A property that raises fails with witness "<Type>: <message>"."""
     results = []
     for check in ALL_CHECKS:
-        name, passed, witness = check(ring)
+        try:
+            name, passed, witness = check(ring)
+        except Exception as exc:  # a crash fails its property, not the report
+            name = check.__name__.removeprefix("check_").replace("_", " ")
+            passed, witness = False, f"{type(exc).__name__}: {exc}"
         entry = {"property": name, "passed": passed}
         if witness is not None:
             entry["witness"] = witness

@@ -338,18 +338,6 @@ def colon_table(module: RightModule) -> MappingProxyType:
     return MappingProxyType(table)
 
 
-@lru_cache(maxsize=None)
-def regular_colon_table(ring: FiniteRing) -> MappingProxyType:
-    """colon_table of R as a right module over itself, looked up by ring.
-
-    The quotient R/{0} equals the regular module, so it can be the key
-    colon_table's cache holds, and each lookup by the regular module would
-    then compare the two modules.  Looked up by ring, they are compared at
-    most once.
-    """
-    return colon_table(regular_module(ring))
-
-
 def shares_nonzero_submodule(a: RightModule, b: RightModule) -> bool:
     return bool(annihilator_set(a) & annihilator_set(b))
 

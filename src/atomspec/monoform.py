@@ -18,7 +18,6 @@ from .modules import (
     minimal_submodules,
     quotient,
     quotient_module,
-    regular_colon_table,
     regular_module,
     simple_class_handle,
     socle,
@@ -78,7 +77,7 @@ def _comonoform_flags(ring: FiniteRing) -> dict:
     (R/p)/(q/p) = R/q, so R/p is monoform iff row p of the regular
     module's colon table is disjoint from row q for every proper q > p.
     """
-    table = regular_colon_table(ring)
+    table = colon_table(regular_module(ring))
     return {
         p: not any(row & other for q, other in table.items() if q > p)
         for p, row in table.items()

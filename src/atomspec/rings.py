@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -134,7 +135,10 @@ class FiniteRing(TableRecord):
         return np.array_equal(self.mul, self.mul.T)
 
     def content_hash(self) -> str:
-        return hashlib.sha256(serialize_ring(self)).hexdigest()
+        h = hashlib.sha256()
+        for chunk in _document_chunks(self):
+            h.update(chunk.encode())
+        return h.hexdigest()
 
     def __repr__(self):
         label = self.name or f"order {self.order}"
@@ -501,15 +505,20 @@ def parse_ring_spec(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteR
 # ---------------------------------------------------------------------------
 # serialization
 
+def _document_chunks(ring: FiniteRing) -> Iterator[str]:
+    """The canonical document, one table row at a time: the JSON of
+    {order, one, add, mul} with sorted keys and no spaces, and a newline."""
+    names = np.array([str(i) for i in range(ring.order)], dtype=object)
+    for head, table in (('{"add":[', ring.add), ('],"mul":[', ring.mul)):
+        yield head
+        for i, row in enumerate(table):
+            yield ("," if i else "") + "[" + ",".join(names[row]) + "]"
+    yield f'],"one":{int(ring.one)},"order":{int(ring.order)}}}\n'
+
+
 def serialize_ring(ring: FiniteRing) -> bytes:
     """Canonical byte document; round-trips through parse_ring_document."""
-    doc = {
-        "order": ring.order,
-        "one": ring.one,
-        "add": ring.add.tolist(),
-        "mul": ring.mul.tolist(),
-    }
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    return "".join(_document_chunks(ring)).encode()
 
 
 _RING_FIELDS = {"order", "one", "add", "mul"}

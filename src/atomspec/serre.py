@@ -69,31 +69,26 @@ def _minimal_ideal_generators(
 ) -> tuple[frozenset, ...]:
     """Greedy minimal set of comonoform ideals q with union of supports of
     the R/q equal to phi; largest support first, canonical order tie-break."""
-    candidates = [
-        q for q in spec.comonoform_ideals()
-        if spec.support_of_ideal(q) <= phi
-    ]
-    candidates.sort(
-        key=lambda q: (-len(spec.support_of_ideal(q)), submodule_key(q))
+    supports = spec.supports
+    candidates = sorted(
+        (q for q in spec.comonoform_ideals() if supports[q] <= phi),
+        key=lambda q: (-len(supports[q]), submodule_key(q)),
     )
     chosen: list[frozenset] = []
     covered: frozenset = frozenset()
     for q in candidates:
         if covered == phi:
             break
-        if not spec.support_of_ideal(q) <= covered:
+        if not supports[q] <= covered:
             chosen.append(q)
-            covered |= spec.support_of_ideal(q)
+            covered |= supports[q]
     if covered != phi:
         raise AssertionError(
             f"open set {sorted(phi)} not covered by cyclic supports"
         )
     # drop generators made redundant by later picks
     for q in list(chosen):
-        rest = [o for o in chosen if o != q]
-        if frozenset().union(
-            frozenset(), *(spec.support_of_ideal(o) for o in rest)
-        ) == phi:
+        if frozenset().union(*(supports[o] for o in chosen if o != q)) == phi:
             chosen.remove(q)
     return tuple(chosen)
 
@@ -112,17 +107,24 @@ def enumerate_serre(spec: AtomSpectrum) -> list[SerreSubcategory]:
 
 
 def inclusion_edges(subs: list[SerreSubcategory]) -> list[tuple[int, int]]:
-    """Covering relations of the inclusion order, as (lower, upper) index pairs."""
+    """Covering relations of the inclusion order, as (lower, upper) index
+    pairs sorted by lower, then upper.
+
+    `subs` holds every open set, as enumerate_serre returns.  An open set
+    above a contains a | U_x for some x outside a, U_x being the minimal
+    open neighbourhood of x, so the covers of a are the minimal sets among
+    the a | U_x.
+    """
+    if not subs:
+        return []
+    hoods = [sum(1 << a for a in u) for u in subs[0].spectrum.neighbourhoods]
+    masks = [sum(1 << a for a in s.open_set) for s in subs]
+    position = {mask: j for j, mask in enumerate(masks)}
     edges = []
-    for i, a in enumerate(subs):
-        for j, b in enumerate(subs):
-            if not a.open_set < b.open_set:
-                continue
-            if any(
-                a.open_set < c.open_set < b.open_set for c in subs
-            ):
-                continue
-            edges.append((i, j))
+    for i, low in enumerate(masks):
+        above = {low | u for x, u in enumerate(hoods) if not low >> x & 1}
+        edges += sorted((i, position[up]) for up in above
+                        if not any(o != up and o & up == o for o in above))
     return edges
 
 

@@ -3,10 +3,10 @@ right ideals, atom support, associated atoms, and the open-set topology."""
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from .modules import (
     colon_table,
     distinct_annihilators,
     quotient,
-    regular_colon_table,
     regular_module,
     submodule_key,
     submodule_lattice,
@@ -30,26 +29,6 @@ class SpectrumError(Exception):
     pass
 
 
-class UnionFind:
-    """Union-find with path compression; canonical roots by first index."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 @dataclass(frozen=True)
 class Atom:
     id: int
@@ -59,56 +38,32 @@ class Atom:
 
 @dataclass(frozen=True)
 class AtomSpectrum:
+    """The atoms of a ring, with what atom_spectrum derives from them once:
+    `index` sends each comonoform ideal p to its atom id, `supports` sends
+    it to Supp R/p, and `neighbourhoods[a]` is the least open set that
+    contains atom a."""
+
     ring: FiniteRing
     atoms: tuple[Atom, ...]
+    index: Mapping = field(compare=False, repr=False)
+    supports: Mapping = field(compare=False, repr=False)
+    neighbourhoods: tuple[frozenset, ...] = field(compare=False, repr=False)
 
     def atom_of(self, ideal: frozenset) -> int:
         """Atom id of a comonoform right ideal."""
         try:
-            return _atom_index(self)[ideal]
+            return self.index[ideal]
         except KeyError:
             raise SpectrumError(
                 f"{sorted(ideal)} is not a comonoform right ideal"
             ) from None
 
     def comonoform_ideals(self) -> tuple[frozenset, ...]:
-        return tuple(
-            ideal for atom in self.atoms for ideal in atom.members
-        )
+        return tuple(ideal for atom in self.atoms for ideal in atom.members)
 
     def support_of_ideal(self, ideal: frozenset) -> frozenset:
-        """Atom support of R/ideal, cached per comonoform ideal."""
-        return _support_cache(self)[ideal]
-
-
-@lru_cache(maxsize=None)
-def _atom_index(spec: AtomSpectrum) -> dict:
-    return {
-        ideal: atom.id for atom in spec.atoms for ideal in atom.members
-    }
-
-
-@lru_cache(maxsize=None)
-def _support_cache(spec: AtomSpectrum) -> dict:
-    """Supp R/p is the set of atoms met by the rows q >= p of the regular
-    module's colon table: the subquotients R/p / q/p are the R/q."""
-    met = _atoms_met(spec, regular_colon_table(spec.ring))
-    return {
-        ideal: frozenset().union(*(
-            atoms for q, atoms in met.items() if ideal <= q
-        ))
-        for atom in spec.atoms
-        for ideal in atom.members
-    }
-
-
-def _atoms_met(spec: AtomSpectrum, table: Mapping) -> dict:
-    """{N: atom ids of the comonoform ideals in row N}."""
-    index = _atom_index(spec)
-    return {
-        sub: frozenset(index[c] for c in row if c in index)
-        for sub, row in table.items()
-    }
+        """Atom support of R/ideal for a comonoform ideal."""
+        return self.supports[ideal]
 
 
 def atom_equivalent(ring: FiniteRing, p: frozenset, q: frozenset) -> bool:
@@ -118,46 +73,99 @@ def atom_equivalent(ring: FiniteRing, p: frozenset, q: frozenset) -> bool:
             raise SpectrumError(
                 f"{sorted(ideal)} is not a comonoform right ideal"
             )
-    table = regular_colon_table(ring)
+    table = colon_table(regular_module(ring))
     return bool(table[p] & table[q])
+
+
+def _atom_classes(ideals: list[frozenset], table: Mapping) -> list[list]:
+    """Atom classes of the comonoform ideals, each in the order given.
+
+    R/p and R/q are atom equivalent iff rows p and q of the colon table
+    meet.  The relation is transitive on monoform modules, so an ideal
+    joins the one class whose rows its row meets; a row that meets two
+    classes is a witness that transitivity fails.
+    """
+    classes: list[tuple[list, set]] = []  # members, union of their rows
+    for ideal in ideals:
+        row = table[ideal]
+        met = [c for c in classes if not c[1].isdisjoint(row)]
+        if len(met) > 1:
+            raise AssertionError(
+                f"atom equivalence is not transitive at {sorted(ideal)}"
+            )
+        if not met:
+            classes.append(([], set()))
+            met = classes[-1:]
+        met[0][0].append(ideal)
+        met[0][1].update(row)
+    return [members for members, _ in classes]
+
+
+def _minimal_neighbourhoods(atoms: tuple[Atom, ...],
+                            supports: Mapping) -> tuple[frozenset, ...]:
+    """U_a, the least open set that contains atom a, for every atom.
+
+    Each Supp R/q with q in a contains a, and an open set that contains a
+    contains one of them (the definition behind is_open), so U_a is the
+    least of them.  Raises AssertionError unless a least one exists,
+    contains a, and contains U_b for each of its atoms b: then every U_a
+    is open, and the open sets are exactly the unions of the U_a.
+    """
+    hoods = tuple(
+        min((supports[q] for q in atom.members), key=len) for atom in atoms
+    )
+    for atom, hood in zip(atoms, hoods):
+        if atom.id not in hood or any(
+            not hood <= supports[q] for q in atom.members
+        ):
+            raise AssertionError(f"atom {atom.id} has no least support")
+        if any(not hoods[b] <= hood for b in hood):
+            raise AssertionError(
+                f"neighbourhood {sorted(hood)} of atom {atom.id} is not open"
+            )
+    return hoods
 
 
 @lru_cache(maxsize=None)
 def atom_spectrum(ring: FiniteRing) -> AtomSpectrum:
-    """Enumerate comonoform right ideals and partition them into atoms.
+    """Enumerate comonoform right ideals, partition them into atoms, and
+    derive the atom index, the supports and the minimal neighbourhoods.
 
     Canonical class representative: the ideal with lexicographically
-    smallest sorted element tuple.
+    smallest sorted element tuple.  Supp R/p is the set of atoms met by
+    the rows q >= p of the regular module's colon table: the subquotients
+    R/p / q/p are the R/q.
     """
-    table = regular_colon_table(ring)
+    table = colon_table(regular_module(ring))
     ideals = sorted(
         (ideal for ideal in table if is_comonoform(ring, ideal)),
         key=submodule_key,
     )
-    annsets = [table[ideal] for ideal in ideals]
-    uf = UnionFind(len(ideals))
-    for i in range(len(ideals)):
-        for j in range(i + 1, len(ideals)):
-            if annsets[i] & annsets[j]:
-                uf.union(i, j)
-    classes: dict[int, list[int]] = {}
-    for i in range(len(ideals)):
-        classes.setdefault(uf.find(i), []).append(i)
-    grouped = [
-        tuple(ideals[i] for i in sorted(idxs)) for idxs in classes.values()
+    classes = [
+        (min(members, key=lambda s: tuple(sorted(s))), tuple(members))
+        for members in _atom_classes(ideals, table)
     ]
-    grouped.sort(key=lambda members: submodule_key(
-        min(members, key=lambda s: tuple(sorted(s)))
-    ))
+    classes.sort(key=lambda pair: submodule_key(pair[0]))
     atoms = tuple(
-        Atom(
-            id=k,
-            canonical_rep=min(members, key=lambda s: tuple(sorted(s))),
-            members=members,
-        )
-        for k, members in enumerate(grouped)
+        Atom(id=k, canonical_rep=rep, members=members)
+        for k, (rep, members) in enumerate(classes)
     )
-    return AtomSpectrum(ring=ring, atoms=atoms)
+    index = {ideal: atom.id for atom in atoms for ideal in atom.members}
+    met = {  # row q -> the atoms of the comonoform ideals in it
+        q: frozenset(index[c] for c in row if c in index)
+        for q, row in table.items()
+    }
+    supports = {
+        p: frozenset().union(*(ids for q, ids in met.items() if p <= q))
+        for p in index
+    }
+    return AtomSpectrum(
+        ring=ring,
+        atoms=atoms,
+        index=MappingProxyType(index),
+        supports=MappingProxyType(supports),
+        neighbourhoods=_minimal_neighbourhoods(atoms, supports),
+    )
 
 
 def atom_support(spec: AtomSpectrum, module: RightModule) -> frozenset:
@@ -169,16 +177,19 @@ def atom_support(spec: AtomSpectrum, module: RightModule) -> frozenset:
     """
     if module.ring != spec.ring:
         raise SpectrumError("module is over a different ring")
-    return frozenset().union(*_atoms_met(spec, colon_table(module)).values())
+    return frozenset(
+        spec.index[c] for row in colon_table(module).values() for c in row
+        if c in spec.index
+    )
 
 
 def associated_atoms(spec: AtomSpectrum, module: RightModule) -> frozenset:
     """Atom ids with a representative occurring as a submodule of M."""
     if module.ring != spec.ring:
         raise SpectrumError("module is over a different ring")
-    index = _atom_index(spec)
     return frozenset(
-        index[ann] for ann in distinct_annihilators(module) if ann in index
+        spec.index[ann] for ann in distinct_annihilators(module)
+        if ann in spec.index
     )
 
 
@@ -192,36 +203,25 @@ def is_open(spec: AtomSpectrum, phi: frozenset) -> bool:
         if not 0 <= atom_id < len(spec.atoms):
             raise SpectrumError(f"unknown atom id {atom_id}")
         atom = spec.atoms[atom_id]
-        if not any(
-            spec.support_of_ideal(q) <= phi for q in atom.members
-        ):
+        if not any(spec.supports[q] <= phi for q in atom.members):
             return False
     return True
 
 
 def enumerate_open_sets(spec: AtomSpectrum) -> list[frozenset]:
-    """All open subsets, sorted by (size, sorted atom ids); verified closed
-    under union and pairwise intersection."""
+    """All open subsets, sorted by (size, sorted atom ids): the unions of
+    the minimal open neighbourhoods, built as k-bit masks."""
     k = len(spec.atoms)
     if k > MAX_ATOMS_FOR_POWERSET:
         raise SpectrumError(
-            f"{k} atoms is too many for a powerset scan (max {MAX_ATOMS_FOR_POWERSET})"
+            f"{k} atoms may have 2^{k} open sets, too many to list "
+            f"(max {MAX_ATOMS_FOR_POWERSET} atoms)"
         )
-    ids = range(k)
-    opens = [
-        frozenset(sub)
-        for size in range(k + 1)
-        for sub in itertools.combinations(ids, size)
-        if is_open(spec, frozenset(sub))
-    ]
-    open_set = set(opens)
-    for a in opens:
-        for b in opens:
-            if a | b not in open_set or a & b not in open_set:
-                raise AssertionError(
-                    f"open sets not closed under union/intersection: "
-                    f"{sorted(a)}, {sorted(b)}"
-                )
+    masks = {0}
+    for hood in spec.neighbourhoods:
+        bits = sum(1 << a for a in hood)
+        masks |= {mask | bits for mask in masks}
+    opens = [frozenset(a for a in range(k) if mask >> a & 1) for mask in masks]
     return sorted(opens, key=lambda s: (len(s), tuple(sorted(s))))
 
 
@@ -273,23 +273,14 @@ def commutative_crosscheck(ring: FiniteRing,
         len(atom.members) == 1 for atom in spec.atoms
     )
 
-    prime_of_atom = {
-        atom.id: atom.canonical_rep for atom in spec.atoms
-    }
-    opens = {
-        frozenset(prime_of_atom[a] for a in phi)
-        for phi in enumerate_open_sets(spec)
-    }
-    spc_closed = set()
-    for size in range(len(primes) + 1):
-        for sub in itertools.combinations(primes, size):
-            phi = frozenset(sub)
-            if all(
-                q in phi
-                for p in phi for q in primes if p <= q
-            ):
-                spc_closed.add(phi)
-    report["checks"]["open_equals_specialization_closed"] = opens == spc_closed
+    prime_of_atom = {atom.id: atom.canonical_rep for atom in spec.atoms}
+    # a finite topology is fixed by its minimal open neighbourhoods, and
+    # the specialization-closed set generated by p is {q : p <= q}
+    report["checks"]["open_equals_specialization_closed"] = all(
+        frozenset(prime_of_atom[b] for b in hood)
+        == frozenset(q for q in primes if prime_of_atom[a] <= q)
+        for a, hood in enumerate(spec.neighbourhoods)
+    )
 
     if modules is None:
         reg = regular_module(ring)

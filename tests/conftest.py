@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from atomspec.rings import mat, product, tri2, zmod
 
@@ -36,3 +39,19 @@ def tri2_2():
 @pytest.fixture(scope="session")
 def zmod12():
     return zmod(12)
+
+
+@st.composite
+def posets(draw, max_points=4):
+    """(k, strict relations) of a random poset on the points 0..k-1."""
+    k = draw(st.integers(min_value=1, max_value=max_points))
+    order = draw(st.permutations(range(k)))
+    pairs = list(itertools.combinations(order, 2))  # x < y allowed
+    less = set(draw(st.lists(st.sampled_from(pairs), unique=True))
+               if pairs else [])
+    while True:  # transitive closure
+        extra = {(x, w) for x, y in less for z, w in less if y == z} - less
+        if not extra:
+            break
+        less |= extra
+    return k, sorted(less)

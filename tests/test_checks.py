@@ -4,7 +4,7 @@ from atomspec import checks
 from atomspec.checks import ALL_CHECKS, check_suite
 from atomspec.modules import RightModule
 from atomspec.monoform import is_monoform
-from atomspec.rings import parse_ring_spec, product, tri2, zmod
+from atomspec.rings import mat, parse_ring_spec, product, zmod
 from atomspec.spectrum import atom_spectrum
 
 
@@ -21,6 +21,12 @@ def test_suite_passes_on_zmod30():
     assert report["passed"], [
         p for p in report["properties"] if not p["passed"]
     ]
+
+
+def test_direct_sum_additivity_without_small_cyclic_modules():
+    # the smallest proper R/I of M_2(F_5) has order 25
+    assert min(m.order for m in checks._cyclic_modules(mat(2, 5))) == 25
+    assert checks.check_direct_sum_additivity(mat(2, 5))[1:] == (True, None)
 
 
 @pytest.fixture(params=["zmod:12", "tri2:2"])
@@ -66,9 +72,9 @@ def test_canonical_map_check_sees_dropped_inclusion(small_ring, monkeypatch):
 
 
 def test_atom_equivalence_compares_no_module_tables(monkeypatch):
-    # R/{0} equals the regular module but is another object; once its
-    # colon table is cached, a lookup by the regular module would compare
-    # the two modules' full tables on every call.
+    # R/{0} equals the regular module but is another object, so a lookup of
+    # the regular module's colon table may compare the two.  Such a compare
+    # must read two digests computed before, never the modules' tables.
     ring = product(zmod(2), zmod(5))
     for mod in checks._cyclic_modules(ring):
         is_monoform(mod)
@@ -76,10 +82,10 @@ def test_atom_equivalence_compares_no_module_tables(monkeypatch):
     calls = []
     real_eq = RightModule.__eq__
 
-    def counting_eq(self, other):
-        calls.append(1)
+    def recording_eq(self, other):
+        calls.append("digest" in vars(self) and "digest" in vars(other))
         return real_eq(self, other)
 
-    monkeypatch.setattr(RightModule, "__eq__", counting_eq)
+    monkeypatch.setattr(RightModule, "__eq__", recording_eq)
     assert checks.check_atom_equivalence_relation(ring)[1]
-    assert calls == []
+    assert all(calls)

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from atomspec import checks
 from atomspec.cli import run
 from atomspec.rings import serialize_ring, zmod
 
@@ -101,6 +102,36 @@ def test_check_verb_passes(capsys):
     )
     assert code == 0
     assert json.loads(out)["result"]["passed"] is True
+
+
+@pytest.mark.parametrize("ring", ["zmod:17", "zmod:1"])
+def test_check_verb_without_small_cyclic_modules(capsys, ring):
+    # no proper R/I of order <= 16, and the zero ring has none at all
+    code, out = capture_json(
+        capsys, ["check", "--ring", ring, "--format", "json"]
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["passed"] is True
+
+
+def test_check_verb_reports_a_crashing_property(capsys, monkeypatch):
+    def check_boom(ring):
+        raise ValueError("boom")
+
+    battery = list(checks.ALL_CHECKS)
+    battery[3] = check_boom
+    monkeypatch.setattr(checks, "ALL_CHECKS", battery)
+    code, out = capture_json(
+        capsys, ["check", "--ring", "zmod:6", "--format", "json"]
+    )
+    assert code == 1
+    result = json.loads(out)["result"]
+    assert result["passed"] is False
+    props = result["properties"]
+    assert len(props) == len(battery)
+    assert props[3] == {"property": "boom", "passed": False,
+                        "witness": "ValueError: boom"}
+    assert all(p["passed"] for i, p in enumerate(props) if i != 3)
 
 
 def test_ring_file_input(tmp_path, capsys):

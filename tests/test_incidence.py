@@ -12,27 +12,11 @@ lattice with |P| * 2^(|P|-1) covering edges.
 import itertools
 
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from atomspec.rings import fp_algebra
 from atomspec.serre import enumerate_serre, inclusion_edges
 from atomspec.spectrum import atom_spectrum
-
-
-@st.composite
-def posets(draw, max_points=4):
-    """(k, strict relations) of a random poset on the points 0..k-1."""
-    k = draw(st.integers(min_value=1, max_value=max_points))
-    order = draw(st.permutations(range(k)))
-    pairs = list(itertools.combinations(order, 2))  # x < y allowed
-    less = set(draw(st.lists(st.sampled_from(pairs), unique=True))
-               if pairs else [])
-    while True:  # transitive closure
-        extra = {(x, w) for x, y in less for z, w in less if y == z} - less
-        if not extra:
-            break
-        less |= extra
-    return k, sorted(less)
+from conftest import posets
 
 
 def incidence_algebra(p, k, less):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -25,7 +26,7 @@ from atomspec.rings import (
     zmod,
 )
 
-from conftest import TABLE_FORMS, table_in_form
+from conftest import TABLE_FORMS, make_zoo, table_in_form
 
 
 def test_zmod12_is_a_valid_ring():
@@ -122,6 +123,17 @@ def test_serialization_roundtrip():
         again = parse_ring_document(doc)
         assert again == ring
         assert serialize_ring(again) == doc
+
+
+def test_serialization_streams_the_json_document():
+    # the document is written one table row at a time; it must stay the
+    # bytes json.dumps gives, since every report's ring hash is its sha256
+    for ring in make_zoo():
+        doc = {"order": ring.order, "one": ring.one,
+               "add": ring.add.tolist(), "mul": ring.mul.tolist()}
+        want = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert serialize_ring(ring) == want.encode()
+        assert ring.content_hash() == hashlib.sha256(want.encode()).hexdigest()
 
 
 def test_mutated_document_reports_location():
