@@ -51,6 +51,7 @@ from .serre import (
     hasse_dot,
     serre_contains,
     serre_from_generators,
+    serre_lattice,
 )
 from .spectrum import (
     Atom,

@@ -1,16 +1,18 @@
 """Property battery over a single ring: every structural fact the library
 relies on, re-verified exhaustively at desk scale.
 
-Each check returns (name, passed, witness); check_suite aggregates them
-into a report.  A failed check is an implementation bug, never an
-acceptable state, so witnesses are kept small and concrete.
+Each check returns (name, passed, witness), its name written once in its
+`_property` decorator, which also lists it in ALL_CHECKS in the order of
+definition; check_suite aggregates them into a report.  A
+failed check is an implementation bug, never an acceptable state, so
+witnesses are kept small and concrete.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -60,6 +62,23 @@ from .spectrum import (
 SMALL_MODULE_ORDER = 64
 
 
+ALL_CHECKS = []  # in report order
+
+
+def _property(name: str):
+    """Turn a function of the ring returning (passed, witness) into a check
+    returning (name, passed, witness), with `check.property` = name, and
+    append it to ALL_CHECKS."""
+    def decorate(body):
+        @wraps(body)
+        def check(ring, *args, **kwargs):
+            return (name, *body(ring, *args, **kwargs))
+        check.property = name
+        ALL_CHECKS.append(check)
+        return check
+    return decorate
+
+
 @lru_cache(maxsize=None)
 def _cyclic_modules(ring: FiniteRing) -> tuple[RightModule, ...]:
     """R/I for every proper right ideal I (includes the regular module)."""
@@ -71,31 +90,35 @@ def _cyclic_modules(ring: FiniteRing) -> tuple[RightModule, ...]:
     )
 
 
+@_property("ring axioms")
 def check_ring_axioms(ring: FiniteRing):
     try:
         validate_ring(ring.add, ring.mul, ring.one)
     except Exception as exc:  # pragma: no cover - only on corrupt input
-        return "ring axioms", False, str(exc)
-    return "ring axioms", True, None
+        return False, str(exc)
+    return True, None
 
 
+@_property("annihilators are right ideals")
 def check_annihilators_are_ideals(ring: FiniteRing):
     reg = regular_module(ring)
     for mod in _cyclic_modules(ring):
         for x in range(mod.order):
             if not is_submodule(reg, annihilator(mod, x)):
-                return "annihilators are right ideals", False, (mod.provenance, x)
-    return "annihilators are right ideals", True, None
+                return False, (mod.provenance, x)
+    return True, None
 
 
+@_property("index multiplicativity")
 def check_index_multiplicativity(ring: FiniteRing):
     reg = regular_module(ring)
     for sub in submodule_lattice(reg):
         if reg.order != len(sub) * quotient(reg, sub).order:
-            return "index multiplicativity", False, sorted(sub)
-    return "index multiplicativity", True, None
+            return False, sorted(sub)
+    return True, None
 
 
+@_property("cyclic is R mod annihilator")
 def check_cyclic_iso_quotient(ring: FiniteRing):
     """xR is isomorphic to R / Ann(x), through r + Ann(x) -> x.r.
 
@@ -115,8 +138,8 @@ def check_cyclic_iso_quotient(ring: FiniteRing):
                 cyclics[members] = sub_module(mod, members)
             if not _canonical_map_is_iso(mod, x, *quotients[ann],
                                          *cyclics[members]):
-                return "cyclic is R mod annihilator", False, (mod.provenance, x)
-    return "cyclic is R mod annihilator", True, None
+                return False, (mod.provenance, x)
+    return True, None
 
 
 def _canonical_map_is_iso(mod: RightModule, x: int, quo: RightModule,
@@ -147,33 +170,35 @@ def _canonical_map_is_iso(mod: RightModule, x: int, quo: RightModule,
     )
 
 
+@_property("lattice closed under meet and join")
 def check_lattice_closure(ring: FiniteRing):
     reg = regular_module(ring)
     lattice = set(submodule_lattice(reg))
     for a in lattice:
         for b in lattice:
             if a & b not in lattice or submodule_sum(reg, a, b) not in lattice:
-                return "lattice closed under meet and join", False, (
-                    sorted(a), sorted(b),
-                )
-    return "lattice closed under meet and join", True, None
+                return False, (sorted(a), sorted(b))
+    return True, None
 
 
+@_property("composition series independence")
 def check_series_independence(ring: FiniteRing):
     for mod in _cyclic_modules(ring):
         if composition_factors(mod) != composition_factors_top_down(mod):
-            return "composition series independence", False, mod.provenance
-    return "composition series independence", True, None
+            return False, mod.provenance
+    return True, None
 
 
+@_property("uniform agrees with pairwise oracle")
 def check_uniform_oracle(ring: FiniteRing):
     for mod in _cyclic_modules(ring):
         if len(submodule_lattice(mod)) <= SMALL_MODULE_ORDER:
             if is_uniform(mod) != is_uniform_bruteforce(mod):
-                return "uniform agrees with pairwise oracle", False, mod.provenance
-    return "uniform agrees with pairwise oracle", True, None
+                return False, mod.provenance
+    return True, None
 
 
+@_property("annihilator-set reduction")
 def check_annihilator_reduction(ring: FiniteRing):
     """Shared-submodule reduction vs a literal embedding search."""
     mods = [m for m in _cyclic_modules(ring) if m.order <= 16]
@@ -185,12 +210,11 @@ def check_annihilator_reduction(ring: FiniteRing):
                 for s in submodule_lattice(a)
             )
             if reduced != literal:
-                return "annihilator-set reduction", False, (
-                    a.provenance, b.provenance,
-                )
-    return "annihilator-set reduction", True, None
+                return False, (a.provenance, b.provenance)
+    return True, None
 
 
+@_property("monoform is hereditary")
 def check_monoform_hereditary(ring: FiniteRing):
     """Every nonzero submodule of a monoform module is monoform."""
     for mod in _cyclic_modules(ring):
@@ -198,37 +222,38 @@ def check_monoform_hereditary(ring: FiniteRing):
             continue
         for sub in submodule_lattice(mod):
             if len(sub) > 1 and not is_monoform(sub_module(mod, sub)[0]):
-                return "monoform is hereditary", False, (mod.provenance, sorted(sub))
-    return "monoform is hereditary", True, None
+                return False, (mod.provenance, sorted(sub))
+    return True, None
 
 
+@_property("monoform implies uniform")
 def check_monoform_implies_uniform(ring: FiniteRing):
     for mod in _cyclic_modules(ring):
         if is_monoform(mod) and not is_uniform(mod):
-            return "monoform implies uniform", False, mod.provenance
-    return "monoform implies uniform", True, None
+            return False, mod.provenance
+    return True, None
 
 
+@_property("atom equivalence is an equivalence")
 def check_atom_equivalence_relation(ring: FiniteRing):
     spec = atom_spectrum(ring)
     ideals = spec.comonoform_ideals()
     for p in ideals:
         if not atom_equivalent(ring, p, p):
-            return "atom equivalence is an equivalence", False, sorted(p)
+            return False, sorted(p)
     for p, q, r in itertools.product(ideals, repeat=3):
         if atom_equivalent(ring, p, q) != atom_equivalent(ring, q, p):
-            return "atom equivalence is an equivalence", False, (sorted(p), sorted(q))
+            return False, (sorted(p), sorted(q))
         if (
             atom_equivalent(ring, p, q)
             and atom_equivalent(ring, q, r)
             and not atom_equivalent(ring, p, r)
         ):
-            return "atom equivalence is an equivalence", False, (
-                sorted(p), sorted(q), sorted(r),
-            )
-    return "atom equivalence is an equivalence", True, None
+            return False, (sorted(p), sorted(q), sorted(r))
+    return True, None
 
 
+@_property("monoform submodule sums")
 def check_monoform_sum(ring: FiniteRing):
     """In a uniform module, the sum of two monoform submodules is monoform."""
     for mod in _cyclic_modules(ring):
@@ -242,29 +267,30 @@ def check_monoform_sum(ring: FiniteRing):
             for b in monoforms:
                 total = submodule_sum(mod, a, b)
                 if not is_monoform(sub_module(mod, total)[0]):
-                    return "monoform submodule sums", False, (
-                        mod.provenance, sorted(a), sorted(b),
-                    )
-    return "monoform submodule sums", True, None
+                    return False, (mod.provenance, sorted(a), sorted(b))
+    return True, None
 
 
+@_property("monoform agrees with socle oracle")
 def check_socle_oracle(ring: FiniteRing):
     for mod in _cyclic_modules(ring):
         if is_monoform(mod) != monoform_oracle_artinian(mod):
-            return "monoform agrees with socle oracle", False, mod.provenance
-    return "monoform agrees with socle oracle", True, None
+            return False, mod.provenance
+    return True, None
 
 
+@_property("comonoform implies completely prime")
 def check_comonoform_completely_prime(ring: FiniteRing):
     reg = regular_module(ring)
     for ideal in submodule_lattice(reg):
         if len(ideal) == ring.order:
             continue
         if is_comonoform(ring, ideal) and not is_completely_prime(ring, ideal):
-            return "comonoform implies completely prime", False, sorted(ideal)
-    return "comonoform implies completely prime", True, None
+            return False, sorted(ideal)
+    return True, None
 
 
+@_property("monoform filtrations")
 def check_filtrations(ring: FiniteRing):
     reg = regular_module(ring)
     for mod in _cyclic_modules(ring):
@@ -272,25 +298,27 @@ def check_filtrations(ring: FiniteRing):
         if list(filt.chain) != sorted(filt.chain, key=len) or any(
             not a < b for a, b in zip(filt.chain, filt.chain[1:])
         ):
-            return "monoform filtrations", False, mod.provenance
+            return False, mod.provenance
         for i, label in enumerate(filt.labels):
             factor = filtration_factor(mod, filt, i)
             if not is_monoform(factor):
-                return "monoform filtrations", False, (mod.provenance, i)
+                return False, (mod.provenance, i)
             if not is_isomorphic(factor, quotient(reg, label)):
-                return "monoform filtrations", False, (mod.provenance, i)
-    return "monoform filtrations", True, None
+                return False, (mod.provenance, i)
+    return True, None
 
 
+@_property("maximal monoform submodules")
 def check_max_monoform(ring: FiniteRing):
     for mod in _cyclic_modules(ring):
         if not is_uniform(mod):
             continue
         # raises internally if the maximum fails its own verification
         max_monoform_submodule(mod)
-    return "maximal monoform submodules", True, None
+    return True, None
 
 
+@_property("support exactness")
 def check_support_exactness(ring: FiniteRing):
     spec = atom_spectrum(ring)
     for mod in _cyclic_modules(ring):
@@ -299,10 +327,11 @@ def check_support_exactness(ring: FiniteRing):
             left = atom_support(spec, sub_module(mod, sub)[0])
             right = atom_support(spec, quotient(mod, sub))
             if total != left | right:
-                return "support exactness", False, (mod.provenance, sorted(sub))
-    return "support exactness", True, None
+                return False, (mod.provenance, sorted(sub))
+    return True, None
 
 
+@_property("associated atom sandwich")
 def check_ass_sandwich(ring: FiniteRing):
     spec = atom_spectrum(ring)
     for mod in _cyclic_modules(ring):
@@ -311,10 +340,11 @@ def check_ass_sandwich(ring: FiniteRing):
             left = associated_atoms(spec, sub_module(mod, sub)[0])
             right = associated_atoms(spec, quotient(mod, sub))
             if not (left <= mid and mid <= left | right):
-                return "associated atom sandwich", False, (mod.provenance, sorted(sub))
-    return "associated atom sandwich", True, None
+                return False, (mod.provenance, sorted(sub))
+    return True, None
 
 
+@_property("direct sum support additivity")
 def check_direct_sum_additivity(ring: FiniteRing, pairs: int = 20, seed: int = 0):
     # factor cap keeps the summed module's tables and lattice tractable;
     # it admits the smallest cyclic module, or R itself for the zero ring
@@ -327,33 +357,36 @@ def check_direct_sum_additivity(ring: FiniteRing, pairs: int = 20, seed: int = 0
         a, b = rng.choice(mods), rng.choice(mods)
         s = direct_sum(a, b)
         if atom_support(spec, s) != atom_support(spec, a) | atom_support(spec, b):
-            return "direct sum support additivity", False, (a.provenance, b.provenance)
+            return False, (a.provenance, b.provenance)
         if associated_atoms(spec, s) != (
             associated_atoms(spec, a) | associated_atoms(spec, b)
         ):
-            return "direct sum support additivity", False, (a.provenance, b.provenance)
-    return "direct sum support additivity", True, None
+            return False, (a.provenance, b.provenance)
+    return True, None
 
 
+@_property("associated atoms within support")
 def check_ass_inside_support(ring: FiniteRing):
     spec = atom_spectrum(ring)
     for mod in _cyclic_modules(ring):
         ass = associated_atoms(spec, mod)
         if not ass <= atom_support(spec, mod):
-            return "associated atoms within support", False, mod.provenance
+            return False, mod.provenance
         if mod.order > 1 and not ass:
-            return "associated atoms within support", False, mod.provenance
-    return "associated atoms within support", True, None
+            return False, mod.provenance
+    return True, None
 
 
+@_property("module supports are open")
 def check_supports_are_open(ring: FiniteRing):
     spec = atom_spectrum(ring)
     for mod in _cyclic_modules(ring):
         if not is_open(spec, atom_support(spec, mod)):
-            return "module supports are open", False, mod.provenance
-    return "module supports are open", True, None
+            return False, mod.provenance
+    return True, None
 
 
+@_property("discrete topology")
 def check_discreteness(ring: FiniteRing):
     """Finite rings: every subset of atoms is open, and the atom count is
     the number of iso-classes of simple modules."""
@@ -362,19 +395,18 @@ def check_discreteness(ring: FiniteRing):
     for size in range(k + 1):
         for phi in itertools.combinations(range(k), size):
             if not is_open(spec, frozenset(phi)):
-                return "discrete topology", False, list(phi)
+                return False, list(phi)
     reg = regular_module(ring)
     simple_handles = set()
     for mod in _cyclic_modules(ring):
         if mod.order > 1 and len(submodule_lattice(mod)) == 2:
             simple_handles.add(annihilator_set(mod))
     if len(simple_handles) != k:
-        return "discrete topology", False, (
-            "atoms", k, "simple classes", len(simple_handles),
-        )
-    return "discrete topology", True, None
+        return False, ("atoms", k, "simple classes", len(simple_handles))
+    return True, None
 
 
+@_property("monoform closure criterion")
 def check_monoform_closure_equivalence(ring: FiniteRing):
     """M is non-monoform iff M falls into the Serre closure of its proper
     quotients, computed by the brute-force oracle."""
@@ -389,10 +421,11 @@ def check_monoform_closure_equivalence(ring: FiniteRing):
         }
         in_closure = universe.class_of(mod) in closure_oracle(universe, gens)
         if in_closure != (not is_monoform(mod)):
-            return "monoform closure criterion", False, mod.provenance
-    return "monoform closure criterion", True, None
+            return False, mod.provenance
+    return True, None
 
 
+@_property("open set roundtrip")
 def check_roundtrip_open_sets(ring: FiniteRing):
     """ASupp(ASupp^-1 phi) == phi via cyclic witnesses, for every open phi."""
     spec = atom_spectrum(ring)
@@ -402,10 +435,11 @@ def check_roundtrip_open_sets(ring: FiniteRing):
             if spec.support_of_ideal(q) <= phi:
                 covered |= spec.support_of_ideal(q)
         if covered != phi:
-            return "open set roundtrip", False, sorted(phi)
-    return "open set roundtrip", True, None
+            return False, sorted(phi)
+    return True, None
 
 
+@_property("closure oracle soundness")
 def check_oracle_soundness(ring: FiniteRing, trials: int = 5, seed: int = 0):
     """Every member of an oracle closure has support inside the generated
     open set."""
@@ -421,54 +455,23 @@ def check_oracle_soundness(ring: FiniteRing, trials: int = 5, seed: int = 0):
         phi = frozenset().union(frozenset(), *(supports[g] for g in gens))
         for member in closure_oracle(universe, gens):
             if not supports[member] <= phi:
-                return "closure oracle soundness", False, sorted(gens)
-    return "closure oracle soundness", True, None
+                return False, sorted(gens)
+    return True, None
 
 
+@_property("subcategory calculus")
 def check_calculus(ring: FiniteRing, samples: int = 25):
     universe = build_universe(regular_module(ring))
     result = calculus_check(universe, samples=samples)
-    return "subcategory calculus", result["passed"], result["violations"] or None
+    return result["passed"], result["violations"] or None
 
 
+@_property("commutative recovery")
 def check_commutative(ring: FiniteRing):
     if not ring.is_commutative():
-        return "commutative recovery", True, "skipped (noncommutative)"
+        return True, "skipped (noncommutative)"
     report = commutative_crosscheck(ring)
-    return "commutative recovery", report["passed"], (
-        None if report["passed"] else report["checks"]
-    )
-
-
-ALL_CHECKS = [
-    check_ring_axioms,
-    check_annihilators_are_ideals,
-    check_index_multiplicativity,
-    check_cyclic_iso_quotient,
-    check_lattice_closure,
-    check_series_independence,
-    check_uniform_oracle,
-    check_annihilator_reduction,
-    check_monoform_hereditary,
-    check_monoform_implies_uniform,
-    check_atom_equivalence_relation,
-    check_monoform_sum,
-    check_socle_oracle,
-    check_comonoform_completely_prime,
-    check_filtrations,
-    check_max_monoform,
-    check_support_exactness,
-    check_ass_sandwich,
-    check_direct_sum_additivity,
-    check_ass_inside_support,
-    check_supports_are_open,
-    check_discreteness,
-    check_monoform_closure_equivalence,
-    check_roundtrip_open_sets,
-    check_oracle_soundness,
-    check_calculus,
-    check_commutative,
-]
+    return report["passed"], None if report["passed"] else report["checks"]
 
 
 def check_suite(ring: FiniteRing) -> dict:
@@ -479,7 +482,7 @@ def check_suite(ring: FiniteRing) -> dict:
         try:
             name, passed, witness = check(ring)
         except Exception as exc:  # a crash fails its property, not the report
-            name = check.__name__.removeprefix("check_").replace("_", " ")
+            name = check.property
             passed, witness = False, f"{type(exc).__name__}: {exc}"
         entry = {"property": name, "passed": passed}
         if witness is not None:

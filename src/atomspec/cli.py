@@ -31,7 +31,7 @@ from .rings import (
     parse_ring_document,
     parse_ring_spec,
 )
-from .serre import enumerate_serre, hasse_dot, inclusion_edges
+from .serre import hasse_dot, serre_lattice
 from .spectrum import (
     SpectrumError,
     associated_atoms,
@@ -114,19 +114,7 @@ def _payload(args, ring: FiniteRing) -> dict:
             "labels": [sorted(l) for l in filt.labels],
         }
     if verb == "serre":
-        spec = atom_spectrum(ring)
-        subs = enumerate_serre(spec)
-        return {
-            "count": len(subs),
-            "subcategories": [
-                {
-                    "open_set": sorted(s.open_set),
-                    "generators": [sorted(q) for q in s.generators],
-                }
-                for s in subs
-            ],
-            "edges": inclusion_edges(subs),
-        }
+        return serre_lattice(atom_spectrum(ring))
     if verb == "check":
         return check_suite(ring)
     raise AssertionError(f"unhandled verb {verb}")
@@ -241,8 +229,7 @@ def run(argv=None) -> tuple[int, dict]:
     if args.format == "json":
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
     elif args.format == "graph":
-        spec = atom_spectrum(ring)
-        sys.stdout.write(hasse_dot(enumerate_serre(spec)))
+        sys.stdout.write(hasse_dot(report["result"]))
     else:
         sys.stdout.write(_render_text(report, elapsed))
     exit_code = 0

@@ -50,8 +50,6 @@ from .rings import (
 
 DEFAULT_LATTICE_CAP = 1 << 20
 
-Submodule = frozenset  # frozenset[int] over parent element ids
-
 
 class ModuleError(Exception):
     pass
@@ -165,10 +163,9 @@ def submodule_sum(module: RightModule, a: frozenset, b: frozenset) -> frozenset:
 
 
 @lru_cache(maxsize=None)
-def submodule_lattice(
-    module: RightModule, cap: int = DEFAULT_LATTICE_CAP
-) -> tuple[frozenset, ...]:
-    """All submodules, sorted by (cardinality, sorted element tuple).
+def submodule_lattice(module: RightModule) -> tuple[frozenset, ...]:
+    """All submodules, sorted by (cardinality, sorted element tuple), at
+    most DEFAULT_LATTICE_CAP of them.
 
     Breadth-first search from {0}; the successors of S are S + xR for
     every x outside S, all found in one vectorised step: label each
@@ -193,9 +190,9 @@ def submodule_lattice(
                 continue
             found[key] = members
             queue.append(members)
-            if len(found) > cap:
+            if len(found) > DEFAULT_LATTICE_CAP:
                 raise CapExceededError(
-                    f"submodule lattice exceeded cap {cap} "
+                    f"submodule lattice exceeded cap {DEFAULT_LATTICE_CAP} "
                     f"(blew up at {len(found)} submodules)"
                 )
     subs = (frozenset(np.flatnonzero(mask).tolist()) for mask in queue)

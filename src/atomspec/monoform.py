@@ -9,7 +9,6 @@ import numpy as np
 
 from .modules import (
     RightModule,
-    annihilator,
     colon_table,
     composition_factors,
     cyclic_submodule,
@@ -17,7 +16,6 @@ from .modules import (
     is_uniform,
     minimal_submodules,
     quotient,
-    quotient_module,
     regular_module,
     simple_class_handle,
     socle,
@@ -112,37 +110,33 @@ def is_completely_prime(ring: FiniteRing, ideal: frozenset) -> bool:
 def monoform_filtration(module: RightModule) -> Filtration:
     """Chain with monoform cyclic factors, each isomorphic to R/p_i.
 
-    Step i takes the smallest element id of M/L_{i-1} whose annihilator is
-    comonoform; its cyclic submodule pulls back to L_i.
+    Step i walks M/L in id order, L = L_{i-1}, without building it: its
+    elements are the cosets r + L in the order of their least elements r,
+    and Ann(r + L) is the colon ideal (L : r) = {a : r.a in L}.  The first
+    r whose colon ideal is comonoform gives L_i = L + rR, the pull-back of
+    the cyclic submodule of r + L.
     """
     if module.order == 1:
         raise MonoformError("the zero module has no monoform filtration")
-    ring = module.ring
-    full = frozenset(range(module.order))
+    ids = np.arange(module.order)
     chain = [frozenset({0})]
     labels = []
-    current = chain[0]
-    while current != full:
-        quot, proj = quotient_module(module, current)
-        step = None
-        for x in range(1, quot.order):
-            ann = annihilator(quot, x)
-            if is_comonoform(ring, ann):
-                step = (x, ann)
+    while len(chain[-1]) < module.order:
+        inside = np.zeros(module.order, dtype=bool)
+        inside[list(chain[-1])] = True
+        least = module.add[:, inside].min(axis=1)  # least element of v + L
+        for r in np.flatnonzero((least == ids) & ~inside).tolist():
+            colon = frozenset(np.flatnonzero(inside[module.act[r]]).tolist())
+            if is_comonoform(module.ring, colon):
                 break
-        if step is None:
+        else:
             # impossible for a nonzero finite module: some cyclic submodule
             # of every nonzero module is monoform
             raise AssertionError(
                 "no comonoform annihilator found in a nonzero quotient"
             )
-        x, ann = step
-        piece = cyclic_submodule(quot, x)
-        current = frozenset(
-            e for e in range(module.order) if proj[e] in piece
-        )
-        chain.append(current)
-        labels.append(ann)
+        chain.append(submodule_sum(module, chain[-1], cyclic_submodule(module, r)))
+        labels.append(colon)
     return Filtration(chain=tuple(chain), labels=tuple(labels))
 
 

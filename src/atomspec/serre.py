@@ -128,17 +128,32 @@ def inclusion_edges(subs: list[SerreSubcategory]) -> list[tuple[int, int]]:
     return edges
 
 
-def hasse_dot(subs: list[SerreSubcategory]) -> str:
-    """Hasse diagram in DOT graph-description text."""
+def serre_lattice(spec: AtomSpectrum) -> dict:
+    """The Serre subcategories and their covering edges as plain lists,
+    the `serre` verb's result."""
+    subs = enumerate_serre(spec)
+    return {
+        "count": len(subs),
+        "subcategories": [
+            {
+                "open_set": sorted(s.open_set),
+                "generators": [sorted(q) for q in s.generators],
+            }
+            for s in subs
+        ],
+        "edges": inclusion_edges(subs),
+    }
+
+
+def hasse_dot(lattice: dict) -> str:
+    """Hasse diagram of a serre_lattice result in DOT graph-description
+    text."""
     lines = ["digraph serre_lattice {", "  rankdir=BT;"]
-    for i, s in enumerate(subs):
-        label = "{" + ",".join(str(a) for a in sorted(s.open_set)) + "}"
-        gens = "; ".join(
-            "R/" + str(sorted(q)) for q in s.generators
-        ) or "0"
+    for i, s in enumerate(lattice["subcategories"]):
+        label = "{" + ",".join(map(str, s["open_set"])) + "}"
+        gens = "; ".join(f"R/{q}" for q in s["generators"]) or "0"
         lines.append(f'  n{i} [label="{label}\\n{gens}"];')
-    for i, j in inclusion_edges(subs):
-        lines.append(f"  n{i} -> n{j};")
+    lines += [f"  n{i} -> n{j};" for i, j in lattice["edges"]]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -171,15 +171,17 @@ def atom_spectrum(ring: FiniteRing) -> AtomSpectrum:
 def atom_support(spec: AtomSpectrum, module: RightModule) -> frozenset:
     """Atom ids with a representative occurring as a subquotient of M.
 
-    Reduction to cyclic subquotients: every monoform subquotient contains
-    a cyclic monoform submodule R/Ann(x+N) in the same atom, and the
-    Ann(x+N) are the entries of M's colon table.
+    Atom support is additive on short exact sequences: Supp M is
+    Supp L | Supp M/L for every submodule L.  So along a monoform
+    filtration with factors R/p_i it is the union of the Supp R/p_i that
+    the spectrum holds, and no lattice or quotient of M is built.
     """
     if module.ring != spec.ring:
         raise SpectrumError("module is over a different ring")
-    return frozenset(
-        spec.index[c] for row in colon_table(module).values() for c in row
-        if c in spec.index
+    if module.order == 1:
+        return frozenset()
+    return frozenset().union(
+        *(spec.supports[p] for p in monoform_filtration(module).labels)
     )
 
 

@@ -5,9 +5,11 @@ import time
 
 import pytest
 
-from atomspec import checks
+from atomspec import checks, serre
 from atomspec.cli import run
+from atomspec.modules import regular_module
 from atomspec.rings import serialize_ring, zmod
+from atomspec.serre import enumerate_serre
 
 
 def capture_json(capsys, argv):
@@ -96,6 +98,20 @@ def test_serre_verb_text_and_graph(capsys):
     assert dot.count("->") == 4
 
 
+def test_graph_format_enumerates_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return enumerate_serre(spec)
+
+    monkeypatch.setattr(serre, "enumerate_serre", counted)
+    code, _ = run(["serre", "--ring", "tri2:2", "--format", "graph"])
+    assert code == 0
+    assert capsys.readouterr().out.count("->") == 4
+    assert len(calls) == 1
+
+
 def test_check_verb_passes(capsys):
     code, out = capture_json(
         capsys, ["check", "--ring", "zmod:6", "--format", "json"]
@@ -115,12 +131,11 @@ def test_check_verb_without_small_cyclic_modules(capsys, ring):
 
 
 def test_check_verb_reports_a_crashing_property(capsys, monkeypatch):
-    def check_boom(ring):
+    # property 3 builds R/Ann(x) with quotient_module, so it raises there
+    def boom(module, sub):
         raise ValueError("boom")
 
-    battery = list(checks.ALL_CHECKS)
-    battery[3] = check_boom
-    monkeypatch.setattr(checks, "ALL_CHECKS", battery)
+    monkeypatch.setattr(checks, "quotient_module", boom)
     code, out = capture_json(
         capsys, ["check", "--ring", "zmod:6", "--format", "json"]
     )
@@ -128,10 +143,19 @@ def test_check_verb_reports_a_crashing_property(capsys, monkeypatch):
     result = json.loads(out)["result"]
     assert result["passed"] is False
     props = result["properties"]
-    assert len(props) == len(battery)
-    assert props[3] == {"property": "boom", "passed": False,
-                        "witness": "ValueError: boom"}
+    assert len(props) == len(checks.ALL_CHECKS)
+    assert checks.ALL_CHECKS[3] is checks.check_cyclic_iso_quotient
+    assert props[3] == {"property": "cyclic is R mod annihilator",
+                        "passed": False, "witness": "ValueError: boom"}
     assert all(p["passed"] for i, p in enumerate(props) if i != 3)
+
+
+def test_check_names_are_the_reported_names():
+    ring = zmod(6)
+    for check in checks.ALL_CHECKS:
+        assert check.__name__.startswith("check_")
+        name, passed, _ = check(ring)
+        assert (name, passed) == (check.property, True)
 
 
 def test_ring_file_input(tmp_path, capsys):
@@ -316,3 +340,59 @@ def test_module_spec_at_the_order_cap_is_built(capsys):
     )
     assert code == 0
     assert json.loads(out)["result"]["atoms"] == [0, 1]
+
+
+@pytest.mark.parametrize("verb", ["support", "filtration"])
+@pytest.mark.parametrize("ring, module", [
+    ("zmod:12", "sum:regular+quot:0,6"),
+    ("tri2:2", "sum:regular+cyclic:4"),
+    ("mat:2:2", "sum:regular+regular"),
+])
+def test_module_verbs_build_no_lattice_of_the_module(capsys, monkeypatch,
+                                                     verb, ring, module):
+    # the spectrum reads the regular module's lattice; the module itself
+    # is read through colon ideals only
+    def guarded(fn):
+        def call(mod, *args):
+            assert mod == regular_module(mod.ring), (fn.__name__, mod)
+            return fn(mod, *args)
+        return call
+
+    for name, namespace in list(sys.modules.items()):
+        if name.startswith("atomspec"):
+            for fn in ("submodule_lattice", "colon_table", "quotient_module"):
+                if hasattr(namespace, fn):
+                    monkeypatch.setattr(namespace, fn,
+                                        guarded(getattr(namespace, fn)))
+    code, out = capture_json(
+        capsys, [verb, "--ring", ring, "--module", module, "--format", "json"]
+    )
+    assert code == 0, out
+
+
+def test_support_of_a_large_sum_needs_no_lattice():
+    # F_2^8 has 417,199 subspaces; its support comes from a filtration of
+    # length 8
+    module = "sum:" + "+".join(["regular"] * 8)
+    code = (
+        "import contextlib, io, resource, sys\n"
+        "from atomspec.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    exit_code, report = run(['support', '--ring', 'zmod:2',"
+        f" '--module', {module!r}, '--format', 'json'])\n"
+        "try:  # ru_maxrss also holds the parent's resident set at the spawn\n"
+        "    status = open('/proc/self/status').read()\n"
+        "    peak = status.split('VmHWM:')[1].split()[0]\n"
+        "except OSError:\n"
+        "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(exit_code, report['result']['atoms'], peak)\n"
+    )
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr
+    exit_code, atoms, peak_kb = proc.stdout.split()
+    assert (exit_code, atoms) == ("0", "[0]")
+    assert int(peak_kb) < 200 * 1024
+    assert elapsed < 5.0

@@ -1,17 +1,24 @@
-"""The colon-table decisions against their quotient-lattice definitions.
+"""The colon-ideal decisions against their quotient-lattice definitions.
 
-`is_monoform`, `is_comonoform`, `atom_equivalent`, `atom_support` and the
-cached supports of the R/p read every quotient M/N from the colon table
-of M.  The oracles here build each M/N, as the definitions do, and take
-annihilator sets and annihilators of its elements directly.
+`is_monoform`, `is_comonoform`, `atom_equivalent` and the cached supports
+of the R/p read every quotient M/N from the colon table of M, and
+`monoform_filtration` reads each M/L from the colon ideals (L : r).
+`atom_support` is the union of the supports of the filtration's labels.
+The oracles here build each M/N, as the definitions do, and take
+annihilator sets and annihilators of its elements directly; the colon
+table's atom support stays as a second oracle.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomspec.modules import (
     annihilator,
     annihilator_set,
     colon_table,
+    cyclic_submodule,
+    direct_sum,
     parse_module_spec,
     quotient,
     quotient_module,
@@ -19,7 +26,12 @@ from atomspec.modules import (
     sub_module,
     submodule_lattice,
 )
-from atomspec.monoform import is_comonoform, is_monoform
+from atomspec.monoform import (
+    Filtration,
+    is_comonoform,
+    is_monoform,
+    monoform_filtration,
+)
 from atomspec.rings import zmod
 from atomspec.spectrum import atom_equivalent, atom_spectrum, atom_support
 
@@ -54,6 +66,33 @@ def atom_support_by_quotients(spec, module):
     return frozenset(out)
 
 
+def atom_support_by_colon_table(spec, module):
+    """Atoms among the entries of M's colon table: every (N : x) is
+    Ann(x + N) in M/N, and every monoform subquotient contains a cyclic
+    monoform submodule R/Ann(x + N) in the same atom."""
+    return frozenset(
+        spec.index[c] for row in colon_table(module).values() for c in row
+        if c in spec.index
+    )
+
+
+def monoform_filtration_by_quotients(module):
+    """Build M/L at every step, take its least element x whose annihilator
+    is comonoform, and pull xR back to M."""
+    full = frozenset(range(module.order))
+    chain, labels = [frozenset({0})], []
+    while chain[-1] != full:
+        quot, proj = quotient_module(module, chain[-1])
+        x = next(x for x in range(1, quot.order)
+                 if is_comonoform(module.ring, annihilator(quot, x)))
+        piece = cyclic_submodule(quot, x)
+        chain.append(frozenset(
+            e for e in range(module.order) if proj[e] in piece
+        ))
+        labels.append(annihilator(quot, x))
+    return Filtration(chain=tuple(chain), labels=tuple(labels))
+
+
 def modules_around(ring):
     """The regular module, every quotient and every submodule of it."""
     reg = regular_module(ring)
@@ -68,7 +107,13 @@ def modules_around(ring):
 def _agree(ring, module):
     spec = atom_spectrum(ring)
     assert is_monoform(module) == is_monoform_by_quotients(module)
-    assert atom_support(spec, module) == atom_support_by_quotients(spec, module)
+    support = atom_support(spec, module)
+    assert support == atom_support_by_quotients(spec, module)
+    assert support == atom_support_by_colon_table(spec, module)
+    if module.order > 1:
+        assert monoform_filtration(module) == (
+            monoform_filtration_by_quotients(module)
+        )
     for sub, row in colon_table(module).items():
         assert row == annihilator_set(quotient(module, sub))
 
@@ -103,3 +148,30 @@ def test_comonoform_and_atoms_agree_with_quotients(ring):
 def test_direct_sum_agrees_with_quotients():
     ring = zmod(12)
     _agree(ring, parse_module_spec(ring, "sum:regular+regular"))
+
+
+SMALL_RINGS = [r for r in ZOO if r.order <= 16]
+
+
+@st.composite
+def small_cyclic_sums(draw, max_order=32):
+    """A ring of order at most 16 and a direct sum of up to three of its
+    cyclic modules R/I, a summand being skipped when the sum would pass
+    max_order."""
+    ring = draw(st.sampled_from(SMALL_RINGS))
+    reg = regular_module(ring)
+    ideals = [i for i in submodule_lattice(reg) if len(i) < ring.order]
+    picks = draw(st.lists(st.sampled_from(ideals), min_size=2, max_size=3))
+    module = quotient(reg, picks[0])
+    for ideal in picks[1:]:
+        factor = quotient(reg, ideal)
+        if module.order * factor.order <= max_order:
+            module = direct_sum(module, factor)
+    return ring, module
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_cyclic_sums())
+def test_direct_sums_of_cyclics_agree_with_quotients(drawn):
+    ring, module = drawn
+    _agree(ring, module)

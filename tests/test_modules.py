@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atomspec import modules
 from atomspec.modules import (
     NotASubmoduleError,
     RightModule,
@@ -133,12 +134,15 @@ def test_pruned_subset_scan_agrees_with_brute_force():
         )
 
 
-def test_lattice_cap_is_enforced():
-    # zmod:12 has six ideals
+def test_lattice_cap_is_enforced(monkeypatch):
+    # zmod:12 has six ideals; the cap is read when the lattice is built
     module = regular_module(zmod(12))
+    submodule_lattice.cache_clear()
+    monkeypatch.setattr(modules, "DEFAULT_LATTICE_CAP", 3)
     with pytest.raises(CapExceededError):
-        submodule_lattice(module, cap=3)
-    assert len(submodule_lattice(module, cap=6)) == 6
+        submodule_lattice(module)
+    monkeypatch.setattr(modules, "DEFAULT_LATTICE_CAP", 6)
+    assert len(submodule_lattice(module)) == 6
 
 
 def test_equal_modules_hash_alike():

@@ -18,6 +18,7 @@ from atomspec.serre import (
     inclusion_edges,
     serre_contains,
     serre_from_generators,
+    serre_lattice,
     universe_supports,
 )
 from atomspec.rings import tri2, zmod
@@ -76,11 +77,23 @@ def test_inclusion_edges_form_square(tri2_2):
 
 
 def test_hasse_dot_output(tri2_2):
-    subs = enumerate_serre(atom_spectrum(tri2_2))
-    dot = hasse_dot(subs)
+    dot = hasse_dot(serre_lattice(atom_spectrum(tri2_2)))
     assert dot.startswith("digraph")
     assert dot.count("->") == 4
     assert dot.endswith("}\n")
+    assert dot == (
+        "digraph serre_lattice {\n"
+        "  rankdir=BT;\n"
+        '  n0 [label="{}\\n0"];\n'
+        '  n1 [label="{0}\\nR/[0, 1, 2, 3]"];\n'
+        '  n2 [label="{1}\\nR/[0, 2, 4, 6]"];\n'
+        '  n3 [label="{0,1}\\nR/[0, 4]"];\n'
+        "  n0 -> n1;\n"
+        "  n0 -> n2;\n"
+        "  n1 -> n3;\n"
+        "  n2 -> n3;\n"
+        "}\n"
+    )
 
 
 def test_universe_of_zmod4():
