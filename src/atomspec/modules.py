@@ -305,6 +305,17 @@ def distinct_annihilators(module: RightModule) -> frozenset:
     )
 
 
+def coset_colons(module: RightModule, sub: frozenset):
+    """(r, (N : r)) per coset r + N != N, by least element r, with
+    (N : r) = {a : r.a in N} = Ann(r + N) as a mask over R: the elements
+    of M/N in id order and their annihilators, without building M/N."""
+    inside = np.zeros(module.order, dtype=bool)
+    inside[list(sub)] = True
+    least = module.add[:, inside].min(axis=1)  # least element of x + N
+    reps = np.flatnonzero((least == np.arange(module.order)) & ~inside)
+    yield from zip(reps.tolist(), inside[module.act[reps]])
+
+
 @lru_cache(maxsize=None)
 def colon_table(module: RightModule) -> MappingProxyType:
     """{N: {(N : x) : x not in N}} for every proper submodule N.
@@ -313,20 +324,13 @@ def colon_table(module: RightModule) -> MappingProxyType:
     annihilator_set(M/N), computed without building M/N.  Row {0} is
     annihilator_set(M).  Equal colon ideals are shared between rows.
     """
-    m = module.order
-    add, act = module.add, module.act
-    ids = np.arange(m)
     interned: dict[bytes, frozenset] = {}
     table = {}
     for sub in submodule_lattice(module):
-        if len(sub) == m:
+        if len(sub) == module.order:
             continue
-        inside = np.zeros(m, dtype=bool)
-        inside[list(sub)] = True
-        # (N : x) depends only on the coset x + N; take its least element
-        reps = np.flatnonzero((add[:, inside].min(axis=1) == ids) & ~inside)
         row = set()
-        for colon in inside[act[reps]]:
+        for _, colon in coset_colons(module, sub):
             key = np.packbits(colon).tobytes()
             if key not in interned:
                 interned[key] = frozenset(np.flatnonzero(colon).tolist())

@@ -11,6 +11,7 @@ from .modules import (
     RightModule,
     colon_table,
     composition_factors,
+    coset_colons,
     cyclic_submodule,
     is_submodule,
     is_uniform,
@@ -110,23 +111,18 @@ def is_completely_prime(ring: FiniteRing, ideal: frozenset) -> bool:
 def monoform_filtration(module: RightModule) -> Filtration:
     """Chain with monoform cyclic factors, each isomorphic to R/p_i.
 
-    Step i walks M/L in id order, L = L_{i-1}, without building it: its
-    elements are the cosets r + L in the order of their least elements r,
-    and Ann(r + L) is the colon ideal (L : r) = {a : r.a in L}.  The first
-    r whose colon ideal is comonoform gives L_i = L + rR, the pull-back of
-    the cyclic submodule of r + L.
+    Step i walks the elements r + L of M/L, L = L_{i-1}, in id order
+    with their annihilators (L : r) = {a : r.a in L} from `coset_colons`,
+    without building M/L.  The first r whose colon ideal is comonoform
+    gives L_i = L + rR, the pull-back of the cyclic submodule of r + L.
     """
     if module.order == 1:
         raise MonoformError("the zero module has no monoform filtration")
-    ids = np.arange(module.order)
     chain = [frozenset({0})]
     labels = []
     while len(chain[-1]) < module.order:
-        inside = np.zeros(module.order, dtype=bool)
-        inside[list(chain[-1])] = True
-        least = module.add[:, inside].min(axis=1)  # least element of v + L
-        for r in np.flatnonzero((least == ids) & ~inside).tolist():
-            colon = frozenset(np.flatnonzero(inside[module.act[r]]).tolist())
+        for r, mask in coset_colons(module, chain[-1]):
+            colon = frozenset(np.flatnonzero(mask).tolist())
             if is_comonoform(module.ring, colon):
                 break
         else:

@@ -245,14 +245,11 @@ def prime_ideals(ring: FiniteRing) -> list[frozenset]:
 
 def classical_support(ring: FiniteRing, module: RightModule,
                       primes: list[frozenset]) -> frozenset:
-    """Supp M computed by filtration additivity: Supp(R/p) = {q : p <= q},
-    and supports add along the comonoform filtration."""
-    if module.order == 1:
-        return frozenset()
-    out = set()
-    for label in monoform_filtration(module).labels:
-        out.update(q for q in primes if label <= q)
-    return frozenset(out)
+    """Supp M = V(Ann M) = {q prime : Ann M <= q}, Ann M = {a : M.a = 0}:
+    from the action table alone, independent of the filtration that
+    atom_support reads.  For M = 0, Ann M = R lies in no prime."""
+    ann = frozenset(np.flatnonzero((module.act == 0).all(axis=0)).tolist())
+    return frozenset(q for q in primes if ann <= q)
 
 
 def commutative_crosscheck(ring: FiniteRing,

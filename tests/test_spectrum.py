@@ -1,6 +1,9 @@
 import itertools
+from dataclasses import replace
 
 import pytest
+
+from atomspec import checks, spectrum
 
 from atomspec.modules import (
     direct_sum,
@@ -175,6 +178,7 @@ def test_classical_support_of_zmod12(zmod12):
     evens = frozenset(range(0, 12, 2))
     quot = quotient(whole, evens)
     assert classical_support(zmod12, quot, primes) == frozenset({evens})
+    assert classical_support(zmod12, zero_module(zmod12), primes) == frozenset()
 
 
 def test_commutative_crosscheck(zoo):
@@ -183,6 +187,25 @@ def test_commutative_crosscheck(zoo):
             continue
         report = commutative_crosscheck(ring)
         assert report["passed"], report
+
+
+def test_crosscheck_catches_a_wrong_filtration(monkeypatch):
+    """classical_support reads Ann M, not the monoform filtration that
+    atom_support reads, so a filtration that loses its last label fails
+    the support comparison and the `check` property built on it."""
+    real = spectrum.monoform_filtration
+
+    def short(module):
+        filt = real(module)
+        return replace(filt, labels=filt.labels[:-1])
+
+    monkeypatch.setattr(spectrum, "monoform_filtration", short)
+    ring = zmod(12)
+    report = commutative_crosscheck(ring)
+    assert not report["checks"]["atom_support_equals_support"]
+    assert report["checks"]["open_equals_specialization_closed"]
+    name, passed, _ = checks.check_commutative(ring)
+    assert (name, passed) == ("commutative recovery", False)
 
 
 def test_crosscheck_rejects_noncommutative(tri2_2):
