@@ -1,7 +1,16 @@
 """Atom spectra of finite rings and the classification of Serre
 subcategories of their finitely generated module categories."""
 
-from .checks import check_suite
+from .checks import (
+    ClosureUniverse,
+    build_universe,
+    calculus_check,
+    check_suite,
+    closure_oracle,
+    commutative_crosscheck,
+    is_isomorphic,
+    monoform_oracle_artinian,
+)
 from .modules import (
     RightModule,
     annihilator,
@@ -10,7 +19,6 @@ from .modules import (
     cyclic_submodule,
     direct_sum,
     generated_submodule,
-    is_isomorphic,
     is_uniform,
     parse_module_spec,
     quotient,
@@ -27,7 +35,6 @@ from .monoform import (
     is_monoform,
     max_monoform_submodule,
     monoform_filtration,
-    monoform_oracle_artinian,
 )
 from .rings import (
     FiniteRing,
@@ -42,11 +49,7 @@ from .rings import (
     zmod,
 )
 from .serre import (
-    ClosureUniverse,
     SerreSubcategory,
-    build_universe,
-    calculus_check,
-    closure_oracle,
     enumerate_serre,
     hasse_dot,
     serre_contains,
@@ -60,7 +63,6 @@ from .spectrum import (
     atom_equivalent,
     atom_spectrum,
     atom_support,
-    commutative_crosscheck,
     enumerate_open_sets,
     is_open,
 )

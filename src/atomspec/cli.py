@@ -53,10 +53,12 @@ def _load_ring(source: str, order_cap: int) -> FiniteRing:
     head = source.split(":", 1)[0]
     if head in BUILTIN_PREFIXES:
         return parse_ring_spec(source, order_cap=order_cap)
-    path = Path(source)
-    if not path.exists():
-        raise DomainError(f"ring file {source!r} does not exist")
-    return parse_ring_document(path.read_bytes(), order_cap=order_cap)
+    try:
+        data = Path(source).read_bytes()
+    except OSError as exc:  # missing, a directory, or not readable
+        raise DomainError(f"ring file {source!r} cannot be read: "
+                          f"{exc.strerror}") from exc
+    return parse_ring_document(data, order_cap=order_cap)
 
 
 def _ideal_list(ring: FiniteRing) -> list[list[int]]:

@@ -43,7 +43,6 @@ from .rings import (
     DEFAULT_ORDER_CAP,
     CapExceededError,
     FiniteRing,
-    RingAxiomError,
     TableRecord,
     table_dtype,
 )
@@ -77,40 +76,6 @@ class RightModule(TableRecord):
     def __repr__(self):
         tag = self.provenance or f"order {self.order}"
         return f"RightModule({tag} over {self.ring.name or self.ring.order})"
-
-
-def validate_module(module: RightModule) -> RightModule:
-    """Exhaustively check the abelian-group and right-module axioms."""
-    m, n = module.order, module.ring.order
-    add, act = module.add.tolist(), module.act.tolist()
-    radd, rmul = module.ring.add.tolist(), module.ring.mul.tolist()
-    one = module.ring.one
-    for x in range(m):
-        if add[0][x] != x:
-            raise RingAxiomError("module additive identity", (0, x))
-        if 0 not in add[x]:
-            raise RingAxiomError("module additive inverse", (x,))
-        if act[x][one] != x:
-            raise RingAxiomError("unit acts as identity", (x,))
-    for x in range(m):
-        for y in range(m):
-            if add[x][y] != add[y][x]:
-                raise RingAxiomError("module additive commutativity", (x, y))
-            for z in range(m):
-                if add[add[x][y]][z] != add[x][add[y][z]]:
-                    raise RingAxiomError("module additive associativity", (x, y, z))
-    for x in range(m):
-        for a in range(n):
-            for b in range(n):
-                if act[x][rmul[a][b]] != act[act[x][a]][b]:
-                    raise RingAxiomError("action associativity", (x, a, b))
-                if act[x][radd[a][b]] != add[act[x][a]][act[x][b]]:
-                    raise RingAxiomError("action right distributivity", (x, a, b))
-        for y in range(m):
-            for a in range(n):
-                if act[add[x][y]][a] != add[act[x][a]][act[y][a]]:
-                    raise RingAxiomError("action left distributivity", (x, y, a))
-    return module
 
 
 @lru_cache(maxsize=None)
@@ -276,13 +241,6 @@ def annihilator(module: RightModule, x: int) -> frozenset:
     return frozenset(np.flatnonzero(module.act[x] == 0).tolist())
 
 
-def annihilator_keys(module: RightModule) -> list[bytes]:
-    """Per element x, Ann(x) packed as a bitmask over R: equal keys mean
-    equal annihilators."""
-    packed = np.packbits(module.act == 0, axis=1)
-    return [row.tobytes() for row in packed]
-
-
 @lru_cache(maxsize=None)
 def annihilator_set(module: RightModule) -> frozenset:
     """{Ann(x) : x nonzero in M}, deduplicated.
@@ -343,19 +301,6 @@ def shares_nonzero_submodule(a: RightModule, b: RightModule) -> bool:
     return bool(annihilator_set(a) & annihilator_set(b))
 
 
-def embeds_in(small: RightModule, big: RightModule) -> bool:
-    """Literal injective-homomorphism search; brute-force oracle for the
-    annihilator-set reduction."""
-    if small.order > big.order:
-        return False
-    for target in submodule_lattice(big):
-        if len(target) != small.order:
-            continue
-        if is_isomorphic(small, sub_module(big, target)[0]):
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # structure
 
@@ -388,32 +333,12 @@ def is_uniform(module: RightModule) -> bool:
     return len(minimal_submodules(module)) == 1
 
 
-def is_uniform_bruteforce(module: RightModule) -> bool:
-    """Definitional pairwise-intersection check (debug oracle)."""
-    if module.order == 1:
-        return False
-    nonzero = [s for s in submodule_lattice(module) if len(s) > 1]
-    return all(
-        len(a & b) > 1 for a in nonzero for b in nonzero
-    )
-
-
 def socle(module: RightModule) -> frozenset:
     """Sum of all minimal nonzero submodules (zero for the zero module)."""
     total = frozenset({0})
     for s in minimal_submodules(module):
         total = submodule_sum(module, total, s)
     return total
-
-
-def simple_class_handle(module: RightModule) -> frozenset:
-    """Iso-class handle for a simple module: its annihilator set.
-
-    Simple modules are isomorphic iff they share a nonzero submodule,
-    i.e. iff their annihilator sets intersect; both being generated by
-    every nonzero element forces intersecting sets to be equal.
-    """
-    return annihilator_set(module)
 
 
 def _chief_series_bottom_up(module: RightModule) -> list[frozenset]:
@@ -432,127 +357,27 @@ def _chief_series_bottom_up(module: RightModule) -> list[frozenset]:
     return chain
 
 
-def _chief_series_top_down(module: RightModule) -> list[frozenset]:
-    """Independent series strategy: strip maximal submodules from the top."""
-    chain = [frozenset(range(module.order))]
-    current = module
-    # track member sets in the original module's ids
-    to_parent = {i: i for i in range(module.order)}
-    while current.order > 1:
-        top = maximal_submodules(current)[0]
-        parent_set = frozenset(to_parent[i] for i in top)
-        chain.append(parent_set)
-        current, incl = sub_module(current, top)
-        to_parent = {i: to_parent[incl[i]] for i in range(current.order)}
-    chain.reverse()
-    return chain
-
-
-def _series_factors(module: RightModule, chain: list[frozenset]) -> Counter:
+def series_factors(module: RightModule, chain: list[frozenset]) -> Counter:
     factors: Counter = Counter()
     for lower, upper in zip(chain, chain[1:]):
         upper_mod, incl = sub_module(module, upper)
         inner = frozenset(i for i in range(upper_mod.order) if incl[i] in lower)
         factor = quotient(upper_mod, inner)
-        factors[simple_class_handle(factor)] += 1
+        # simple modules are isomorphic iff their annihilator sets are equal
+        factors[annihilator_set(factor)] += 1
     return factors
 
 
 def composition_factors(module: RightModule) -> Counter:
-    """Multiset of simple iso-class handles of a chief series."""
+    """Multiplicity of each simple factor of a chief series, keyed by its
+    annihilator set: one key per iso-class."""
     if module.order == 1:
         return Counter()
-    return _series_factors(module, _chief_series_bottom_up(module))
-
-
-def composition_factors_top_down(module: RightModule) -> Counter:
-    """Same multiset from an independent series (property-test oracle)."""
-    if module.order == 1:
-        return Counter()
-    return _series_factors(module, _chief_series_top_down(module))
+    return series_factors(module, _chief_series_bottom_up(module))
 
 
 def composition_length(module: RightModule) -> int:
     return sum(composition_factors(module).values())
-
-
-# ---------------------------------------------------------------------------
-# isomorphism
-
-def minimal_generating_sequence(module: RightModule) -> list[int]:
-    """Greedy: repeatedly pick the smallest id outside the current span."""
-    gens: list[int] = []
-    span = frozenset({0})
-    while len(span) < module.order:
-        g = next(x for x in range(module.order) if x not in span)
-        gens.append(g)
-        span = submodule_sum(module, span, cyclic_submodule(module, g))
-    return gens
-
-
-def _close_map(tables: tuple, phi: dict) -> dict | None:
-    """Close a partial map under addition and action; None on conflict.
-
-    tables holds (add, act) of the source and then of the target, as
-    lists: indexing them is much faster than indexing numpy arrays.
-    """
-    add_m, act_m, add_n, act_n = tables
-    queue = list(phi)
-    while queue:
-        x = queue.pop()
-        fx = phi[x]
-        for d, v in zip(act_m[x], act_n[fx]):
-            if d in phi:
-                if phi[d] != v:
-                    return None
-            else:
-                phi[d] = v
-                queue.append(d)
-        for y, fy in list(phi.items()):
-            d, v = add_m[x][y], add_n[fx][fy]
-            if d in phi:
-                if phi[d] != v:
-                    return None
-            else:
-                phi[d] = v
-                queue.append(d)
-    return phi
-
-
-def is_isomorphic(a: RightModule, b: RightModule) -> bool:
-    """Existence of a bijective module homomorphism.
-
-    Backtracking over images of a minimal generating sequence of a,
-    pruning candidates by annihilator equality.
-    """
-    if a.ring != b.ring:
-        return False
-    if a.order != b.order:
-        return False
-    if a.order == 1:
-        return True
-    keys_a, keys_b = annihilator_keys(a), annihilator_keys(b)
-    if Counter(keys_a) != Counter(keys_b):
-        return False
-    gens = minimal_generating_sequence(a)
-    tables = (a.add.tolist(), a.act.tolist(), b.add.tolist(), b.act.tolist())
-
-    def search(i: int, phi: dict) -> bool:
-        if i == len(gens):
-            return len(phi) == a.order and len(set(phi.values())) == a.order
-        g = gens[i]
-        if g in phi:
-            return search(i + 1, phi)
-        used = set(phi.values())
-        for y in range(b.order):
-            if y in used or keys_b[y] != keys_a[g]:
-                continue
-            trial = _close_map(tables, {**phi, g: y})
-            if trial is not None and search(i + 1, trial):
-                return True
-        return False
-
-    return search(0, _close_map(tables, {0: 0}) or {0: 0})
 
 
 # ---------------------------------------------------------------------------

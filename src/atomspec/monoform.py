@@ -9,17 +9,14 @@ import numpy as np
 
 from .modules import (
     RightModule,
+    annihilator,
     colon_table,
-    composition_factors,
     coset_colons,
     cyclic_submodule,
     is_submodule,
     is_uniform,
-    minimal_submodules,
     quotient,
     regular_module,
-    simple_class_handle,
-    socle,
     sub_module,
     submodule_lattice,
     submodule_sum,
@@ -53,19 +50,6 @@ def is_monoform(module: RightModule) -> bool:
     table = colon_table(module)
     ann_m = table[frozenset({0})]
     return not any(ann_m & row for sub, row in table.items() if len(sub) > 1)
-
-
-@lru_cache(maxsize=None)
-def monoform_oracle_artinian(module: RightModule) -> bool:
-    """Socle criterion: simple socle whose iso class occurs exactly once
-    among the composition factors.  Independent of is_monoform."""
-    if module.order == 1:
-        return False
-    if len(minimal_submodules(module)) != 1:
-        return False
-    soc, _ = sub_module(module, socle(module))
-    handle = simple_class_handle(soc)
-    return composition_factors(module)[handle] == 1
 
 
 @lru_cache(maxsize=None)
@@ -151,14 +135,15 @@ def max_monoform_submodule(module: RightModule) -> frozenset:
     Computed as the sum of all cyclic monoform submodules (every monoform
     submodule contains a cyclic monoform one), then verified monoform and
     verified to contain every monoform submodule of the full lattice.
+    xR is isomorphic to R/Ann(x), so it is monoform iff Ann(x) is
+    comonoform, and no cyclic submodule is built to find them.
     """
     if not is_uniform(module):
         raise MonoformError("maximal monoform submodule requires a uniform module")
     total = frozenset({0})
     for x in range(1, module.order):
-        cyc = cyclic_submodule(module, x)
-        if is_monoform(sub_module(module, cyc)[0]):
-            total = submodule_sum(module, total, cyc)
+        if is_comonoform(module.ring, annihilator(module, x)):
+            total = submodule_sum(module, total, cyclic_submodule(module, x))
     if not is_monoform(sub_module(module, total)[0]):
         raise AssertionError("sum of monoform submodules failed to be monoform")
     for sub in submodule_lattice(module):

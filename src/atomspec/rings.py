@@ -549,7 +549,10 @@ def parse_ring_document(data: bytes | str, *,
     validate_ring.
     """
     if isinstance(data, bytes):
-        data = data.decode()
+        try:
+            data = data.decode()
+        except UnicodeDecodeError as exc:
+            raise RingFormatError(f"not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:

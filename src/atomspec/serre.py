@@ -1,24 +1,11 @@
-"""Serre subcategories of mod R as open subsets of the atom spectrum,
-plus a brute-force closure oracle over bounded subquotient universes."""
+"""Serre subcategories of mod R as open subsets of the atom spectrum, and
+their inclusion Hasse diagram."""
 
 from __future__ import annotations
 
-import random
-from collections import Counter
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from functools import lru_cache
-from types import MappingProxyType
+from dataclasses import dataclass
 
-from .modules import (
-    RightModule,
-    annihilator_keys,
-    is_isomorphic,
-    quotient,
-    sub_module,
-    submodule_key,
-    submodule_lattice,
-)
+from .modules import RightModule, submodule_key
 from .spectrum import (
     AtomSpectrum,
     SpectrumError,
@@ -156,178 +143,3 @@ def hasse_dot(lattice: dict) -> str:
     lines += [f"  n{i} -> n{j};" for i, j in lattice["edges"]]
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# closure oracle
-
-@dataclass(frozen=True)
-class ClosureUniverse:
-    """Iso-classes of all subquotients of an ambient module, with the
-    subobject / quotient / extension structure recorded among them."""
-
-    ambient: RightModule
-    members: tuple[RightModule, ...]
-    zero_index: int
-    sub_classes: tuple[frozenset, ...]   # per member: classes of its submodules
-    quot_classes: tuple[frozenset, ...]  # per member: classes of its quotients
-    ext_triples: frozenset               # (sub_class, member, quot_class)
-    # _invariant_key -> indices of the members with that key
-    by_key: Mapping = field(compare=False, repr=False)
-
-    def class_of(self, module: RightModule) -> int:
-        idx = _find_class(self.members, self.by_key, module)
-        if idx is None:
-            raise SerreError("module is not in the universe")
-        return idx
-
-
-def _invariant_key(module: RightModule) -> tuple:
-    """Order and the multiset of annihilators: equal for isomorphic
-    modules."""
-    counts = Counter(annihilator_keys(module))
-    return module.order, tuple(sorted(counts.items()))
-
-
-def _find_class(members, by_key: Mapping, module) -> int | None:
-    for i in by_key.get(_invariant_key(module), ()):
-        if is_isomorphic(members[i], module):
-            return i
-    return None
-
-
-@lru_cache(maxsize=None)
-def build_universe(ambient: RightModule) -> ClosureUniverse:
-    """All subquotients of the ambient up to isomorphism, plus structure."""
-    members: list[RightModule] = []
-    by_key: dict[tuple, list[int]] = {}
-
-    def intern(module: RightModule) -> None:
-        same_key = by_key.setdefault(_invariant_key(module), [])
-        if not any(is_isomorphic(members[i], module) for i in same_key):
-            same_key.append(len(members))
-            members.append(module)
-
-    # seed with every subquotient
-    for sub in submodule_lattice(ambient):
-        inner, _ = sub_module(ambient, sub)
-        for nested in submodule_lattice(inner):
-            intern(quotient(inner, nested))
-
-    sub_classes: list[set[int]] = [set() for _ in members]
-    quot_classes: list[set[int]] = [set() for _ in members]
-    triples: set[tuple[int, int, int]] = set()
-    for e, member in enumerate(members):
-        for sub in submodule_lattice(member):
-            l_idx = _find_class(members, by_key, sub_module(member, sub)[0])
-            n_idx = _find_class(members, by_key, quotient(member, sub))
-            assert l_idx is not None and n_idx is not None
-            sub_classes[e].add(l_idx)
-            quot_classes[e].add(n_idx)
-            triples.add((l_idx, e, n_idx))
-    zero_index = _find_class(
-        members, by_key, quotient(ambient, frozenset(range(ambient.order)))
-    )
-    assert zero_index is not None
-    return ClosureUniverse(
-        ambient=ambient,
-        members=tuple(members),
-        zero_index=zero_index,
-        sub_classes=tuple(frozenset(s) for s in sub_classes),
-        quot_classes=tuple(frozenset(s) for s in quot_classes),
-        ext_triples=frozenset(triples),
-        by_key=MappingProxyType({k: tuple(v) for k, v in by_key.items()}),
-    )
-
-
-def closure_oracle(universe: ClosureUniverse, gens) -> frozenset:
-    """Least member subset containing gens, closed under subobjects,
-    quotients, and the recorded extension triples; fixpoint iteration."""
-    closed = {universe.zero_index}
-    closed.update(gens)
-    changed = True
-    while changed:
-        changed = False
-        for m in tuple(closed):
-            for cls in universe.sub_classes[m] | universe.quot_classes[m]:
-                if cls not in closed:
-                    closed.add(cls)
-                    changed = True
-        for l, e, n in universe.ext_triples:
-            if l in closed and n in closed and e not in closed:
-                closed.add(e)
-                changed = True
-    return frozenset(closed)
-
-
-def _closed_sub(universe: ClosureUniverse, xs: frozenset) -> frozenset:
-    return frozenset(
-        cls for m in xs for cls in universe.sub_classes[m]
-    ) | xs
-
-
-def _closed_quot(universe: ClosureUniverse, xs: frozenset) -> frozenset:
-    return frozenset(
-        cls for m in xs for cls in universe.quot_classes[m]
-    ) | xs
-
-
-def _star(universe: ClosureUniverse, xs: frozenset, ys: frozenset) -> frozenset:
-    return frozenset(
-        e for l, e, n in universe.ext_triples if l in xs and n in ys
-    )
-
-
-def calculus_check(universe: ClosureUniverse, samples: int = 100,
-                   seed: int = 0) -> dict:
-    """Sampled identities of the subcategory calculus inside the universe.
-
-    Checks quot(sub(X)) == sub(quot(X)), star associativity, and the
-    sub/quot distribution inclusions over star; reports violations with
-    witnesses.
-    """
-    rng = random.Random(seed)
-    size = len(universe.members)
-    zero = universe.zero_index
-    violations = []
-
-    def sample_set() -> frozenset:
-        picks = frozenset(
-            i for i in range(size) if rng.random() < 0.5
-        )
-        return picks | {zero}
-
-    for trial in range(samples):
-        x, y, z = sample_set(), sample_set(), sample_set()
-        if _closed_quot(universe, _closed_sub(universe, x)) != _closed_sub(
-            universe, _closed_quot(universe, x)
-        ):
-            violations.append(("sub-quot exchange", trial, sorted(x)))
-        lhs = _star(universe, _star(universe, x, y), z)
-        rhs = _star(universe, x, _star(universe, y, z))
-        if lhs != rhs:
-            violations.append(
-                ("star associativity", trial, sorted(x), sorted(y), sorted(z))
-            )
-        sxy = _star(universe, x, y)
-        if not _closed_sub(universe, sxy) <= _star(
-            universe, _closed_sub(universe, x), _closed_sub(universe, y)
-        ):
-            violations.append(("sub over star", trial, sorted(x), sorted(y)))
-        if not _closed_quot(universe, sxy) <= _star(
-            universe, _closed_quot(universe, x), _closed_quot(universe, y)
-        ):
-            violations.append(("quot over star", trial, sorted(x), sorted(y)))
-    return {
-        "samples": samples,
-        "universe_size": size,
-        "violations": violations,
-        "passed": not violations,
-    }
-
-
-def universe_supports(universe: ClosureUniverse,
-                      spec: AtomSpectrum) -> tuple[frozenset, ...]:
-    return tuple(
-        atom_support(spec, member) for member in universe.members
-    )

@@ -8,16 +8,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
-import numpy as np
-
 from .modules import (
     RightModule,
     colon_table,
     distinct_annihilators,
-    quotient,
     regular_module,
     submodule_key,
-    submodule_lattice,
 )
 from .monoform import is_comonoform, monoform_filtration
 from .rings import FiniteRing
@@ -225,79 +221,3 @@ def enumerate_open_sets(spec: AtomSpectrum) -> list[frozenset]:
         masks |= {mask | bits for mask in masks}
     opens = [frozenset(a for a in range(k) if mask >> a & 1) for mask in masks]
     return sorted(opens, key=lambda s: (len(s), tuple(sorted(s))))
-
-
-# ---------------------------------------------------------------------------
-# commutative crosscheck
-
-def prime_ideals(ring: FiniteRing) -> list[frozenset]:
-    """Classical prime ideals of a commutative ring (ab in P => a or b in P)."""
-    reg = regular_module(ring)
-    out = []
-    for ideal in submodule_lattice(reg):
-        inside = np.zeros(ring.order, dtype=bool)
-        inside[list(ideal)] = True
-        outside = np.flatnonzero(~inside)
-        if outside.size and not inside[ring.mul[np.ix_(outside, outside)]].any():
-            out.append(ideal)
-    return sorted(out, key=submodule_key)
-
-
-def classical_support(ring: FiniteRing, module: RightModule,
-                      primes: list[frozenset]) -> frozenset:
-    """Supp M = V(Ann M) = {q prime : Ann M <= q}, Ann M = {a : M.a = 0}:
-    from the action table alone, independent of the filtration that
-    atom_support reads.  For M = 0, Ann M = R lies in no prime."""
-    ann = frozenset(np.flatnonzero((module.act == 0).all(axis=0)).tolist())
-    return frozenset(q for q in primes if ann <= q)
-
-
-def commutative_crosscheck(ring: FiniteRing,
-                           modules: list[RightModule] | None = None) -> dict:
-    """Check the commutative-ring picture of the spectrum.
-
-    Asserts: comonoform = prime; singleton atom classes; open sets =
-    specialization-closed subsets; atom support = classical support on the
-    test modules.  Returns a structured report.
-    """
-    if not ring.is_commutative():
-        raise SpectrumError("crosscheck requires a commutative ring")
-    spec = atom_spectrum(ring)
-    primes = prime_ideals(ring)
-    comonoform = sorted(spec.comonoform_ideals(), key=submodule_key)
-    report: dict = {"ring": ring.name or f"order {ring.order}", "checks": {}}
-
-    report["checks"]["comonoform_equals_prime"] = comonoform == primes
-    report["checks"]["singleton_atom_classes"] = all(
-        len(atom.members) == 1 for atom in spec.atoms
-    )
-
-    prime_of_atom = {atom.id: atom.canonical_rep for atom in spec.atoms}
-    # a finite topology is fixed by its minimal open neighbourhoods, and
-    # the specialization-closed set generated by p is {q : p <= q}
-    report["checks"]["open_equals_specialization_closed"] = all(
-        frozenset(prime_of_atom[b] for b in hood)
-        == frozenset(q for q in primes if prime_of_atom[a] <= q)
-        for a, hood in enumerate(spec.neighbourhoods)
-    )
-
-    if modules is None:
-        reg = regular_module(ring)
-        modules = [reg] + [
-            quotient(reg, ideal)
-            for ideal in submodule_lattice(reg)
-            if len(ideal) < ring.order
-        ]
-    support_ok = True
-    for mod in modules:
-        got = frozenset(
-            prime_of_atom[a] for a in atom_support(spec, mod)
-        )
-        if got != classical_support(ring, mod, primes):
-            support_ok = False
-            break
-    report["checks"]["atom_support_equals_support"] = support_ok
-    report["atoms"] = len(spec.atoms)
-    report["primes"] = [sorted(p) for p in primes]
-    report["passed"] = all(report["checks"].values())
-    return report

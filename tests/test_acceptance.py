@@ -10,9 +10,15 @@ import time
 
 import pytest
 
+from atomspec.checks import (
+    build_universe,
+    closure_oracle,
+    is_isomorphic,
+    monoform_oracle_artinian,
+    universe_supports,
+)
 from atomspec.modules import (
     direct_sum,
-    is_isomorphic,
     is_uniform,
     maximal_submodules,
     quotient,
@@ -27,10 +33,8 @@ from atomspec.monoform import (
     is_monoform,
     max_monoform_submodule,
     monoform_filtration,
-    monoform_oracle_artinian,
 )
 from atomspec.rings import tri2, zmod
-from atomspec.serre import build_universe, closure_oracle, universe_supports
 from atomspec.spectrum import (
     associated_atoms,
     atom_spectrum,

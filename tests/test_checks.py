@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import atomspec
 from atomspec import checks
 from atomspec.checks import ALL_CHECKS, check_suite
 from atomspec.modules import RightModule
@@ -89,3 +93,66 @@ def test_atom_equivalence_compares_no_module_tables(monkeypatch):
     monkeypatch.setattr(RightModule, "__eq__", recording_eq)
     assert checks.check_atom_equivalence_relation(ring)[1]
     assert all(calls)
+
+
+# the slow definitional twins of the verbs, which live in checks.py only
+TWINS = (
+    "validate_module", "embeds_in", "is_uniform_bruteforce",
+    "composition_factors_top_down", "_chief_series_top_down", "is_isomorphic",
+    "_close_map", "minimal_generating_sequence", "annihilator_keys",
+    "monoform_oracle_artinian",
+    "ClosureUniverse", "_invariant_key", "_find_class", "build_universe",
+    "closure_oracle", "_closed_sub", "_closed_quot", "_star",
+    "calculus_check", "universe_supports",
+    "prime_ideals", "classical_support", "commutative_crosscheck",
+)
+PIPELINE = ("rings", "modules", "monoform", "spectrum", "serre")
+
+
+def _defined_and_imported(name: str) -> tuple[set, set, set]:
+    """Top-level names a package module defines, names it imports, and the
+    modules it imports from."""
+    source = Path(atomspec.__file__).with_name(f"{name}.py").read_text()
+    defined, imported, sources = set(), set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.ImportFrom):
+            sources.add(node.module or "")
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            sources |= {alias.name for alias in node.names}
+    return defined, imported, sources
+
+
+@pytest.mark.parametrize("name", PIPELINE + ("cli",))
+def test_twins_live_in_checks_only(name):
+    assert all(hasattr(checks, twin) for twin in TWINS)
+    defined, imported, sources = _defined_and_imported(name)
+    assert not (defined | imported) & set(TWINS)
+    if name in PIPELINE:
+        assert "checks" not in imported
+        assert not {s for s in sources if s.split(".")[-1] == "checks"}
+
+
+def test_package_exports_are_unchanged():
+    assert sorted(atomspec.__all__) == [
+        "Atom", "AtomSpectrum", "ClosureUniverse", "Filtration", "FiniteRing",
+        "RightModule", "SerreSubcategory", "annihilator", "annihilator_set",
+        "associated_atoms", "atom_equivalent", "atom_spectrum",
+        "atom_support", "build_universe", "calculus_check", "check_suite",
+        "checks", "closure_oracle", "commutative_crosscheck",
+        "composition_factors", "cyclic_submodule", "direct_sum",
+        "enumerate_open_sets", "enumerate_serre", "fp_algebra",
+        "generated_submodule", "hasse_dot", "is_comonoform",
+        "is_completely_prime", "is_isomorphic", "is_monoform", "is_open",
+        "is_uniform", "mat", "max_monoform_submodule", "modules", "monoform",
+        "monoform_filtration", "monoform_oracle_artinian",
+        "parse_module_spec", "parse_ring_document", "parse_ring_spec",
+        "product", "quotient", "quotient_module", "regular_module", "rings",
+        "serialize_ring", "serre", "serre_contains", "serre_from_generators",
+        "serre_lattice", "socle", "spectrum", "sub_module",
+        "submodule_lattice", "tri2", "validate_ring", "zmod",
+    ]

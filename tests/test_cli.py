@@ -168,9 +168,11 @@ def test_ring_file_input(tmp_path, capsys):
     assert json.loads(out)["ring"]["order"] == 4
 
 
-def test_missing_ring_file_is_domain_error(capsys):
+@pytest.mark.parametrize("path", ["/nonexistent/ring.json", None],
+                         ids=["missing", "directory"])
+def test_missing_ring_file_is_domain_error(tmp_path, capsys, path):
     code, report = run(
-        ["validate", "--ring", "/nonexistent/ring.json", "--format", "json"]
+        ["validate", "--ring", path or str(tmp_path), "--format", "json"]
     )
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
@@ -273,6 +275,15 @@ def _validate_document(tmp_path, capsys, doc) -> tuple[int, dict]:
 def test_malformed_document_is_format_error(tmp_path, capsys, doc):
     code, out = _validate_document(tmp_path, capsys, doc)
     assert code == 1
+    assert out["error"]["type"] == "RingFormatError"
+
+
+def test_non_utf8_document_is_format_error(tmp_path, capsys):
+    path = tmp_path / "ring.json"
+    path.write_bytes(b"\xff\xfe" + serialize_ring(zmod(2)))
+    code, _ = run(["validate", "--ring", str(path), "--format", "json"])
+    assert code == 1
+    out = json.loads(capsys.readouterr().out)
     assert out["error"]["type"] == "RingFormatError"
 
 

@@ -8,23 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomspec import modules
+from atomspec.checks import (
+    composition_factors_top_down,
+    embeds_in,
+    is_isomorphic,
+    is_uniform_bruteforce,
+    minimal_generating_sequence,
+    validate_module,
+)
 from atomspec.modules import (
     NotASubmoduleError,
     RightModule,
     annihilator,
     annihilator_set,
     composition_factors,
-    composition_factors_top_down,
     composition_length,
     cyclic_submodule,
     direct_sum,
-    embeds_in,
     generated_submodule,
-    is_isomorphic,
     is_submodule,
     is_uniform,
-    is_uniform_bruteforce,
-    minimal_generating_sequence,
     minimal_submodules,
     maximal_submodules,
     parse_module_spec,
@@ -36,7 +39,6 @@ from atomspec.modules import (
     sub_module,
     submodule_lattice,
     submodule_sum,
-    validate_module,
 )
 from atomspec.rings import CapExceededError, mat, product, tri2, zmod
 

@@ -1,10 +1,14 @@
 import pytest
 
+from atomspec.checks import monoform_oracle_artinian
 from atomspec.modules import (
+    cyclic_submodule,
+    is_uniform,
     quotient,
     regular_module,
     sub_module,
     submodule_lattice,
+    submodule_sum,
 )
 from atomspec.monoform import (
     MonoformError,
@@ -14,7 +18,6 @@ from atomspec.monoform import (
     is_monoform,
     max_monoform_submodule,
     monoform_filtration,
-    monoform_oracle_artinian,
 )
 from atomspec.rings import zmod
 
@@ -167,6 +170,34 @@ def test_max_monoform_submodule_of_sub():
 def test_max_monoform_rejects_non_uniform():
     with pytest.raises(MonoformError):
         max_monoform_submodule(regular_module(zmod(6)))
+
+
+def max_monoform_by_cyclic_modules(module):
+    """Sum of the cyclic xR that are monoform as modules built from M."""
+    total = frozenset({0})
+    for x in range(1, module.order):
+        cyc = cyclic_submodule(module, x)
+        if is_monoform(sub_module(module, cyc)[0]):
+            total = submodule_sum(module, total, cyc)
+    return total
+
+
+def test_max_monoform_agrees_with_built_cyclics(zoo):
+    # max_monoform_submodule reads xR as R/Ann(x); the oracle builds xR
+    compared = 0
+    for ring in zoo:
+        reg = regular_module(ring)
+        lattice = submodule_lattice(reg)
+        mods = [quotient(reg, ideal) for ideal in lattice
+                if len(ideal) < ring.order]
+        mods += [sub_module(reg, ideal)[0] for ideal in lattice
+                 if len(ideal) > 1]
+        for mod in mods:
+            if is_uniform(mod):
+                assert (max_monoform_submodule(mod)
+                        == max_monoform_by_cyclic_modules(mod)), mod
+                compared += 1
+    assert compared > 0
 
 
 def test_monoform_is_hereditary(zoo):

@@ -2,6 +2,12 @@ import itertools
 
 import pytest
 
+from atomspec.checks import (
+    build_universe,
+    calculus_check,
+    closure_oracle,
+    universe_supports,
+)
 from atomspec.modules import (
     quotient,
     regular_module,
@@ -10,16 +16,12 @@ from atomspec.modules import (
 )
 from atomspec.serre import (
     SerreError,
-    build_universe,
-    calculus_check,
-    closure_oracle,
     enumerate_serre,
     hasse_dot,
     inclusion_edges,
     serre_contains,
     serre_from_generators,
     serre_lattice,
-    universe_supports,
 )
 from atomspec.rings import tri2, zmod
 from atomspec.spectrum import atom_spectrum, atom_support, enumerate_open_sets

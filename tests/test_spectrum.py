@@ -4,7 +4,11 @@ from dataclasses import replace
 import pytest
 
 from atomspec import checks, spectrum
-
+from atomspec.checks import (
+    classical_support,
+    commutative_crosscheck,
+    prime_ideals,
+)
 from atomspec.modules import (
     direct_sum,
     quotient,
@@ -20,11 +24,8 @@ from atomspec.spectrum import (
     atom_equivalent,
     atom_spectrum,
     atom_support,
-    classical_support,
-    commutative_crosscheck,
     enumerate_open_sets,
     is_open,
-    prime_ideals,
 )
 
 # element id of the lower triangular ring over F_2: 4*a11 + 2*a21 + a22
