@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,9 +43,9 @@ import numpy as np
 
 DEFAULT_ORDER_CAP = 4096
 
-# entries per row chunk of the n x n checks and of the fp_algebra product,
-# which keeps their temporaries to a few MB at any order
-_CHUNK = 1 << 20
+# entries per row chunk of the n x n checks and of the zmod tables, which
+# keeps each int64 or intp temporary to about 1 MB
+_CHUNK = 1 << 17
 
 
 class RingError(Exception):
@@ -166,13 +167,17 @@ def _int_array(raw, problem: str) -> np.ndarray:
 
 
 def _as_table(raw, what: str) -> np.ndarray:
-    """raw as an int64 matrix; an empty table passes, for the order check."""
+    """raw as a matrix of integers: an integer array as it is, anything
+    else read as int64; an empty table passes, for the order check."""
     problem = f"{what} table is not a matrix of integers"
-    try:
-        table = np.asarray(raw, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        _name_refused_entry(raw, what)
-        raise RingFormatError(problem) from exc
+    if isinstance(raw, np.ndarray) and raw.dtype.kind in "iu":
+        table = raw
+    else:
+        try:
+            table = np.asarray(raw, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            _name_refused_entry(raw, what)
+            raise RingFormatError(problem) from exc
     if table.ndim != 2 and table.size:
         raise RingFormatError(problem)
     return table
@@ -206,6 +211,8 @@ def _check_shape(table: np.ndarray, n: int, what: str) -> None:
 
 
 def _check_entries(table: np.ndarray, n: int, what: str) -> None:
+    if table.min() >= 0 and table.max() < n:
+        return
     bad = np.flatnonzero((table < 0) | (table >= n))
     if bad.size:
         i, j = divmod(int(bad[0]), n)
@@ -270,11 +277,13 @@ def additive_generators(add: np.ndarray) -> list[int]:
 def _distributivity_failure(add: np.ndarray, mul: np.ndarray, g: int):
     """First (c, x) with c(x+g) != cx + cg; with mul transposed, the same
     test checks (x+g)c == xc + gc.  `add` must be commutative: cx + cg is
-    read as entry cx of row cg, so the gathers stay within rows."""
+    read as entry cx of row cg, so the gathers stay within rows.  The flat
+    index cg*n + cx is formed in intp, one chunk at a time: in the table
+    dtype it would overflow."""
     n = len(add)
     return _rows_failure(n, lambda c: (
         np.take(mul[c], add[:, g], axis=1),
-        np.take(add, mul[c, g][:, None] * n + mul[c]),
+        np.take(add, mul[c, g].astype(np.intp)[:, None] * n + mul[c]),
     ))
 
 
@@ -294,6 +303,11 @@ def validate_ring(
     commutativity and inverses; additive associativity (x, g, y); one is a
     two-sided identity; right distributivity (x, g, c); left distributivity
     (c, x, g); multiplicative associativity (a, b, c) on generators.
+
+    The shape and range checks run on an integer array as given, or else on
+    the tables read as int64; then the tables are cast once to
+    table_dtype(n).  The ring keeps an array already of that dtype without
+    a copy and makes it read-only.
     """
     A = _as_table(add, "add")
     M = _as_table(mul, "mul")
@@ -307,6 +321,8 @@ def validate_ring(
     _check_entries(M, n, "mul")
     if not 0 <= one < n:
         raise RingFormatError(f"one = {one} out of range")
+    A = A.astype(table_dtype(n), copy=False)
+    M = M.astype(table_dtype(n), copy=False)
 
     # additive identity: 0 + x = x + 0 = x
     bad = _identity_failure(A, 0)
@@ -363,14 +379,19 @@ def _require_prime(p: int) -> None:
         raise RingFormatError(f"field characteristic {p} is not prime")
 
 
-def _product_table(tables) -> np.ndarray:
-    """Componentwise table of a direct product, with element ids enumerated
-    lexicographically by component ids, the first component most significant."""
-    out = np.zeros((1, 1), dtype=np.int64)
+def _product_table(tables: list[np.ndarray]) -> np.ndarray:
+    """Componentwise table of a direct product, in the table dtype of its
+    order, with element ids enumerated lexicographically by component ids,
+    the first component most significant."""
+    dtype = table_dtype(math.prod(len(t) for t in tables))
+    out = np.zeros((1, 1), dtype=dtype)
     for table in tables:
-        t = np.asarray(table, dtype=np.int64)
+        t = np.asarray(table, dtype=dtype)
         k, m = len(t), len(out)
-        out = (out[:, None, :, None] * k + t[None, :, None, :]).reshape(m * k, m * k)
+        # out * k + t < order, but k itself may be the order, which the
+        # dtype need not hold; then m == 1 and out is [[0]]
+        high = out * k if m > 1 else out
+        out = (high[:, None, :, None] + t[None, :, None, :]).reshape(m * k, m * k)
     return out
 
 
@@ -380,8 +401,14 @@ def zmod(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         raise RingFormatError("modulus must be positive")
     _require_order(n, order_cap)
     a = np.arange(n, dtype=np.int64)
-    return validate_ring(np.add.outer(a, a) % n, np.multiply.outer(a, a) % n,
-                         1 % n, name=f"zmod:{n}", order_cap=order_cap)
+    add = np.empty((n, n), dtype=table_dtype(n))
+    mul = np.empty_like(add)
+    step = max(1, _CHUNK // n)
+    for start in range(0, n, step):
+        rows = a[start:start + step, None]
+        add[start:start + step] = (rows + a) % n
+        mul[start:start + step] = rows * a % n
+    return validate_ring(add, mul, 1 % n, name=f"zmod:{n}", order_cap=order_cap)
 
 
 def _matrix_algebra(p: int, positions: list[tuple[int, int]], name: str,
@@ -430,8 +457,8 @@ def product(*rings: FiniteRing, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRin
     for r in rings:
         one = one * r.order + r.one
     name = "prod:" + ",".join(r.name or "?" for r in rings)
-    return validate_ring(_product_table(r.add for r in rings),
-                         _product_table(r.mul for r in rings),
+    return validate_ring(_product_table([r.add for r in rings]),
+                         _product_table([r.mul for r in rings]),
                          one, name=name, order_cap=order_cap)
 
 
@@ -447,7 +474,10 @@ def fp_algebra(
     """Algebra over F_p with basis e_0..e_{d-1} and e_i e_j = sum_k c[i][j][k] e_k.
 
     Elements are coefficient vectors enumerated lexicographically; the
-    resulting tables are validated in full.
+    resulting tables are validated in full.  The product formula is
+    bilinear for any constants, so x -> xy is additive: the rows of the
+    multiples s e_i come from the constants, and every other row is the
+    sum of two rows already built.
     """
     if dim < 1:
         raise RingFormatError("dimension must be positive")
@@ -467,12 +497,15 @@ def fp_algebra(
     # (x, y) are F_p^dim, which is (Z/p)^dim with the same enumeration
     zp = np.add.outer(np.arange(p), np.arange(p)) % p
     add = _product_table([zp] * dim)
-    mul = np.empty((n, n), dtype=np.int64)
-    step = max(1, _CHUNK // (n * dim))
-    for start in range(0, n, step):
-        xc = np.einsum("xi,ijk->xjk", vecs[start:start + step], c) % p
-        coeffs = np.einsum("xjk,yj->xyk", xc, vecs) % p
-        mul[start:start + step] = coeffs @ weights
+    # row 0 is 0y = 0.  With w = p^(dim-1-i), id s*w is s e_i, and an id
+    # r < w has no e_0..e_i part, so (s e_i + r)y = (s e_i)y + ry: the sum
+    # of the row of s e_i and row r, built earlier
+    mul = np.zeros_like(add)
+    for i in range(dim - 1, -1, -1):
+        w = int(weights[i])
+        for s in range(1, p):
+            row = (vecs @ (s * c[i]) % p) @ weights
+            mul[s * w:(s + 1) * w] = add[row, mul[:w]]
     return validate_ring(add, mul, int(unit @ weights), name=name,
                          order_cap=order_cap)
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,3 +239,19 @@ def test_ring_hash_is_the_same_in_every_process():
     ]
     assert runs[0][0] == runs[1][0] == str(hash(tri2(3)))
     assert runs[0][1] != runs[1][1]  # the seeds do change str hashes
+
+
+@pytest.mark.parametrize("spec", ["mat:3:2", "mat:2:7"])
+def test_building_a_ring_needs_a_few_copies_of_its_tables(spec):
+    # the builders and validate_ring keep the tables in their dtype and
+    # chunk the checks by rows, so no n x n int64 copy and no
+    # (rows x n x dim) product temporary is ever alive; numpy reports its
+    # buffers to tracemalloc
+    tracemalloc.start()
+    try:
+        ring = parse_ring_spec(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = ring.add.nbytes + ring.mul.nbytes
+    assert peak <= 3 * tables + 2 ** 20, (peak, tables)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from atomspec.rings import (
@@ -27,6 +27,8 @@ from atomspec.rings import (
     validate_ring,
     zmod,
 )
+
+from conftest import TABLE_FORMS, posets, table_in_form
 
 # chunk size for the O(n^3) scans, keeps peak memory ~ tens of MB
 _TRIPLE_CHUNK = 4_000_000
@@ -162,6 +164,31 @@ def test_single_corruption_agrees_with_oracle(zoo, data):
         assert expected is None
 
 
+@pytest.fixture(scope="module")
+def zmod300():
+    return zmod(300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_corruption_at_an_int16_order_is_rejected_with_a_witness(zmod300, data):
+    # at order 300 the tables are int16, where the flat index c*n + x of
+    # the distributivity gather would overflow
+    ring = zmod300
+    which = data.draw(st.sampled_from(("add", "mul")))
+    x = data.draw(st.integers(0, 299))
+    y = data.draw(st.integers(0, 299))
+    tables = {"add": ring.add.copy(), "mul": ring.mul.copy()}
+    old = tables[which][x, y]
+    tables[which][x, y] = data.draw(st.integers(0, 299).filter(lambda v: v != old))
+    form = data.draw(st.sampled_from(TABLE_FORMS))
+    with pytest.raises(RingAxiomError) as err:
+        validate_ring(table_in_form(tables["add"], form),
+                      table_in_form(tables["mul"], form), ring.one)
+    assert violates(tables["add"], tables["mul"], ring.one, err.value.axiom,
+                    err.value.witness), (err.value.axiom, err.value.witness)
+
+
 # An order-6 commutative loop that is not a group: 1 + 1 = 0 closes {0, 1}
 # under +, so the generators are 1 and 2, and 2 fails Light's test.
 LOOP6 = [
@@ -289,7 +316,7 @@ def ref_product(*rings: FiniteRing) -> FiniteRing:
     def encode(parts):
         idx = 0
         for size, v in zip(sizes, parts):
-            idx = idx * size + v
+            idx = idx * size + int(v)
         return idx
 
     elems = [decode(i) for i in range(math.prod(sizes))]
@@ -317,11 +344,61 @@ def ref_fp_algebra(p: int, dim: int, c, unit) -> FiniteRing:
     vecs = [decode(i) for i in range(p ** dim)]
     add = [[encode([(x[i] + y[i]) % p for i in range(dim)]) for y in vecs]
            for x in vecs]
-    mul = [[encode([sum(x[i] * y[j] * c[i][j][k]
-                        for i in range(dim) for j in range(dim)) % p
-                    for k in range(dim)])
-            for y in vecs] for x in vecs]
+    # xy = sum_j y_j (x e_j), with x e_j = sum_i x_i c[i][j]
+    mul = []
+    for x in vecs:
+        xe = [[sum(x[i] * c[i][j][k] for i in range(dim)) for k in range(dim)]
+              for j in range(dim)]
+        mul.append([encode([sum(y[j] * xe[j][k] for j in range(dim)) % p
+                            for k in range(dim)])
+                    for y in vecs])
     return _ring(add, mul, encode(unit))
+
+
+@st.composite
+def algebras(draw):
+    """(p, dim, constants, unit) with p in {2, 3, 5} and p^dim <= 243: the
+    incidence algebra of a poset, which is a ring; random constants with
+    e_0 as a two-sided unit, which are distributive but seldom
+    associative; or random constants and unit vector, seldom unital."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    top = {2: 7, 3: 5, 5: 3}[p]
+    kind = draw(st.sampled_from(("incidence", "unital", "random")))
+    if kind == "incidence":
+        k, less = draw(posets(max_points=3))
+        pairs = [(x, x) for x in range(k)] + less
+        assume(len(pairs) <= top)
+        return (p, *incidence_algebra(pairs))
+    # the largest dimension first, which Hypothesis draws most often: its
+    # orders 128 and 243 need int16 tables
+    dim = draw(st.sampled_from((top, *range(1, top))))
+    entry = st.integers(-p, 2 * p - 1)  # fp_algebra reduces them mod p
+    c = draw(st.lists(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                               min_size=dim, max_size=dim),
+                      min_size=dim, max_size=dim))
+    unit = draw(st.lists(entry, min_size=dim, max_size=dim))
+    if kind == "unital":
+        for i in range(dim):
+            c[0][i] = c[i][0] = [int(i == k) for k in range(dim)]
+        unit = [1] + [0] * (dim - 1)
+    return p, dim, c, unit
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebras())
+def test_fp_algebra_matches_reference(algebra):
+    # filling mul by additivity is exact for any constants, associative or
+    # not: the same bytes, or the same axiom and witness
+    p, dim, c, unit = algebra
+    ref = ref_fp_algebra(p, dim, c, unit)
+    try:
+        want = validate_ring(ref.add, ref.mul, ref.one)
+    except RingAxiomError as err:
+        with pytest.raises(RingAxiomError) as got:
+            fp_algebra(p, dim, c, unit)
+        assert (got.value.axiom, got.value.witness) == (err.axiom, err.witness)
+    else:
+        assert serialize_ring(fp_algebra(p, dim, c, unit)) == serialize_ring(want)
 
 
 def incidence_algebra(pairs):
@@ -354,6 +431,8 @@ def test_zmod_bytes_match_reference(n):
     (lambda: tri2(2), lambda: ref_matrix(2, TRI, 2)),
     (lambda: tri2(3), lambda: ref_matrix(3, TRI, 2)),
     (lambda: tri2(5), lambda: ref_matrix(5, TRI, 2)),
+    (lambda: tri2(7), lambda: ref_matrix(7, TRI, 2)),
+    (lambda: zmod(200), lambda: ref_zmod(200)),
     (lambda: mat(1, 3), lambda: ref_matrix(3, full(1), 1)),
     (lambda: mat(2, 2), lambda: ref_matrix(2, full(2), 2)),
     (lambda: mat(2, 3), lambda: ref_matrix(3, full(2), 2)),
@@ -363,10 +442,15 @@ def test_zmod_bytes_match_reference(n):
      lambda: ref_product(ref_matrix(2, TRI, 2), ref_zmod(6), ref_zmod(2))),
     (lambda: product(mat(2, 2), zmod(3)),
      lambda: ref_product(ref_matrix(2, full(2), 2), ref_zmod(3))),
+    (lambda: parse_ring_spec("prod:zmod:128,zmod:1"),
+     lambda: ref_product(ref_zmod(128), ref_zmod(1))),
+    (lambda: parse_ring_spec("prod:zmod:1,zmod:128"),
+     lambda: ref_product(ref_zmod(1), ref_zmod(128))),
     (lambda: fp_algebra(3, *incidence_algebra(VEE)),
      lambda: ref_fp_algebra(3, *incidence_algebra(VEE))),
-], ids=["tri2:2", "tri2:3", "tri2:5", "mat:1:3", "mat:2:2", "mat:2:3",
+], ids=["tri2:2", "tri2:3", "tri2:5", "tri2:7", "zmod:200", "mat:1:3", "mat:2:2", "mat:2:3",
         "prod:zmod:2,zmod:3", "prod:tri2:2,zmod:6,zmod:2", "mat:2:2 x zmod:3",
+        "prod:zmod:128,zmod:1", "prod:zmod:1,zmod:128",
         "F3I(vee)"])
 def test_builder_bytes_match_reference(built, ref):
     assert serialize_ring(built()) == serialize_ring(ref())
