@@ -28,6 +28,7 @@ from .modules import (
     RightModule,
     annihilator,
     annihilator_set,
+    colon_table,
     composition_factors,
     cyclic_submodule,
     direct_sum,
@@ -235,7 +236,18 @@ def is_isomorphic(a: RightModule, b: RightModule) -> bool:
     return search(0, _close_map(tables, {0: 0}) or {0: 0})
 
 
-# monoform: the socle criterion
+# monoform: the socle criterion, and the colon-table criterion alone
+
+def monoform_by_colon_table(module: RightModule) -> bool:
+    """is_monoform without its uniformity test: M nonzero, and row {0} of
+    the colon table disjoint from every row N != 0.  Independent of
+    is_uniform, so check_monoform_implies_uniform can compare the two."""
+    if module.order == 1:
+        return False
+    table = colon_table(module)
+    ann_m = table[frozenset({0})]
+    return not any(ann_m & row for sub, row in table.items() if len(sub) > 1)
+
 
 @lru_cache(maxsize=None)
 def monoform_oracle_artinian(module: RightModule) -> bool:
@@ -671,8 +683,10 @@ def check_monoform_hereditary(ring: FiniteRing):
 
 @_property("monoform implies uniform")
 def check_monoform_implies_uniform(ring: FiniteRing):
+    """is_monoform refuses a module that is not uniform before the colon
+    table; the colon-table criterion alone must agree."""
     for mod in _cyclic_modules(ring):
-        if is_monoform(mod) and not is_uniform(mod):
+        if monoform_by_colon_table(mod) and not is_uniform(mod):
             return False, mod.provenance
     return True, None
 

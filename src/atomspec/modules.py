@@ -297,10 +297,6 @@ def colon_table(module: RightModule) -> MappingProxyType:
     return MappingProxyType(table)
 
 
-def shares_nonzero_submodule(a: RightModule, b: RightModule) -> bool:
-    return bool(annihilator_set(a) & annihilator_set(b))
-
-
 # ---------------------------------------------------------------------------
 # structure
 
@@ -374,10 +370,6 @@ def composition_factors(module: RightModule) -> Counter:
     if module.order == 1:
         return Counter()
     return series_factors(module, _chief_series_bottom_up(module))
-
-
-def composition_length(module: RightModule) -> int:
-    return sum(composition_factors(module).values())
 
 
 # ---------------------------------------------------------------------------

@@ -41,11 +41,15 @@ class Filtration:
 def is_monoform(module: RightModule) -> bool:
     """M nonzero and no nonzero submodule is shared between M and any M/N.
 
-    Subobject sharing is decided by annihilator-set intersection, and the
-    annihilator set of M/N is row N of the colon table, so no quotient is
-    built: M is monoform iff row {0} is disjoint from every row N != 0.
+    A monoform module is uniform: nonzero A and B with A & B = 0 would
+    share A with M/B, into which A maps injectively.  So a module that is
+    not uniform, the zero module among them, is refused before its lattice
+    is built.  Otherwise subobject sharing is decided by annihilator-set
+    intersection, and the annihilator set of M/N is row N of the colon
+    table, so no quotient is built: M is monoform iff row {0} is disjoint
+    from every row N != 0.
     """
-    if module.order == 1:
+    if not is_uniform(module):
         return False
     table = colon_table(module)
     ann_m = table[frozenset({0})]

@@ -554,6 +554,184 @@ def serialize_ring(ring: FiniteRing) -> bytes:
     return "".join(_document_chunks(ring)).encode()
 
 
+# characters of document text the matrix reader checks at a time, and the
+# fewest numbers a row of a matrix it reads may have
+_BLOCK = 1 << 15
+_MIN_WIDTH = 64
+
+# classes of the characters between the numbers of a matrix, by byte, and
+# _GAP[5a + b] for classes a, b of neighbouring separators in rows
+# "[1,2],[3,4]" once JSON's whitespace is set aside: 1 if nothing lies
+# between them, 2 if a number does, 0 if they may not be neighbours.  Both
+# are built as bytes: numpy's indexing would take memory in every process
+_OTHER, _COMMA, _OPEN, _CLOSE, _SPACE = range(5)
+_CLASS = np.frombuffer(bytes(
+    {ord(","): _COMMA, ord("["): _OPEN, ord("]"): _CLOSE, ord(" "): _SPACE,
+     ord("\t"): _SPACE, ord("\n"): _SPACE, ord("\r"): _SPACE}.get(c, _OTHER)
+    for c in range(256)), dtype=np.int8)
+_GAP = np.frombuffer(bytes(
+    {(_CLOSE, _COMMA): 1, (_COMMA, _OPEN): 1, (_OPEN, _COMMA): 2,
+     (_OPEN, _CLOSE): 2, (_COMMA, _COMMA): 2, (_COMMA, _CLOSE): 2}.get(
+        divmod(i, 5), 0) for i in range(25)), dtype=np.int8)
+_WHITESPACE = json.decoder.WHITESPACE.match
+
+
+def _read_matrix(s: str, idx: int) -> tuple[np.ndarray, int] | None:
+    """(table, end) for the JSON array that opens at s[idx - 1] if it is a
+    k x k matrix of JSON integers 0..k-1, end being the index after its
+    closing bracket; otherwise None, and json reads the array.
+
+    The table has dtype table_dtype(k).  It is filled from whole rows of
+    text, about _BLOCK characters at a time (_block_rows).  The first row
+    fixes k, so an array that is no such matrix is declined within its
+    first row or block, and json reads no character of it more than once
+    again.
+    """
+    start = _WHITESPACE(s, idx).end()
+    if s[start:start + 1] != "[":  # empty, or not an array of arrays
+        return None
+    first = _WHITESPACE(s, start + 1).end()
+    if not "0" <= s[first:first + 1] <= "9":
+        return None
+    # a short first row: below the reader's fixed cost of some 50 numpy
+    # calls a block, json's own lists are the cheaper read
+    size = _BLOCK
+    end = s.find("]", first, first + _BLOCK)
+    if end != -1:
+        width = s.count(",", first, end) + 1
+        if width < _MIN_WIDTH:
+            return None
+        size = min(size, (end + 2 - idx) * width + 1)  # rows as long as it
+    out, k, filled, pos = None, 0, 0, idx
+    while True:
+        block = s[pos:pos + size]
+        # a character outside ASCII becomes "?", so indices still match s
+        text = np.frombuffer(block.encode("ascii", "replace"), dtype=np.uint8)
+        seps = np.flatnonzero(text - np.uint8(ord("0")) >= 10)  # non-digits
+        kind = _CLASS.take(text.take(seps))
+        other = np.flatnonzero(kind == _OTHER)
+        if other.size:  # the matrix must close before this character
+            seps, kind = seps[:other[0]], kind[:other[0]]
+        brackets = np.flatnonzero((kind == _OPEN) | (kind == _CLOSE))
+        depth = np.cumsum(np.where(kind[brackets] == _OPEN, 1, -1))
+        done = np.flatnonzero(depth < 0)
+        if done.size:  # separator r closes the matrix
+            nb = done[0]
+            r = brackets[nb]
+            cut = seps[r]
+        elif other.size or len(block) < size:
+            return None  # a character no matrix holds, or the text ends
+        else:  # separator r - 1 closes the block's last whole row
+            whole = np.flatnonzero(depth == 0)
+            if not whole.size:  # the first row is longer than the block
+                size *= 2
+                continue
+            nb = whole[-1] + 1
+            r = brackets[nb - 1] + 1
+            cut = seps[r - 1] + 1
+        if depth[:nb].max(initial=0) > 1:
+            return None  # an array inside a row
+        rows = _block_rows(text[:cut], seps[:r], kind[:r], out is not None)
+        if rows is None:
+            return None
+        counts, values = rows
+        if out is None and counts.size:
+            k = int(counts[0])
+            # k rows of k numbers take 2k(k + 1) + 1 characters or more
+            if 2 * k * (k + 1) > len(s) - idx:
+                return None
+            out = np.empty(k * k, dtype=table_dtype(k))
+        if (out is None or (counts != k).any() or values.max(initial=0) >= k
+                or filled + values.size > k * k):
+            return None
+        out[filled:filled + values.size] = values
+        filled += values.size
+        if done.size:
+            if filled != k * k:
+                return None
+            return out.reshape(k, k), pos + int(cut) + 1
+        pos += int(cut)
+        size = max(size, min(2 * size, _BLOCK))
+
+
+def _block_rows(text: np.ndarray, seps: np.ndarray, kind: np.ndarray,
+                after_row: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """(numbers in each row, the numbers) of the rows text holds, or None
+    unless text is rows "[1,2],[3,4]" in JSON's grammar, led by a comma if
+    it comes after a row.
+
+    seps are the positions of text's non-digits and kind their classes,
+    and the grammar is checked on them and on the digit counts between
+    them: brackets and commas in the order _GAP allows, no whitespace
+    inside a number, no leading zeros, and at most 18 digits, so that
+    np.fromstring reads each number exactly into int64.
+    """
+    # gaps[i]: the digits just before separator i, gaps[-1] those after all
+    bounds = np.concatenate(([-1], seps, [len(text)]))
+    gaps = np.diff(bounds) - 1
+    if gaps.max() > 18 or (
+            text.take(bounds[:-1][gaps > 1] + 1) == ord("0")).any():
+        return None  # more than 18 digits, or a leading zero
+    spaces = kind == _SPACE
+    if spaces.any():  # merge the gaps around whitespace
+        kept = np.flatnonzero(~spaces)
+        heads = np.concatenate(([0], kept + 1))
+        if (np.add.reduceat(gaps > 0, heads) > 1).any():
+            return None  # whitespace inside a number
+        gaps = np.maximum.reduceat(gaps, heads)
+        seps, kind = seps[kept], kind[kept]
+    if after_row and kind.size:  # a comma, then more rows
+        if kind[0] != _COMMA or gaps[0] or kind.size == 1:
+            return None
+        seps, kind, gaps = seps[1:], kind[1:], gaps[1:]
+    if gaps[0] or gaps[-1]:
+        return None  # a number outside the rows
+    if not kind.size:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int64)
+    rule = _GAP.take(kind[:-1] * 5 + kind[1:])
+    if (kind[0] != _OPEN or kind[-1] != _CLOSE
+            or (rule != np.minimum(gaps[1:-1], 1) + 1).any()):
+        return None
+    opens = np.flatnonzero(kind == _OPEN)
+    closes = np.flatnonzero(kind == _CLOSE)
+    if (opens[1:] != closes[:-1] + 2).any():
+        return None  # rows are joined by one comma alone
+    rows = text[seps[0]:].copy()
+    rows[seps[kind != _COMMA] - seps[0]] = ord(" ")
+    return closes - opens, np.fromstring(rows.tobytes(), dtype=np.int64, sep=",")
+
+
+class _TableDecoder(json.JSONDecoder):
+    """json's decoder, except that an array which is a square matrix of ids
+    is read straight into a table array by _read_matrix.
+
+    Objects go through json.decoder.JSONObject, so that their values come
+    back here; every other value, including an array the reader declines,
+    goes to json's own scanner.  So every value but such a matrix, and
+    every error message, is the one json.loads gives, except that objects
+    nested some 500 deep exhaust Python's recursion limit where json's
+    scanner would go on to about 1,000.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        scan_json = json.scanner.make_scanner(self)
+        memo: dict = {}
+
+        def scan_once(s: str, idx: int):
+            char = s[idx:idx + 1]
+            if char == "{":
+                return json.decoder.JSONObject(
+                    (s, idx + 1), self.strict, scan_once, None, None, memo)
+            if char == "[":
+                table = _read_matrix(s, idx + 1)
+                if table is not None:
+                    return table
+            return scan_json(s, idx)
+
+        self.scan_once = scan_once
+
+
 _RING_FIELDS = {"order", "one", "add", "mul"}
 _FP_FIELDS = {"fp_algebra"}
 _FP_INNER = {"p", "dim", "structure_constants", "unit_vector"}
@@ -561,7 +739,12 @@ _FP_INNER = {"p", "dim", "structure_constants", "unit_vector"}
 
 def _require_ints(value, depth: int, what: str) -> None:
     """RingFormatError unless value is lists nested `depth` deep around JSON
-    integers.  Booleans are refused: numpy would read them as 0 and 1."""
+    integers, or an array the matrix reader made of `depth` dimensions.
+    Booleans are refused: numpy would read them as 0 and 1."""
+    if isinstance(value, np.ndarray):
+        if value.ndim == depth:
+            return
+        value = value.tolist()  # as json would have given it
     if depth == 0:
         if type(value) is not int:
             raise RingFormatError(f"{what} = {value!r} is not an integer")
@@ -574,22 +757,33 @@ def _require_ints(value, depth: int, what: str) -> None:
         _require_ints(v, depth - 1, f"{what}[{i}]")
 
 
-def parse_ring_document(data: bytes | str, *,
-                        order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
-    """Parse and fully validate a ring document (table or fp_algebra form).
-
-    Only the JSON types are checked here; shapes and ranges are left to
-    validate_ring.
-    """
+def _read_document(data: bytes | str):
+    """The JSON value of a document, its square matrices of ids as arrays
+    (_read_matrix); the text is dropped on return, before validation."""
     if isinstance(data, bytes):
         try:
             data = data.decode()
         except UnicodeDecodeError as exc:
             raise RingFormatError(f"not UTF-8 text: {exc}") from exc
     try:
-        doc = json.loads(data)
+        return json.loads(data, cls=_TableDecoder)
     except json.JSONDecodeError as exc:
         raise RingFormatError(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise RingFormatError(f"unreadable JSON number: {exc}") from exc
+    except RecursionError as exc:
+        raise RingFormatError("JSON arrays or objects nested too deeply") from exc
+
+
+def parse_ring_document(data: bytes | str, *,
+                        order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
+    """Parse and fully validate a ring document (table or fp_algebra form).
+
+    json reads the document, except that every square matrix of integers
+    0..k-1 goes straight into an array.  Only the JSON types are checked
+    here; shapes and ranges are left to validate_ring.
+    """
+    doc = _read_document(data)
     if not isinstance(doc, dict):
         raise RingFormatError("ring document must be an object")
     keys = set(doc)

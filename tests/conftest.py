@@ -55,3 +55,18 @@ def posets(draw, max_points=4):
             break
         less |= extra
     return k, sorted(less)
+
+
+def incidence_constants(k, less):
+    """(dim, structure constants, unit vector) of F_p I(P) for the poset on
+    0..k-1 with strict relations `less`: basis the pairs x <= y, with
+    e_xy e_yw = e_xw and every other product zero."""
+    basis = [(x, x) for x in range(k)] + list(less)
+    index = {pair: i for i, pair in enumerate(basis)}
+    d = len(basis)
+    consts = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for (i, (x, y)), (j, (z, w)) in itertools.product(enumerate(basis), repeat=2):
+        if y == z:
+            consts[i][j][index[x, w]] = 1
+    unit = [int(x == y) for x, y in basis]
+    return d, consts, unit

@@ -75,6 +75,16 @@ def test_canonical_map_check_sees_dropped_inclusion(small_ring, monkeypatch):
     _assert_cyclic_iso_fails(small_ring)
 
 
+def test_monoform_implies_uniform_sees_a_uniform_module_refused(small_ring,
+                                                                monkeypatch):
+    # is_monoform trusts is_uniform to refuse only modules that are not
+    # monoform; the colon-table twin catches one that refuses too many
+    monkeypatch.setattr(checks, "is_uniform", lambda module: False)
+    name, passed, witness = checks.check_monoform_implies_uniform(small_ring)
+    assert (name, passed) == ("monoform implies uniform", False)
+    assert witness in {m.provenance for m in checks._cyclic_modules(small_ring)}
+
+
 def test_atom_equivalence_compares_no_module_tables(monkeypatch):
     # R/{0} equals the regular module but is another object, so a lookup of
     # the regular module's colon table may compare the two.  Such a compare
@@ -100,7 +110,7 @@ TWINS = (
     "validate_module", "embeds_in", "is_uniform_bruteforce",
     "composition_factors_top_down", "_chief_series_top_down", "is_isomorphic",
     "_close_map", "minimal_generating_sequence", "annihilator_keys",
-    "monoform_oracle_artinian",
+    "monoform_oracle_artinian", "monoform_by_colon_table",
     "ClosureUniverse", "_invariant_key", "_find_class", "build_universe",
     "closure_oracle", "_closed_sub", "_closed_quot", "_star",
     "calculus_check", "universe_supports",

@@ -320,6 +320,27 @@ def test_astronomical_order_exceeds_cap(tmp_path, capsys):
         assert out["error"]["type"] == "CapExceededError"
 
 
+@pytest.mark.parametrize("text", [
+    # past Python's 4,300-digit limit on int(), which json.loads raised
+    '{"order": 1, "one": 0, "add": [[' + "7" * 5000 + ']], "mul": [[0]]}',
+    # json.loads raised RecursionError
+    '{"order": 1, "one": 0, "add": ' + "[" * 100_000 + "]" * 100_000
+    + ', "mul": [[0]]}',
+    # each level holds one array: read again at every level, the flat
+    # list would cost 300 times its length
+    '{"order": 1, "one": 0, "add": ' + "[" * 300 + ",".join(["0"] * 100_000)
+    + "]" * 300 + ', "mul": [[0]]}',
+], ids=["5000-digits", "nested-100000", "nested-300-flat"])
+def test_unreadable_document_is_format_error(tmp_path, capsys, text):
+    path = tmp_path / "ring.json"
+    path.write_text(text)
+    start = time.monotonic()
+    code, _ = run(["validate", "--ring", str(path), "--format", "json"])
+    assert time.monotonic() - start < 2.0
+    assert code == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["type"] == "RingFormatError"
+
 
 @pytest.mark.parametrize("verb, ring, module, cap", [
     ("support", "zmod:12", "sum:regular+regular+regular+regular", None),
@@ -407,3 +428,14 @@ def test_support_of_a_large_sum_needs_no_lattice():
     assert (exit_code, atoms) == ("0", "[0]")
     assert int(peak_kb) < 200 * 1024
     assert elapsed < 5.0
+
+
+def test_monoform_of_a_large_sum_needs_no_lattice(capsys):
+    # F_2^8 has 417,199 subspaces; it is not uniform, so not monoform
+    module = "sum:" + "+".join(["regular"] * 8)
+    start = time.monotonic()
+    code, out = capture_json(capsys, ["monoform", "--ring", "zmod:2", "--module",
+                                      module, "--format", "json"])
+    assert time.monotonic() - start < 2.0
+    assert code == 0
+    assert json.loads(out)["result"]["monoform"] is False

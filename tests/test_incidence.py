@@ -16,19 +16,12 @@ from hypothesis import example, given, settings
 from atomspec.rings import fp_algebra
 from atomspec.serre import enumerate_serre, inclusion_edges
 from atomspec.spectrum import atom_spectrum
-from conftest import posets
+from conftest import incidence_constants, posets
 
 
 def incidence_algebra(p, k, less):
     """F_p I(P) through its structure constants."""
-    basis = [(x, x) for x in range(k)] + list(less)
-    index = {pair: i for i, pair in enumerate(basis)}
-    d = len(basis)
-    consts = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for (i, (x, y)), (j, (z, w)) in itertools.product(enumerate(basis), repeat=2):
-        if y == z:
-            consts[i][j][index[x, w]] = 1
-    unit = [int(x == y) for x, y in basis]
+    d, consts, unit = incidence_constants(k, less)
     return fp_algebra(p, d, consts, unit, name=f"F{p}I({k}, {less})")
 
 

@@ -22,7 +22,6 @@ from atomspec.modules import (
     annihilator,
     annihilator_set,
     composition_factors,
-    composition_length,
     cyclic_submodule,
     direct_sum,
     generated_submodule,
@@ -34,7 +33,6 @@ from atomspec.modules import (
     quotient,
     quotient_module,
     regular_module,
-    shares_nonzero_submodule,
     socle,
     sub_module,
     submodule_lattice,
@@ -43,6 +41,17 @@ from atomspec.modules import (
 from atomspec.rings import CapExceededError, mat, product, tri2, zmod
 
 from conftest import TABLE_FORMS, ZMOD_ORDERS, table_in_form
+
+
+def composition_length(module: RightModule) -> int:
+    """Length of a composition series, from the factor multiplicities."""
+    return sum(composition_factors(module).values())
+
+
+def shares_nonzero_submodule(a: RightModule, b: RightModule) -> bool:
+    """Whether a and b have isomorphic nonzero submodules, read from the
+    annihilator sets as annihilator_set's docstring explains."""
+    return bool(annihilator_set(a) & annihilator_set(b))
 
 
 def brute_force_submodules(module):
