@@ -4,6 +4,12 @@ Every verb emits a report with the same skeleton: verb echo, ring
 fingerprint, and a verb-specific payload.  The structured (json) form is
 the machine contract and is byte-deterministic for identical inputs; the
 text form is a human rendering of the same payload plus timing.
+
+Reports are written to stdout a piece at a time.  The `ideals` and `serre`
+payloads hold their long lists as `Rows`, which format a row when it is
+read, so no form of a report is ever built whole.  Everything a row shows
+is computed before the first byte is written, so no domain error can come
+up part-way through the output.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Iterator
 from pathlib import Path
 
 from .checks import check_suite
@@ -31,7 +38,7 @@ from .rings import (
     parse_ring_document,
     parse_ring_spec,
 )
-from .serre import hasse_dot, serre_lattice
+from .serre import Rows, dot_lines, serre_lattice
 from .spectrum import (
     SpectrumError,
     associated_atoms,
@@ -61,8 +68,43 @@ def _load_ring(source: str, order_cap: int) -> FiniteRing:
     return parse_ring_document(data, order_cap=order_cap)
 
 
-def _ideal_list(ring: FiniteRing) -> list[list[int]]:
-    return [sorted(s) for s in submodule_lattice(regular_module(ring))]
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def json_chunks(value) -> Iterator[str]:
+    """The text of json.dumps(value, sort_keys=True, separators=(",", ":")),
+    a piece at a time.  Dicts, whose keys are strings, and Rows are walked;
+    every other value, plain lists included, is encoded whole."""
+    if isinstance(value, dict):
+        sep = "{"
+        for key in sorted(value):
+            yield f"{sep}{_ENCODER.encode(key)}:"
+            yield from json_chunks(value[key])
+            sep = ","
+        yield "}" if sep == "," else "{}"
+    elif isinstance(value, Rows):
+        sep = "["
+        for row in value:
+            yield sep
+            yield from json_chunks(row)
+            sep = ","
+        yield "]" if sep == "," else "[]"
+    else:
+        yield _ENCODER.encode(value)
+
+
+def _write_lines(lines) -> None:
+    write = sys.stdout.write
+    for line in lines:
+        write(line)
+        write("\n")
+
+
+def _write_json(report: dict) -> None:
+    write = sys.stdout.write
+    for chunk in json_chunks(report):
+        write(chunk)
+    write("\n")
 
 
 def _payload(args, ring: FiniteRing) -> dict:
@@ -70,8 +112,8 @@ def _payload(args, ring: FiniteRing) -> dict:
     if verb == "validate":
         return {"valid": True, "order": ring.order, "one": ring.one}
     if verb == "ideals":
-        ideals = _ideal_list(ring)
-        return {"count": len(ideals), "ideals": ideals}
+        ideals = submodule_lattice(regular_module(ring))
+        return {"count": len(ideals), "ideals": Rows(ideals, sorted)}
     if verb == "spectrum":
         spec = atom_spectrum(ring)
         return {
@@ -122,49 +164,45 @@ def _payload(args, ring: FiniteRing) -> dict:
     raise AssertionError(f"unhandled verb {verb}")
 
 
-def _render_text(report: dict, elapsed: float) -> str:
-    lines = [f"verb: {report['verb']}",
-             f"ring: order {report['ring']['order']}, "
-             f"hash {report['ring']['hash'][:12]}"]
+def _render_text(report: dict, elapsed: float) -> Iterator[str]:
+    """The text form of a report, a line at a time, without line ends."""
+    yield f"verb: {report['verb']}"
+    yield (f"ring: order {report['ring']['order']}, "
+           f"hash {report['ring']['hash'][:12]}")
     payload = report["result"]
     verb = report["verb"]
     if verb == "validate":
-        lines.append("ring is valid")
+        yield "ring is valid"
     elif verb == "ideals":
-        lines.append(f"{payload['count']} right ideals:")
-        lines += [f"  {ideal}" for ideal in payload["ideals"]]
+        yield f"{payload['count']} right ideals:"
+        for ideal in payload["ideals"]:
+            yield f"  {ideal}"
     elif verb == "spectrum":
-        lines.append(
-            f"{payload['atom_count']} atoms from "
-            f"{payload['comonoform_count']} comonoform right ideals"
-        )
+        yield (f"{payload['atom_count']} atoms from "
+               f"{payload['comonoform_count']} comonoform right ideals")
         for atom in payload["atoms"]:
-            lines.append(
-                f"  atom {atom['id']}: rep {atom['canonical_rep']}, "
-                f"class {atom['members']}"
-            )
+            yield (f"  atom {atom['id']}: rep {atom['canonical_rep']}, "
+                   f"class {atom['members']}")
     elif verb == "monoform":
-        lines.append(
-            f"module {payload['module']}: "
-            f"{'monoform' if payload['monoform'] else 'not monoform'}"
-        )
+        yield (f"module {payload['module']}: "
+               f"{'monoform' if payload['monoform'] else 'not monoform'}")
     elif verb in ("support", "ass"):
         kind = "atom support" if verb == "support" else "associated atoms"
-        lines.append(f"{kind} of {payload['module']}: {payload['atoms']}")
+        yield f"{kind} of {payload['module']}: {payload['atoms']}"
         for a, rep in zip(payload["atoms"], payload["reps"]):
-            lines.append(f"  atom {a}: R/{rep}")
+            yield f"  atom {a}: R/{rep}"
     elif verb == "filtration":
-        lines.append(f"filtration of {payload['module']}:")
+        yield f"filtration of {payload['module']}:"
         for i, step in enumerate(payload["chain"]):
-            lines.append(f"  L{i} = {step}")
+            yield f"  L{i} = {step}"
         for i, label in enumerate(payload["labels"]):
-            lines.append(f"  factor {i + 1} = R/{label}")
+            yield f"  factor {i + 1} = R/{label}"
     elif verb == "serre":
-        lines.append(f"{payload['count']} Serre subcategories:")
+        yield f"{payload['count']} Serre subcategories:"
         for i, s in enumerate(payload["subcategories"]):
             gens = ", ".join(f"R/{q}" for q in s["generators"]) or "(zero)"
-            lines.append(f"  [{i}] open {s['open_set']}: <{gens}>")
-        lines.append(f"covering edges: {payload['edges']}")
+            yield f"  [{i}] open {s['open_set']}: <{gens}>"
+        yield f"covering edges: {payload['edges']}"
     elif verb == "check":
         for prop in payload["properties"]:
             mark = "PASS" if prop["passed"] else "FAIL"
@@ -172,12 +210,11 @@ def _render_text(report: dict, elapsed: float) -> str:
                 f"  witness: {prop['witness']}"
                 if not prop["passed"] and "witness" in prop else ""
             )
-            lines.append(f"  {mark} {prop['property']}{extra}")
-        lines.append("all passed" if payload["passed"] else "FAILURES above")
-    if report.get("cap_warnings"):
-        lines += [f"warning: {w}" for w in report["cap_warnings"]]
-    lines.append(f"elapsed: {elapsed:.3f}s")
-    return "\n".join(lines) + "\n"
+            yield f"  {mark} {prop['property']}{extra}"
+        yield "all passed" if payload["passed"] else "FAILURES above"
+    for w in report.get("cap_warnings", ()):
+        yield f"warning: {w}"
+    yield f"elapsed: {elapsed:.3f}s"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,17 +260,17 @@ def run(argv=None) -> tuple[int, dict]:
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
         if args.format == "json":
-            print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+            _write_json(report)
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1, report
     elapsed = time.monotonic() - start
     if args.format == "json":
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        _write_json(report)
     elif args.format == "graph":
-        sys.stdout.write(hasse_dot(report["result"]))
+        _write_lines(dot_lines(report["result"]))
     else:
-        sys.stdout.write(_render_text(report, elapsed))
+        _write_lines(_render_text(report, elapsed))
     exit_code = 0
     if args.verb == "check" and not report["result"]["passed"]:
         exit_code = 1

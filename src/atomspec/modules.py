@@ -48,6 +48,7 @@ from .rings import (
 )
 
 DEFAULT_LATTICE_CAP = 1 << 20
+_BLOCK = 1 << 20  # action-table entries in a block of whole rows
 
 
 class ModuleError(Exception):
@@ -301,14 +302,31 @@ def colon_table(module: RightModule) -> MappingProxyType:
 # structure
 
 def minimal_submodules(module: RightModule) -> list[frozenset]:
-    """Minimal nonzero submodules; all of them are cyclic."""
-    cyclics = {cyclic_submodule(module, x) for x in range(1, module.order)}
-    cyclics.discard(frozenset({0}))
-    return sorted(
-        (c for c in cyclics
-         if not any(o < c for o in cyclics if o != c)),
-        key=submodule_key,
-    )
+    """Minimal nonzero submodules; all of them are cyclic.
+
+    |xR| is the number of distinct entries of the row act[x].  yR lies in
+    xR for every y in xR, so xR is minimal iff no y in xR has
+    1 < |yR| < |xR|.  Two minimal submodules that meet are equal, so each
+    is named by its least nonzero element.  The action table is read a
+    block of rows at a time, so no temporary outgrows a block.
+    """
+    m, act = module.order, module.act
+    step = max(1, _BLOCK // module.ring.order)
+    blocks = [slice(lo, lo + step) for lo in range(0, m, step)]
+    sizes = np.empty(m, dtype=np.intp)
+    for rows in blocks:
+        block = np.sort(act[rows], axis=1)
+        sizes[rows] = 1 + np.count_nonzero(block[:, 1:] != block[:, :-1], axis=1)
+    below = np.where(sizes > 1, sizes, m + 1)
+    names = set()
+    for rows in blocks:
+        block = act[rows]
+        minimal = block[(sizes[rows] > 1)
+                        & (below[block].min(axis=1) >= sizes[rows])]
+        # m - 1, the largest id, still fits the table dtype; m may not
+        names.update(np.where(minimal == 0, m - 1, minimal).min(axis=1).tolist())
+    return sorted((cyclic_submodule(module, x) for x in names),
+                  key=submodule_key)
 
 
 def maximal_submodules(module: RightModule) -> list[frozenset]:

@@ -3,6 +3,7 @@ their inclusion Hasse diagram."""
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .modules import RightModule, submodule_key
@@ -115,31 +116,61 @@ def inclusion_edges(subs: list[SerreSubcategory]) -> list[tuple[int, int]]:
     return edges
 
 
+class Rows(Sequence):
+    """A read-only sequence whose i-th row is row(items[i]), formatted each
+    time it is read.  A report holds its long lists as Rows, so a writer
+    builds one row at a time and never holds them all."""
+
+    def __init__(self, items: Sequence, row: Callable):
+        self._items = items
+        self._row = row
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._row(item) for item in self._items[i]]
+        return self._row(self._items[i])
+
+    def __iter__(self) -> Iterator:
+        return map(self._row, self._items)
+
+
+def _subcategory_row(s: SerreSubcategory) -> dict:
+    return {
+        "open_set": sorted(s.open_set),
+        "generators": [sorted(q) for q in s.generators],
+    }
+
+
 def serre_lattice(spec: AtomSpectrum) -> dict:
-    """The Serre subcategories and their covering edges as plain lists,
-    the `serre` verb's result."""
+    """The Serre subcategories and their covering edges, the `serre` verb's
+    result.  The subcategories are Rows over enumerate_serre's output, so
+    a row is formatted when it is read; everything a row shows has been
+    computed by the time this returns."""
     subs = enumerate_serre(spec)
     return {
         "count": len(subs),
-        "subcategories": [
-            {
-                "open_set": sorted(s.open_set),
-                "generators": [sorted(q) for q in s.generators],
-            }
-            for s in subs
-        ],
+        "subcategories": Rows(subs, _subcategory_row),
         "edges": inclusion_edges(subs),
     }
 
 
-def hasse_dot(lattice: dict) -> str:
+def dot_lines(lattice: dict) -> Iterator[str]:
     """Hasse diagram of a serre_lattice result in DOT graph-description
-    text."""
-    lines = ["digraph serre_lattice {", "  rankdir=BT;"]
+    text, a line at a time, without line ends."""
+    yield "digraph serre_lattice {"
+    yield "  rankdir=BT;"
     for i, s in enumerate(lattice["subcategories"]):
         label = "{" + ",".join(map(str, s["open_set"])) + "}"
         gens = "; ".join(f"R/{q}" for q in s["generators"]) or "0"
-        lines.append(f'  n{i} [label="{label}\\n{gens}"];')
-    lines += [f"  n{i} -> n{j};" for i, j in lattice["edges"]]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  n{i} [label="{label}\\n{gens}"];'
+    for i, j in lattice["edges"]:
+        yield f"  n{i} -> n{j};"
+    yield "}"
+
+
+def hasse_dot(lattice: dict) -> str:
+    """The lines of dot_lines as one text."""
+    return "".join(f"{line}\n" for line in dot_lines(lattice))

@@ -1,6 +1,7 @@
 import itertools
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,17 @@ def shares_nonzero_submodule(a: RightModule, b: RightModule) -> bool:
     """Whether a and b have isomorphic nonzero submodules, read from the
     annihilator sets as annihilator_set's docstring explains."""
     return bool(annihilator_set(a) & annihilator_set(b))
+
+
+def minimal_submodules_pairwise(module: RightModule) -> list[frozenset]:
+    """Minimal nonzero submodules, by comparing every pair of cyclics."""
+    cyclics = {cyclic_submodule(module, x) for x in range(1, module.order)}
+    cyclics.discard(frozenset({0}))
+    return sorted(
+        (c for c in cyclics
+         if not any(o < c for o in cyclics if o != c)),
+        key=modules.submodule_key,
+    )
 
 
 def brute_force_submodules(module):
@@ -296,6 +308,33 @@ def test_uniformity_oracle_agreement(zoo):
                 continue
             module = sub_module(whole, members)[0]
             assert is_uniform(module) == is_uniform_bruteforce(module)
+
+
+def test_minimal_submodules_match_pairwise_oracle(zoo):
+    for ring in zoo:
+        whole = regular_module(ring)
+        lattice = submodule_lattice(whole)
+        mods = [direct_sum(whole, whole)]
+        for members in lattice:
+            mods += [quotient(whole, members), sub_module(whole, members)[0]]
+        for module in mods:
+            assert minimal_submodules(module) == minimal_submodules_pairwise(module)
+    # order 128 is the largest whose ids fit int8, the smallest table dtype
+    for module in (regular_module(zmod(128)),
+                   parse_module_spec(zmod(2), "sum:" + "+".join(["regular"] * 7))):
+        assert minimal_submodules(module) == minimal_submodules_pairwise(module)
+
+
+def test_minimal_submodules_read_the_action_table_in_blocks():
+    # an order x order intp temporary would be 32 MiB at order 2048
+    module = regular_module(zmod(2048))
+    tracemalloc.start()
+    try:
+        assert minimal_submodules(module) == [frozenset({0, 1024})]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_minimal_generating_sequence():
