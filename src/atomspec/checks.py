@@ -480,12 +480,14 @@ def commutative_crosscheck(ring: FiniteRing) -> dict:
     )
 
     prime_of_atom = {atom.id: atom.canonical_rep for atom in spec.atoms}
-    # a finite topology is fixed by its minimal open neighbourhoods, and
-    # the specialization-closed set generated by p is {q : p <= q}
+    # a finite topology is fixed by its minimal open neighbourhoods U_a,
+    # U_a is the least Supp R/q over the members q of a, and the
+    # specialization-closed set generated by p is {q : p <= q}
     report["checks"]["open_equals_specialization_closed"] = all(
-        frozenset(prime_of_atom[b] for b in hood)
-        == frozenset(q for q in primes if prime_of_atom[a] <= q)
-        for a, hood in enumerate(spec.neighbourhoods)
+        frozenset(prime_of_atom[b] for b in min(
+            (spec.supports[q] for q in atom.members), key=len))
+        == frozenset(q for q in primes if atom.canonical_rep <= q)
+        for atom in spec.atoms
     )
 
     reg = regular_module(ring)

@@ -576,7 +576,8 @@ _GAP = np.frombuffer(bytes(
 _WHITESPACE = json.decoder.WHITESPACE.match
 
 
-def _read_matrix(s: str, idx: int) -> tuple[np.ndarray, int] | None:
+def _read_matrix(s: str, idx: int, order_cap: int = DEFAULT_ORDER_CAP
+                 ) -> tuple[np.ndarray, int] | None:
     """(table, end) for the JSON array that opens at s[idx - 1] if it is a
     k x k matrix of JSON integers 0..k-1, end being the index after its
     closing bracket; otherwise None, and json reads the array.
@@ -585,7 +586,8 @@ def _read_matrix(s: str, idx: int) -> tuple[np.ndarray, int] | None:
     text, about _BLOCK characters at a time (_block_rows).  The first row
     fixes k, so an array that is no such matrix is declined within its
     first row or block, and json reads no character of it more than once
-    again.
+    again.  A k above order_cap raises CapExceededError there, before the
+    rest of the document is read.
     """
     start = _WHITESPACE(s, idx).end()
     if s[start:start + 1] != "[":  # empty, or not an array of arrays
@@ -640,6 +642,7 @@ def _read_matrix(s: str, idx: int) -> tuple[np.ndarray, int] | None:
             # k rows of k numbers take 2k(k + 1) + 1 characters or more
             if 2 * k * (k + 1) > len(s) - idx:
                 return None
+            _require_order(k, order_cap)
             out = np.empty(k * k, dtype=table_dtype(k))
         if (out is None or (counts != k).any() or values.max(initial=0) >= k
                 or filled + values.size > k * k):
@@ -703,7 +706,7 @@ def _block_rows(text: np.ndarray, seps: np.ndarray, kind: np.ndarray,
 
 class _TableDecoder(json.JSONDecoder):
     """json's decoder, except that an array which is a square matrix of ids
-    is read straight into a table array by _read_matrix.
+    is read straight into a table array by _read_matrix, under order_cap.
 
     Objects go through json.decoder.JSONObject, so that their values come
     back here; every other value, including an array the reader declines,
@@ -713,7 +716,7 @@ class _TableDecoder(json.JSONDecoder):
     scanner would go on to about 1,000.
     """
 
-    def __init__(self, **kwargs):
+    def __init__(self, *, order_cap: int = DEFAULT_ORDER_CAP, **kwargs):
         super().__init__(**kwargs)
         scan_json = json.scanner.make_scanner(self)
         memo: dict = {}
@@ -724,7 +727,7 @@ class _TableDecoder(json.JSONDecoder):
                 return json.decoder.JSONObject(
                     (s, idx + 1), self.strict, scan_once, None, None, memo)
             if char == "[":
-                table = _read_matrix(s, idx + 1)
+                table = _read_matrix(s, idx + 1, order_cap)
                 if table is not None:
                     return table
             return scan_json(s, idx)
@@ -757,16 +760,17 @@ def _require_ints(value, depth: int, what: str) -> None:
         _require_ints(v, depth - 1, f"{what}[{i}]")
 
 
-def _read_document(data: bytes | str):
+def _read_document(data: bytes | str, order_cap: int = DEFAULT_ORDER_CAP):
     """The JSON value of a document, its square matrices of ids as arrays
-    (_read_matrix); the text is dropped on return, before validation."""
+    (_read_matrix), none of order above order_cap; the text is dropped on
+    return, before validation."""
     if isinstance(data, bytes):
         try:
             data = data.decode()
         except UnicodeDecodeError as exc:
             raise RingFormatError(f"not UTF-8 text: {exc}") from exc
     try:
-        return json.loads(data, cls=_TableDecoder)
+        return json.loads(data, cls=_TableDecoder, order_cap=order_cap)
     except json.JSONDecodeError as exc:
         raise RingFormatError(f"not valid JSON: {exc}") from exc
     except ValueError as exc:  # an integer past Python's digit limit
@@ -780,10 +784,11 @@ def parse_ring_document(data: bytes | str, *,
     """Parse and fully validate a ring document (table or fp_algebra form).
 
     json reads the document, except that every square matrix of integers
-    0..k-1 goes straight into an array.  Only the JSON types are checked
+    0..k-1 goes straight into an array, and one with k above order_cap
+    stops the read with CapExceededError.  Only the JSON types are checked
     here; shapes and ranges are left to validate_ring.
     """
-    doc = _read_document(data)
+    doc = _read_document(data, order_cap)
     if not isinstance(doc, dict):
         raise RingFormatError("ring document must be an object")
     keys = set(doc)

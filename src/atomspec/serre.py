@@ -98,22 +98,19 @@ def inclusion_edges(subs: list[SerreSubcategory]) -> list[tuple[int, int]]:
     """Covering relations of the inclusion order, as (lower, upper) index
     pairs sorted by lower, then upper.
 
-    `subs` holds every open set, as enumerate_serre returns.  An open set
-    above a contains a | U_x for some x outside a, U_x being the minimal
-    open neighbourhood of x, so the covers of a are the minimal sets among
-    the a | U_x.
+    `subs` holds every open set, as enumerate_serre returns.  Every subset
+    of atoms is open, so the covers of a are the a | {x} for x outside a.
     """
     if not subs:
         return []
-    hoods = [sum(1 << a for a in u) for u in subs[0].spectrum.neighbourhoods]
-    masks = [sum(1 << a for a in s.open_set) for s in subs]
-    position = {mask: j for j, mask in enumerate(masks)}
-    edges = []
-    for i, low in enumerate(masks):
-        above = {low | u for x, u in enumerate(hoods) if not low >> x & 1}
-        edges += sorted((i, position[up]) for up in above
-                        if not any(o != up and o & up == o for o in above))
-    return edges
+    k = len(subs[0].spectrum.atoms)
+    position = {s.open_set: j for j, s in enumerate(subs)}
+    return [
+        (i, j)
+        for i, s in enumerate(subs)
+        for j in sorted(position[s.open_set | {x}] for x in range(k)
+                        if x not in s.open_set)
+    ]
 
 
 class Rows(Sequence):

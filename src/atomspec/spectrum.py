@@ -1,8 +1,11 @@
 """Atom spectrum of a finite ring: atom equivalence classes of comonoform
-right ideals, atom support, associated atoms, and the open-set topology."""
+right ideals, atom support, associated atoms, and the open-set topology,
+which is discrete: every atom holds a simple module, whose support is
+that atom alone."""
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -35,15 +38,13 @@ class Atom:
 @dataclass(frozen=True)
 class AtomSpectrum:
     """The atoms of a ring, with what atom_spectrum derives from them once:
-    `index` sends each comonoform ideal p to its atom id, `supports` sends
-    it to Supp R/p, and `neighbourhoods[a]` is the least open set that
-    contains atom a."""
+    `index` sends each comonoform ideal p to its atom id, and `supports`
+    sends it to Supp R/p."""
 
     ring: FiniteRing
     atoms: tuple[Atom, ...]
     index: Mapping = field(compare=False, repr=False)
     supports: Mapping = field(compare=False, repr=False)
-    neighbourhoods: tuple[frozenset, ...] = field(compare=False, repr=False)
 
     def atom_of(self, ideal: frozenset) -> int:
         """Atom id of a comonoform right ideal."""
@@ -97,35 +98,24 @@ def _atom_classes(ideals: list[frozenset], table: Mapping) -> list[list]:
     return [members for members, _ in classes]
 
 
-def _minimal_neighbourhoods(atoms: tuple[Atom, ...],
-                            supports: Mapping) -> tuple[frozenset, ...]:
-    """U_a, the least open set that contains atom a, for every atom.
+def _assert_discrete(atoms: tuple[Atom, ...], supports: Mapping) -> None:
+    """The atom spectrum of a finite ring is discrete.
 
-    Each Supp R/q with q in a contains a, and an open set that contains a
-    contains one of them (the definition behind is_open), so U_a is the
-    least of them.  Raises AssertionError unless a least one exists,
-    contains a, and contains U_b for each of its atoms b: then every U_a
-    is open, and the open sets are exactly the unions of the U_a.
+    Every atom a holds a simple module R/m, m a maximal right ideal.  Its
+    only nonzero subquotient is itself, so Supp R/m = {a}, and {a} is
+    open.  Raises AssertionError unless some member q of each atom a has
+    Supp R/q = {a}.
     """
-    hoods = tuple(
-        min((supports[q] for q in atom.members), key=len) for atom in atoms
-    )
-    for atom, hood in zip(atoms, hoods):
-        if atom.id not in hood or any(
-            not hood <= supports[q] for q in atom.members
-        ):
-            raise AssertionError(f"atom {atom.id} has no least support")
-        if any(not hoods[b] <= hood for b in hood):
-            raise AssertionError(
-                f"neighbourhood {sorted(hood)} of atom {atom.id} is not open"
-            )
-    return hoods
+    for atom in atoms:
+        if not any(supports[q] == {atom.id} for q in atom.members):
+            raise AssertionError(f"atom {atom.id} has no singleton support")
 
 
 @lru_cache(maxsize=None)
 def atom_spectrum(ring: FiniteRing) -> AtomSpectrum:
-    """Enumerate comonoform right ideals, partition them into atoms, and
-    derive the atom index, the supports and the minimal neighbourhoods.
+    """Enumerate comonoform right ideals, partition them into atoms, derive
+    the atom index and the supports, and assert that the topology is
+    discrete (_assert_discrete).
 
     Canonical class representative: the ideal with lexicographically
     smallest sorted element tuple.  Supp R/p is the set of atoms met by
@@ -155,12 +145,12 @@ def atom_spectrum(ring: FiniteRing) -> AtomSpectrum:
         p: frozenset().union(*(ids for q, ids in met.items() if p <= q))
         for p in index
     }
+    _assert_discrete(atoms, supports)
     return AtomSpectrum(
         ring=ring,
         atoms=atoms,
         index=MappingProxyType(index),
         supports=MappingProxyType(supports),
-        neighbourhoods=_minimal_neighbourhoods(atoms, supports),
     )
 
 
@@ -207,17 +197,16 @@ def is_open(spec: AtomSpectrum, phi: frozenset) -> bool:
 
 
 def enumerate_open_sets(spec: AtomSpectrum) -> list[frozenset]:
-    """All open subsets, sorted by (size, sorted atom ids): the unions of
-    the minimal open neighbourhoods, built as k-bit masks."""
+    """All open subsets, sorted by (size, sorted atom ids): every subset,
+    as the topology is discrete."""
     k = len(spec.atoms)
     if k > MAX_ATOMS_FOR_POWERSET:
         raise SpectrumError(
-            f"{k} atoms may have 2^{k} open sets, too many to list "
+            f"{k} atoms have 2^{k} open sets, too many to list "
             f"(max {MAX_ATOMS_FOR_POWERSET} atoms)"
         )
-    masks = {0}
-    for hood in spec.neighbourhoods:
-        bits = sum(1 << a for a in hood)
-        masks |= {mask | bits for mask in masks}
-    opens = [frozenset(a for a in range(k) if mask >> a & 1) for mask in masks]
-    return sorted(opens, key=lambda s: (len(s), tuple(sorted(s))))
+    return [
+        frozenset(c)
+        for size in range(k + 1)
+        for c in itertools.combinations(range(k), size)
+    ]

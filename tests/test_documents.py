@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from atomspec import rings
 from atomspec.rings import (
     DEFAULT_ORDER_CAP,
+    CapExceededError,
     RingError,
     RingFormatError,
     fp_algebra,
@@ -247,3 +248,12 @@ def test_a_first_row_longer_than_the_text_allows_is_declined():
     start = time.monotonic()
     assert rings._read_matrix(text, 1) is None
     assert time.monotonic() - start < 1.0
+
+
+def test_a_matrix_above_the_cap_stops_the_read():
+    # the add table's first row shows order 128 > 64, so the read stops
+    # there and never reaches the broken JSON after it
+    add = json.dumps(zmod(128).add.tolist())
+    text = '{"order": 128, "one": 1, "add": ' + add + ', "mul": [[0, '
+    with pytest.raises(CapExceededError, match="order 128 exceeds cap 64"):
+        parse_ring_document(text, order_cap=64)

@@ -1,33 +1,32 @@
-"""Open sets and Hasse covers from minimal open neighbourhoods, against
-their definitions.
+"""Open sets and Hasse covers of the discrete atom spectrum, against their
+definitions.
 
-`enumerate_open_sets` takes the unions of the minimal open neighbourhoods
-U_a, and `inclusion_edges` the minimal sets among the a | U_x.  The oracles
-here are the definitions they replaced: every subset tested with
-`is_open`, closure under pairwise union and intersection, and covers found
-by scanning for an open set strictly between.  They run on rings, whose
-topology is discrete, and on spectra built from the down-sets of posets,
-whose topology is not.
+Every atom of a finite ring holds a simple module whose support is that
+atom alone, so `atom_spectrum` asserts the topology discrete;
+`enumerate_open_sets` lists every subset of atoms, and `inclusion_edges`
+takes the covers of a to be the a | {x}.  The oracles here are the
+definitions they replaced: every subset tested with `is_open`, closure
+under pairwise union and intersection, and covers found by scanning for an
+open set strictly between.
 """
 
 import itertools
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
 
 from atomspec.rings import product, zmod
 from atomspec.serre import enumerate_serre, inclusion_edges
 from atomspec.spectrum import (
     Atom,
     AtomSpectrum,
+    _assert_discrete,
     _atom_classes,
-    _minimal_neighbourhoods,
     atom_spectrum,
     enumerate_open_sets,
     is_open,
 )
-from conftest import make_zoo, posets
+from conftest import make_zoo
 
 
 def open_sets_oracle(spec):
@@ -76,62 +75,26 @@ RINGS = make_zoo() + [boolean_ring(k) for k in (1, 3, 4, 5, 6, 7, 8)]
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda ring: ring.name)
 def test_open_sets_and_edges_match_oracles_on_rings(ring):
-    spec = atom_spectrum(ring)
-    # finite rings have a discrete atom spectrum
-    assert spec.neighbourhoods == tuple(
-        frozenset({atom.id}) for atom in spec.atoms
-    )
-    assert_matches_oracles(spec)
+    assert_matches_oracles(atom_spectrum(ring))
 
 
-def poset_spectrum(k, less, supports_of=None):
-    """Atoms 0..k-1 with one member each, {-1 - x} for atom x, whose
-    support is the down-set of x unless supports_of gives it."""
-    below = {x: {x} | {y for y, z in less if z == x} for x in range(k)}
+def test_atom_without_singleton_support_is_rejected():
+    # atoms 0 and 1 with one member each, {-1 - x} for atom x; the member
+    # of atom 0 has support {0, 1}, so {0} would not be open
     atoms = tuple(
         Atom(id=x, canonical_rep=frozenset({-1 - x}),
              members=(frozenset({-1 - x}),))
-        for x in range(k)
+        for x in range(2)
     )
-    supports = {
-        atom.members[0]: frozenset(
-            supports_of[atom.id] if supports_of else below[atom.id]
-        )
-        for atom in atoms
-    }
-    return AtomSpectrum(
-        ring=None,
-        atoms=atoms,
-        index=MappingProxyType({a.members[0]: a.id for a in atoms}),
-        supports=MappingProxyType(supports),
-        neighbourhoods=_minimal_neighbourhoods(atoms, supports),
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(posets(max_points=7))
-def test_open_sets_and_edges_match_oracles_on_posets(poset):
-    k, less = poset
-    spec = poset_spectrum(k, less)
-    downsets = {
-        frozenset(sub)
-        for size in range(k + 1)
-        for sub in itertools.combinations(range(k), size)
-        if all(y in sub for y, x in less if x in sub)
-    }
-    assert set(enumerate_open_sets(spec)) == downsets
-    assert_matches_oracles(spec)
-
-
-def test_neighbourhood_that_is_not_open_is_rejected():
-    # U_0 = {0, 1} holds atom 1, but U_1 = {1, 2} is not inside it
-    with pytest.raises(AssertionError, match="not open"):
-        poset_spectrum(3, [], supports_of=[{0, 1}, {1, 2}, {2}])
-
-
-def test_neighbourhood_must_hold_its_atom():
-    with pytest.raises(AssertionError, match="no least"):
-        poset_spectrum(2, [], supports_of=[{1}, {1}])
+    supports = MappingProxyType({
+        atoms[0].members[0]: frozenset({0, 1}),
+        atoms[1].members[0]: frozenset({1}),
+    })
+    with pytest.raises(AssertionError, match="atom 0 has no singleton"):
+        _assert_discrete(atoms, supports)
+    spec = AtomSpectrum(ring=None, atoms=atoms,
+                        index=MappingProxyType({}), supports=supports)
+    assert not is_open(spec, frozenset({0}))
 
 
 def test_row_meeting_two_atom_classes_is_rejected():
