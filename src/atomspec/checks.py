@@ -54,7 +54,12 @@ from .monoform import (
     max_monoform_submodule,
     monoform_filtration,
 )
-from .rings import FiniteRing, RingAxiomError, validate_ring
+from .rings import (
+    FiniteRing,
+    RingAxiomError,
+    additive_generators,
+    validate_ring,
+)
 from .serre import SerreError
 from .spectrum import (
     AtomSpectrum,
@@ -203,9 +208,13 @@ def _close_map(tables: tuple, phi: dict) -> dict | None:
 def is_isomorphic(a: RightModule, b: RightModule) -> bool:
     """Existence of a bijective module homomorphism.
 
-    Backtracking over images of a minimal generating sequence of a,
-    pruning candidates by annihilator equality.
+    Equal modules (same ring, order and tables) are isomorphic through
+    the identity, with no search.  Otherwise backtracking over images of
+    a minimal generating sequence of a, pruning candidates by annihilator
+    equality.
     """
+    if a == b:
+        return True
     if a.ring != b.ring:
         return False
     if a.order != b.order:
@@ -583,29 +592,46 @@ def check_cyclic_iso_quotient(ring: FiniteRing):
     exhibits an isomorphism instead of searching for one.
     """
     reg = regular_module(ring)
-    quotients = {}  # R/Ann(x) once per distinct annihilator
+    ring_gens = additive_generators(ring.add)
+    quotients = {}  # R/Ann(x) and its additive generators, once per Ann(x)
     for mod in _cyclic_modules(ring):
         cyclics = {}  # xR once per distinct cyclic submodule of mod
         for x in range(mod.order):
             ann = annihilator(mod, x)
             if ann not in quotients:
-                quotients[ann] = quotient_module(reg, ann)
+                quo, proj = quotient_module(reg, ann)
+                quotients[ann] = quo, proj, additive_generators(quo.add)
             members = cyclic_submodule(mod, x)
             if members not in cyclics:
                 cyclics[members] = sub_module(mod, members)
             if not _canonical_map_is_iso(mod, x, *quotients[ann],
-                                         *cyclics[members]):
+                                         *cyclics[members], ring_gens):
                 return False, (mod.provenance, x)
     return True, None
 
 
 def _canonical_map_is_iso(mod: RightModule, x: int, quo: RightModule,
-                          proj: tuple, cyc: RightModule, incl: tuple) -> bool:
+                          proj: tuple, quo_gens: list, cyc: RightModule,
+                          incl: tuple, ring_gens: list) -> bool:
     """phi(r + Ann(x)) = x.r is a well-defined, bijective, additive and
     R-linear map from quo = R/Ann(x) to cyc = xR.
 
     proj sends each r in R to its coset id in quo; incl sends the ids of
-    cyc to elements of mod.
+    cyc to elements of mod.  quo_gens and ring_gens generate (quo, +) and
+    (R, +).  Additivity is tested as phi(u + g) = phi(u) + phi(g) for
+    every u and every g in quo_gens, and R-linearity as phi(u.a) =
+    phi(u).a for every u and every a in ring_gens: O(m |A| + n) in all
+    for |quo| = m, |R| = n and A the larger generating set.
+
+    That suffices for modules, which quo and cyc are.  In a finite group
+    -g is a multiple of g, so every v in quo is a sum g_1 + ... + g_k of
+    members of quo_gens.  With v' = g_1 + ... + g_{k-1}, associativity
+    on both sides and induction on k give phi(u + v) = phi(u + v') +
+    phi(g_k) = phi(u) + phi(v') + phi(g_k) = phi(u) + phi(v); and phi(0)
+    = 0, as phi(g) = phi(0 + g) = phi(0) + phi(g).  Likewise every a in
+    R is a sum a' + g with g in ring_gens, and right distributivity with
+    the additivity just shown give phi(u.(a' + g)) = phi(u.a' + u.g) =
+    phi(u).a' + phi(u).g = phi(u).(a' + g), by induction on the length.
     """
     row = mod.act[x]  # x.r for each r
     proj = np.array(proj, dtype=np.intp)
@@ -622,8 +648,8 @@ def _canonical_map_is_iso(mod: RightModule, x: int, quo: RightModule,
     if not np.array_equal(np.sort(phi), np.arange(cyc.order)):
         return False
     return bool(
-        (phi[quo.add] == cyc.add[phi[:, None], phi]).all()
-        and (phi[quo.act] == cyc.act[phi]).all()
+        (phi[quo.add[:, quo_gens]] == cyc.add[phi[:, None], phi[quo_gens]]).all()
+        and (phi[quo.act[:, ring_gens]] == cyc.act[phi[:, None], ring_gens]).all()
     )
 
 

@@ -1,15 +1,29 @@
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import atomspec
 from atomspec import checks
 from atomspec.checks import ALL_CHECKS, check_suite
-from atomspec.modules import RightModule
+from atomspec.modules import (
+    RightModule,
+    direct_sum,
+    quotient,
+    regular_module,
+    sub_module,
+    submodule_lattice,
+)
 from atomspec.monoform import is_monoform
-from atomspec.rings import mat, parse_ring_spec, product, zmod
+from atomspec.rings import fp_algebra, mat, parse_ring_spec, product, zmod
 from atomspec.spectrum import atom_spectrum
+
+from conftest import make_zoo
+
+ZOO = make_zoo()
 
 
 def test_suite_passes_on_triangular_ring(tri2_2):
@@ -73,6 +87,148 @@ def test_canonical_map_check_sees_dropped_inclusion(small_ring, monkeypatch):
 
     monkeypatch.setattr(checks, "sub_module", dropped)
     _assert_cyclic_iso_fails(small_ring)
+
+
+@pytest.mark.parametrize("spec", ["tri2:2", "mat:2:2"])
+def test_canonical_map_check_sees_a_twisted_action(spec, monkeypatch):
+    # R/Ann(x) with a acting as t a t^-1 for a unit t that is not central:
+    # still a module, and phi still additive and bijective, but not R-linear
+    ring = parse_ring_spec(spec)
+    mul, one = ring.mul, ring.one
+    t, s = next((t, s) for t in range(ring.order) for s in range(ring.order)
+                if mul[t, s] == one and mul[s, t] == one
+                and (mul[t] != mul[:, t]).any())
+    twist = mul[mul[t], s]  # a -> t a s
+    real = checks.quotient_module
+
+    def twisted(module, sub):
+        quot, proj = real(module, sub)
+        quot = RightModule(ring=ring, order=quot.order, add=quot.add,
+                           act=quot.act[:, twist])
+        checks.validate_module(quot)
+        return quot, proj
+
+    monkeypatch.setattr(checks, "quotient_module", twisted)
+    _assert_cyclic_iso_fails(ring)
+
+
+@pytest.mark.parametrize("ring", ["zmod:12", "tri2:2", "mat:2:2"])
+def test_canonical_map_modules_satisfy_the_module_axioms(ring, monkeypatch):
+    # the map is checked on additive generators only, which is complete
+    # for modules: every R/Ann(x) and xR built must pass the literal axioms
+    built = []
+
+    def recording(make):
+        def build(module, sub):
+            made = make(module, sub)
+            built.append(made[0])
+            return made
+        return build
+
+    monkeypatch.setattr(checks, "quotient_module",
+                        recording(checks.quotient_module))
+    monkeypatch.setattr(checks, "sub_module", recording(checks.sub_module))
+    assert checks.check_cyclic_iso_quotient(parse_ring_spec(ring))[1]
+    assert built
+    for module in built:
+        checks.validate_module(module)
+
+
+def _no_search(*args):
+    raise AssertionError("equal modules need no search")
+
+
+def test_equal_modules_are_isomorphic_without_a_search(small_ring,
+                                                       monkeypatch):
+    monkeypatch.setattr(checks, "_close_map", _no_search)
+    monkeypatch.setattr(checks, "annihilator_keys", _no_search)
+    for module in checks._cyclic_modules(small_ring):
+        copy = RightModule(ring=module.ring, order=module.order,
+                           add=module.add.copy(), act=module.act.copy(),
+                           provenance="copy")
+        assert checks.is_isomorphic(module, module)
+        assert checks.is_isomorphic(module, copy)
+
+
+@st.composite
+def small_modules(draw):
+    """A quotient or submodule of R_R, or the direct sum of two of order
+    at most 64, over a zoo ring."""
+    reg = regular_module(draw(st.sampled_from(ZOO)))
+    lattice = submodule_lattice(reg)
+
+    def piece():
+        ideal = draw(st.sampled_from(lattice))
+        if draw(st.booleans()):
+            return quotient(reg, ideal)
+        return sub_module(reg, ideal)[0]
+
+    module = piece()
+    if draw(st.booleans()):
+        other = piece()
+        if module.order * other.order <= 64:
+            module = direct_sum(module, other)
+    return module
+
+
+def relabelled(module, perm):
+    """The module with element x renamed perm[x]; perm fixes 0."""
+    inverse = np.argsort(perm)
+    return RightModule(ring=module.ring, order=module.order,
+                       add=perm[module.add[np.ix_(inverse, inverse)]],
+                       act=perm[module.act[inverse]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_relabelled_modules_are_isomorphic(data):
+    # the tables differ (unless perm is an automorphism), so this reaches
+    # the search
+    module = data.draw(small_modules())
+    rest = data.draw(st.permutations(range(1, module.order)))
+    perm = np.array([0, *rest], dtype=np.intp)
+    assert checks.is_isomorphic(module, relabelled(module, perm))
+
+
+def _pencil_module(ring, a, b):
+    """The F_2[x, y]/(x, y)^2-module k^2 + k^3, with x and y sending the
+    top t in k^2 to a.t and b.t in the socle k^3; elements are t*8 + s."""
+    ids = np.arange(32)
+    top, soc = ids >> 3, ids & 7
+    bits = (top[:, None] >> np.array([1, 0])) & 1  # t as a vector
+    images = [(bits @ np.array(m).T % 2) @ np.array([4, 2, 1])
+              for m in (a, b)]
+    act = np.zeros((32, 8), dtype=np.int64)
+    for r in range(8):  # r = c0*4 + cx*2 + cy, as fp_algebra enumerates
+        c0, cx, cy = r >> 2, (r >> 1) & 1, r & 1
+        act[:, r] = ((c0 * top) << 3) | (
+            (c0 * soc) ^ (cx * images[0]) ^ (cy * images[1]))
+    return RightModule(ring=ring, order=32,
+                       add=ids[:, None] ^ ids[None, :], act=act)
+
+
+def test_same_invariant_key_but_not_isomorphic():
+    # over F_2[x, y]/(x, y)^2 (basis 1, x, y), two modules with the same
+    # annihilator multiset: in the first, xM + yM has order 4, so it has
+    # a simple direct summand; in the second, xM + yM has order 8
+    consts = np.zeros((3, 3, 3), dtype=int)
+    consts[0, 0, 0] = consts[0, 1, 1] = consts[1, 0, 1] = 1
+    consts[0, 2, 2] = consts[2, 0, 2] = 1
+    ring = fp_algebra(2, 3, consts, [1, 0, 0])
+    x_map = [(0, 0), (0, 0), (0, 1)]
+    split = _pencil_module(ring, x_map, [(0, 0), (0, 1), (1, 0)])
+    whole = _pencil_module(ring, x_map, [(0, 1), (1, 0), (0, 0)])
+    for module in (split, whole):
+        checks.validate_module(module)
+    assert checks._invariant_key(split) == checks._invariant_key(whole)
+
+    def radical_order(module):  # |xM + yM|, x and y being ids 2 and 1
+        return len(np.unique(module.add[module.act[:, 2][:, None],
+                                        module.act[:, 1]]))
+
+    assert (radical_order(split), radical_order(whole)) == (4, 8)
+    assert not checks.is_isomorphic(split, whole)
+    assert not checks.is_isomorphic(whole, split)
 
 
 def test_monoform_implies_uniform_sees_a_uniform_module_refused(small_ring,

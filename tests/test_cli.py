@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -224,6 +225,30 @@ def test_check_imports_no_masked_arrays():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task to count threads")
+@pytest.mark.parametrize("given", [None, "2"])
+def test_import_starts_no_blas_workers_and_restores_the_environment(given):
+    # OpenBLAS is held to one thread while numpy loads, unless the user set
+    # its thread count; either way the import leaves the variable as given
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    code = (
+        "import atomspec.cli, os\n"
+        "print(len(os.listdir('/proc/self/task')))\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    threads, value = proc.stdout.split()
+    assert value == str(given)
+    if given is None:
+        assert threads == "1"
 
 
 def test_console_entry_point_subprocess():
