@@ -122,14 +122,7 @@ def annihilator_keys(module: RightModule) -> list[bytes]:
 def embeds_in(small: RightModule, big: RightModule) -> bool:
     """Literal injective-homomorphism search; brute-force oracle for the
     annihilator-set reduction."""
-    if small.order > big.order:
-        return False
-    for target in submodule_lattice(big):
-        if len(target) != small.order:
-            continue
-        if is_isomorphic(small, sub_module(big, target)[0]):
-            return True
-    return False
+    return small.ring == big.ring and _embedding_exists(small, big)
 
 
 def is_uniform_bruteforce(module: RightModule) -> bool:
@@ -176,73 +169,84 @@ def minimal_generating_sequence(module: RightModule) -> list[int]:
     return gens
 
 
-def _close_map(tables: tuple, phi: dict) -> dict | None:
-    """Close a partial map under addition and action; None on conflict.
+def _extend(a: RightModule, b: RightModule, phi: np.ndarray, g: int,
+            y: int) -> np.ndarray | None:
+    """phi, a map on a submodule S of a (-1 elsewhere), extended to S + gR
+    by u + g.r -> phi(u) + y.r; None unless that is well defined and
+    injective.
 
-    tables holds (add, act) of the source and then of the target, as
-    lists: indexing them is much faster than indexing numpy arrays.
+    The pairs are S x gR, each element of gR taken at its least r, so no
+    temporary is larger than a's addition table.  g.r -> y.r needs no
+    test of its own: the candidates y have Ann(y) = Ann(g), so g.r = g.s
+    exactly when y.r = y.s.
     """
-    add_m, act_m, add_n, act_n = tables
-    queue = list(phi)
-    while queue:
-        x = queue.pop()
-        fx = phi[x]
-        for d, v in zip(act_m[x], act_n[fx]):
-            if d in phi:
-                if phi[d] != v:
-                    return None
-            else:
-                phi[d] = v
-                queue.append(d)
-        for y, fy in list(phi.items()):
-            d, v = add_m[x][y], add_n[fx][fy]
-            if d in phi:
-                if phi[d] != v:
-                    return None
-            else:
-                phi[d] = v
-                queue.append(d)
-    return phi
+    row = a.act[g]
+    by_value = np.argsort(row, kind="stable")
+    least = np.ones(len(row), dtype=bool)
+    least[1:] = row[by_value[1:]] != row[by_value[:-1]]
+    rs = by_value[least]
+    inside = np.flatnonzero(phi >= 0)
+    sums = a.add[inside[:, None], row[rs]]
+    images = b.add[phi[inside][:, None], b.act[y, rs]]
+    ext = np.full(a.order, -1, dtype=np.intp)
+    ext[sums] = images
+    if (ext[sums] != images).any():
+        return None  # u + g.r = u' + g.r' with different images
+    hit = np.zeros(b.order, dtype=bool)
+    hit[images] = True
+    if hit.sum() != (ext >= 0).sum():
+        return None  # two elements with one image
+    return ext
+
+
+def _embedding_exists(a: RightModule, b: RightModule) -> bool:
+    """Whether an injective homomorphism a -> b exists, for modules over
+    the same ring.
+
+    False when a's annihilator multiset does not fit inside b's, as an
+    embedding keeps every element's annihilator.  Otherwise backtracking
+    over the images y_j of the generators g_j of
+    minimal_generating_sequence(a), with Ann(y_j) = Ann(g_j), extending
+    phi one generator at a time by _extend.
+
+    By induction on j, phi(g_1 r_1 + ... + g_j r_j) = y_1 r_1 + ... +
+    y_j r_j for every such sum, so phi is additive and R-linear on the
+    submodule the g_j generate, and a full phi is an embedding; between
+    modules of equal order it is injective, hence bijective.  Any
+    embedding psi is found: y_j = psi(g_j) has Ann(y_j) = Ann(g_j), and
+    each extension step agrees with psi, which is well defined and
+    injective.
+    """
+    keys_a, keys_b = annihilator_keys(a), annihilator_keys(b)
+    if not Counter(keys_a) <= Counter(keys_b):
+        return False
+    gens = minimal_generating_sequence(a)
+
+    def search(i: int, phi: np.ndarray) -> bool:
+        if i == len(gens):
+            return True
+        g = gens[i]
+        for y in range(b.order):
+            if keys_b[y] == keys_a[g]:
+                ext = _extend(a, b, phi, g, y)
+                if ext is not None and search(i + 1, ext):
+                    return True
+        return False
+
+    phi = np.full(a.order, -1, dtype=np.intp)
+    phi[0] = 0
+    return search(0, phi)
 
 
 def is_isomorphic(a: RightModule, b: RightModule) -> bool:
     """Existence of a bijective module homomorphism.
 
     Equal modules (same ring, order and tables) are isomorphic through
-    the identity, with no search.  Otherwise backtracking over images of
-    a minimal generating sequence of a, pruning candidates by annihilator
-    equality.
+    the identity, with no search.  Otherwise an embedding between modules
+    of the same order over the same ring, which is a bijection.
     """
-    if a == b:
-        return True
-    if a.ring != b.ring:
-        return False
-    if a.order != b.order:
-        return False
-    if a.order == 1:
-        return True
-    keys_a, keys_b = annihilator_keys(a), annihilator_keys(b)
-    if Counter(keys_a) != Counter(keys_b):
-        return False
-    gens = minimal_generating_sequence(a)
-    tables = (a.add.tolist(), a.act.tolist(), b.add.tolist(), b.act.tolist())
-
-    def search(i: int, phi: dict) -> bool:
-        if i == len(gens):
-            return len(phi) == a.order and len(set(phi.values())) == a.order
-        g = gens[i]
-        if g in phi:
-            return search(i + 1, phi)
-        used = set(phi.values())
-        for y in range(b.order):
-            if y in used or keys_b[y] != keys_a[g]:
-                continue
-            trial = _close_map(tables, {**phi, g: y})
-            if trial is not None and search(i + 1, trial):
-                return True
-        return False
-
-    return search(0, _close_map(tables, {0: 0}) or {0: 0})
+    return a == b or (a.ring == b.ring and a.order == b.order
+                      and _embedding_exists(a, b))
 
 
 # monoform: the socle criterion, and the colon-table criterion alone
@@ -373,16 +377,10 @@ def closure_oracle(universe: ClosureUniverse, gens) -> frozenset:
     return frozenset(closed)
 
 
-def _closed_sub(universe: ClosureUniverse, xs: frozenset) -> frozenset:
-    return frozenset(
-        cls for m in xs for cls in universe.sub_classes[m]
-    ) | xs
-
-
-def _closed_quot(universe: ClosureUniverse, xs: frozenset) -> frozenset:
-    return frozenset(
-        cls for m in xs for cls in universe.quot_classes[m]
-    ) | xs
+def _closed(classes: tuple[frozenset, ...], xs: frozenset) -> frozenset:
+    """xs and the classes listed for its members: universe.sub_classes or
+    universe.quot_classes."""
+    return frozenset(cls for m in xs for cls in classes[m]) | xs
 
 
 def _star(universe: ClosureUniverse, xs: frozenset, ys: frozenset) -> frozenset:
@@ -409,11 +407,10 @@ def calculus_check(universe: ClosureUniverse, samples: int = 100) -> dict:
         )
         return picks | {zero}
 
+    subs, quots = universe.sub_classes, universe.quot_classes
     for trial in range(samples):
         x, y, z = sample_set(), sample_set(), sample_set()
-        if _closed_quot(universe, _closed_sub(universe, x)) != _closed_sub(
-            universe, _closed_quot(universe, x)
-        ):
+        if _closed(quots, _closed(subs, x)) != _closed(subs, _closed(quots, x)):
             violations.append(("sub-quot exchange", trial, sorted(x)))
         lhs = _star(universe, _star(universe, x, y), z)
         rhs = _star(universe, x, _star(universe, y, z))
@@ -422,14 +419,13 @@ def calculus_check(universe: ClosureUniverse, samples: int = 100) -> dict:
                 ("star associativity", trial, sorted(x), sorted(y), sorted(z))
             )
         sxy = _star(universe, x, y)
-        if not _closed_sub(universe, sxy) <= _star(
-            universe, _closed_sub(universe, x), _closed_sub(universe, y)
-        ):
-            violations.append(("sub over star", trial, sorted(x), sorted(y)))
-        if not _closed_quot(universe, sxy) <= _star(
-            universe, _closed_quot(universe, x), _closed_quot(universe, y)
-        ):
-            violations.append(("quot over star", trial, sorted(x), sorted(y)))
+        for kind, classes in (("sub", subs), ("quot", quots)):
+            if not _closed(classes, sxy) <= _star(
+                universe, _closed(classes, x), _closed(classes, y)
+            ):
+                violations.append(
+                    (f"{kind} over star", trial, sorted(x), sorted(y))
+                )
     return {
         "samples": samples,
         "universe_size": size,
@@ -931,7 +927,7 @@ def check_oracle_soundness(ring: FiniteRing):
     spec = atom_spectrum(ring)
     reg = regular_module(ring)
     universe = build_universe(reg)
-    supports = [atom_support(spec, m) for m in universe.members]
+    supports = universe_supports(universe, spec)
     rng = random.Random(0)
     for _ in range(5):
         gens = frozenset(

@@ -19,7 +19,6 @@ import json
 import sys
 import time
 from collections.abc import Iterator
-from pathlib import Path
 
 from .checks import check_suite
 from .modules import (
@@ -35,6 +34,7 @@ from .rings import (
     DEFAULT_ORDER_CAP,
     FiniteRing,
     RingError,
+    RingFormatError,
     parse_ring_document,
     parse_ring_spec,
 )
@@ -60,12 +60,17 @@ def _load_ring(source: str, order_cap: int) -> FiniteRing:
     head = source.split(":", 1)[0]
     if head in BUILTIN_PREFIXES:
         return parse_ring_spec(source, order_cap=order_cap)
+    # read as text, so no copy of the document's bytes stays alive while
+    # it is parsed and validated; newline="" keeps the text as written
     try:
-        data = Path(source).read_bytes()
+        with open(source, encoding="utf-8", newline="") as f:
+            text = f.read()
     except OSError as exc:  # missing, a directory, or not readable
         raise DomainError(f"ring file {source!r} cannot be read: "
                           f"{exc.strerror}") from exc
-    return parse_ring_document(data, order_cap=order_cap)
+    except UnicodeDecodeError as exc:
+        raise RingFormatError(f"not UTF-8 text: {exc}") from exc
+    return parse_ring_document(text, order_cap=order_cap)
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -131,19 +136,11 @@ def _payload(args, ring: FiniteRing) -> dict:
     if verb == "monoform":
         module = parse_module_spec(ring, args.module, order_cap=args.max_order)
         return {"module": args.module, "monoform": is_monoform(module)}
-    if verb == "support":
+    if verb in ("support", "ass"):
         module = parse_module_spec(ring, args.module, order_cap=args.max_order)
         spec = atom_spectrum(ring)
-        atoms = sorted(atom_support(spec, module))
-        return {
-            "module": args.module,
-            "atoms": atoms,
-            "reps": [sorted(spec.atoms[a].canonical_rep) for a in atoms],
-        }
-    if verb == "ass":
-        module = parse_module_spec(ring, args.module, order_cap=args.max_order)
-        spec = atom_spectrum(ring)
-        atoms = sorted(associated_atoms(spec, module))
+        atoms_of = atom_support if verb == "support" else associated_atoms
+        atoms = sorted(atoms_of(spec, module))
         return {
             "module": args.module,
             "atoms": atoms,

@@ -140,7 +140,7 @@ def _no_search(*args):
 
 def test_equal_modules_are_isomorphic_without_a_search(small_ring,
                                                        monkeypatch):
-    monkeypatch.setattr(checks, "_close_map", _no_search)
+    monkeypatch.setattr(checks, "_embedding_exists", _no_search)
     monkeypatch.setattr(checks, "annihilator_keys", _no_search)
     for module in checks._cyclic_modules(small_ring):
         copy = RightModule(ring=module.ring, order=module.order,
@@ -188,6 +188,37 @@ def test_relabelled_modules_are_isomorphic(data):
     rest = data.draw(st.permutations(range(1, module.order)))
     perm = np.array([0, *rest], dtype=np.intp)
     assert checks.is_isomorphic(module, relabelled(module, perm))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_submodules_embed_and_no_module_embeds_in_a_smaller_one(data):
+    module = data.draw(small_modules())
+    members = data.draw(st.sampled_from(submodule_lattice(module)))
+    sub = sub_module(module, members)[0]
+    rest = data.draw(st.permutations(range(1, module.order)))
+    perm = np.array([0, *rest], dtype=np.intp)
+    assert checks.embeds_in(sub, module)
+    assert checks.embeds_in(sub, relabelled(module, perm))
+    if sub.order < module.order:
+        assert not checks.embeds_in(module, sub)
+
+
+def _no_lattice(*args):
+    raise AssertionError("the embedding search reads no lattice")
+
+
+def test_embedding_search_builds_no_lattice_or_submodule(small_ring,
+                                                         monkeypatch):
+    pairs = []
+    for module in checks._cyclic_modules(small_ring):
+        for members in submodule_lattice(module):
+            pairs.append((sub_module(module, members)[0], module))
+    monkeypatch.setattr(checks, "submodule_lattice", _no_lattice)
+    monkeypatch.setattr(checks, "sub_module", _no_lattice)
+    for sub, module in pairs:
+        assert checks.embeds_in(sub, module)
+        assert checks.embeds_in(module, sub) == (sub.order == module.order)
 
 
 def _pencil_module(ring, a, b):
@@ -265,10 +296,11 @@ def test_atom_equivalence_compares_no_module_tables(monkeypatch):
 TWINS = (
     "validate_module", "embeds_in", "is_uniform_bruteforce",
     "composition_factors_top_down", "_chief_series_top_down", "is_isomorphic",
-    "_close_map", "minimal_generating_sequence", "annihilator_keys",
+    "_extend", "_embedding_exists", "minimal_generating_sequence",
+    "annihilator_keys",
     "monoform_oracle_artinian", "monoform_by_colon_table",
     "ClosureUniverse", "_invariant_key", "_find_class", "build_universe",
-    "closure_oracle", "_closed_sub", "_closed_quot", "_star",
+    "closure_oracle", "_closed", "_star",
     "calculus_check", "universe_supports",
     "prime_ideals", "classical_support", "commutative_crosscheck",
 )

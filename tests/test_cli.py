@@ -312,6 +312,18 @@ def test_non_utf8_document_is_format_error(tmp_path, capsys):
     assert out["error"]["type"] == "RingFormatError"
 
 
+def test_crlf_document_validates_with_the_lf_hash(tmp_path, capsys):
+    text = json.dumps(json.loads(serialize_ring(zmod(12))), indent=1)
+    hashes = []
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(text.replace("\n", newline).encode())
+        code, _ = run(["validate", "--ring", str(path), "--format", "json"])
+        assert code == 0
+        hashes.append(json.loads(capsys.readouterr().out)["ring"]["hash"])
+    assert hashes[0] == hashes[1]
+
+
 @pytest.mark.parametrize("doc", [
     _zmod2_doc(one=True),
     _zmod2_doc(order=True, add=[[0]], mul=[[0]], one=0),
