@@ -32,37 +32,37 @@ _import_numpy_single_threaded()
 
 from .checks import (
     ClosureUniverse,
+    atom_equivalent,
     build_universe,
     calculus_check,
     check_suite,
     closure_oracle,
     commutative_crosscheck,
+    composition_factors,
+    is_completely_prime,
     is_isomorphic,
+    max_monoform_submodule,
     monoform_oracle_artinian,
+    socle,
 )
 from .modules import (
     RightModule,
     annihilator,
     annihilator_set,
-    composition_factors,
     cyclic_submodule,
     direct_sum,
-    generated_submodule,
     is_uniform,
     parse_module_spec,
     quotient,
     quotient_module,
     regular_module,
-    socle,
     sub_module,
     submodule_lattice,
 )
 from .monoform import (
     Filtration,
     is_comonoform,
-    is_completely_prime,
     is_monoform,
-    max_monoform_submodule,
     monoform_filtration,
 )
 from .rings import (
@@ -80,16 +80,12 @@ from .rings import (
 from .serre import (
     SerreSubcategory,
     enumerate_serre,
-    hasse_dot,
-    serre_contains,
-    serre_from_generators,
     serre_lattice,
 )
 from .spectrum import (
     Atom,
     AtomSpectrum,
     associated_atoms,
-    atom_equivalent,
     atom_spectrum,
     atom_support,
     enumerate_open_sets,

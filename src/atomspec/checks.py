@@ -1,9 +1,12 @@
 """Property battery over a single ring: every structural fact the library
 relies on, re-verified exhaustively at desk scale.
 
-The definitional twins come first: slow, literal versions of what the
-verbs compute fast, grouped by the module they check.  The properties
-and the tests call them; no other module of the package does.
+The definitional twins come first, grouped by the module they check:
+slow, literal versions of what the verbs compute fast, and the reference
+facts that no verb reports (socles, composition series, completely prime
+ideals, filtration factors, the largest monoform submodule and atom
+equivalence).  The properties and the tests call them; no other module
+of the package does.
 
 Each check returns (name, passed, witness), its name written once in its
 `_property` decorator, which also lists it in ALL_CHECKS in the order of
@@ -29,29 +32,25 @@ from .modules import (
     annihilator,
     annihilator_set,
     colon_table,
-    composition_factors,
     cyclic_submodule,
     direct_sum,
     is_submodule,
     is_uniform,
-    maximal_submodules,
     minimal_submodules,
     quotient,
     quotient_module,
     regular_module,
-    series_factors,
-    socle,
     sub_module,
     submodule_key,
     submodule_lattice,
     submodule_sum,
 )
 from .monoform import (
-    filtration_factor,
+    Filtration,
+    MonoformError,
     is_comonoform,
-    is_completely_prime,
     is_monoform,
-    max_monoform_submodule,
+    meets_no_row_above,
     monoform_filtration,
 )
 from .rings import (
@@ -65,7 +64,6 @@ from .spectrum import (
     AtomSpectrum,
     SpectrumError,
     associated_atoms,
-    atom_equivalent,
     atom_spectrum,
     atom_support,
     enumerate_open_sets,
@@ -76,7 +74,8 @@ from .spectrum import (
 # ---------------------------------------------------------------------------
 # definitional twins
 
-# modules: axioms, embeddings, uniformity, series and isomorphism
+# modules: axioms, embeddings, uniformity, socles, composition series and
+# isomorphism
 
 def validate_module(module: RightModule) -> RightModule:
     """Exhaustively check the abelian-group and right-module axioms."""
@@ -135,6 +134,35 @@ def is_uniform_bruteforce(module: RightModule) -> bool:
     )
 
 
+def maximal_submodules(module: RightModule) -> list[frozenset]:
+    lattice = submodule_lattice(module)
+    full = frozenset(range(module.order))
+    proper = [s for s in lattice if s != full]
+    return sorted(
+        (s for s in proper if not any(s < o for o in proper if o != s)),
+        key=submodule_key,
+    )
+
+
+def socle(module: RightModule) -> frozenset:
+    """Sum of all minimal nonzero submodules (zero for the zero module)."""
+    total = frozenset({0})
+    for s in minimal_submodules(module):
+        total = submodule_sum(module, total, s)
+    return total
+
+
+def _chief_series_bottom_up(module: RightModule) -> list[frozenset]:
+    """A maximal chain of submodules built from {0} upwards: each step is
+    the first strict superset in the lattice, sorted by size, so it covers
+    the last and every factor is simple."""
+    lattice = submodule_lattice(module)
+    chain = [frozenset({0})]
+    while len(chain[-1]) < module.order:
+        chain.append(next(s for s in lattice if chain[-1] < s))
+    return chain
+
+
 def _chief_series_top_down(module: RightModule) -> list[frozenset]:
     """Independent series strategy: strip maximal submodules from the top."""
     chain = [frozenset(range(module.order))]
@@ -149,6 +177,25 @@ def _chief_series_top_down(module: RightModule) -> list[frozenset]:
         to_parent = {i: to_parent[incl[i]] for i in range(current.order)}
     chain.reverse()
     return chain
+
+
+def series_factors(module: RightModule, chain: list[frozenset]) -> Counter:
+    factors: Counter = Counter()
+    for lower, upper in zip(chain, chain[1:]):
+        upper_mod, incl = sub_module(module, upper)
+        inner = frozenset(i for i in range(upper_mod.order) if incl[i] in lower)
+        factor = quotient(upper_mod, inner)
+        # simple modules are isomorphic iff their annihilator sets are equal
+        factors[annihilator_set(factor)] += 1
+    return factors
+
+
+def composition_factors(module: RightModule) -> Counter:
+    """Multiplicity of each simple factor of a chief series, keyed by its
+    annihilator set: one key per iso-class."""
+    if module.order == 1:
+        return Counter()
+    return series_factors(module, _chief_series_bottom_up(module))
 
 
 def composition_factors_top_down(module: RightModule) -> Counter:
@@ -249,17 +296,16 @@ def is_isomorphic(a: RightModule, b: RightModule) -> bool:
                       and _embedding_exists(a, b))
 
 
-# monoform: the socle criterion, and the colon-table criterion alone
+# monoform: the socle criterion, the colon-table criterion alone,
+# completely prime ideals, filtration factors and the largest monoform
+# submodule
 
 def monoform_by_colon_table(module: RightModule) -> bool:
     """is_monoform without its uniformity test: M nonzero, and row {0} of
     the colon table disjoint from every row N != 0.  Independent of
     is_uniform, so check_monoform_implies_uniform can compare the two."""
-    if module.order == 1:
-        return False
-    table = colon_table(module)
-    ann_m = table[frozenset({0})]
-    return not any(ann_m & row for sub, row in table.items() if len(sub) > 1)
+    return module.order > 1 and meets_no_row_above(
+        colon_table(module), frozenset({0}))
 
 
 @lru_cache(maxsize=None)
@@ -274,6 +320,56 @@ def monoform_oracle_artinian(module: RightModule) -> bool:
     # simple modules are isomorphic iff their annihilator sets are equal
     handle = annihilator_set(soc)
     return composition_factors(module)[handle] == 1
+
+
+def is_completely_prime(ring: FiniteRing, ideal: frozenset) -> bool:
+    """aI <= I and ab in I imply a in I or b in I, checked over all pairs."""
+    reg = regular_module(ring)
+    if not is_submodule(reg, ideal):
+        raise MonoformError(f"{sorted(ideal)} is not a right ideal")
+    if len(ideal) == ring.order:
+        return False
+    inside = np.zeros(ring.order, dtype=bool)
+    inside[list(ideal)] = True
+    outside = np.flatnonzero(~inside)
+    # the a outside I with aI <= I, and then each ab with b outside I
+    a = outside[inside[ring.mul[np.ix_(outside, list(ideal))]].all(axis=1)]
+    return not inside[ring.mul[np.ix_(a, outside)]].any()
+
+
+def filtration_factor(module: RightModule, filt: Filtration, i: int) -> RightModule:
+    """The i-th factor L_i / L_{i-1} as a standalone module."""
+    upper, incl = sub_module(module, filt.chain[i + 1])
+    inner = frozenset(
+        j for j in range(upper.order) if incl[j] in filt.chain[i]
+    )
+    return quotient(upper, inner)
+
+
+def max_monoform_submodule(module: RightModule) -> frozenset:
+    """Unique maximal monoform submodule of a uniform module.
+
+    Computed as the sum of all cyclic monoform submodules (every monoform
+    submodule contains a cyclic monoform one), then verified monoform and
+    verified to contain every monoform submodule of the full lattice.
+    xR is isomorphic to R/Ann(x), so it is monoform iff Ann(x) is
+    comonoform, and no cyclic submodule is built to find them.
+    """
+    if not is_uniform(module):
+        raise MonoformError("maximal monoform submodule requires a uniform module")
+    total = frozenset({0})
+    for x in range(1, module.order):
+        if is_comonoform(module.ring, annihilator(module, x)):
+            total = submodule_sum(module, total, cyclic_submodule(module, x))
+    if not is_monoform(sub_module(module, total)[0]):
+        raise AssertionError("sum of monoform submodules failed to be monoform")
+    for sub in submodule_lattice(module):
+        if len(sub) > 1 and is_monoform(sub_module(module, sub)[0]):
+            if not sub <= total:
+                raise AssertionError(
+                    f"monoform submodule {sorted(sub)} escapes the computed maximum"
+                )
+    return total
 
 
 # serre: the closure oracle over a bounded universe of subquotients
@@ -441,7 +537,19 @@ def universe_supports(universe: ClosureUniverse,
     )
 
 
-# spectrum: the classical prime spectrum of a commutative ring
+# spectrum: atom equivalence, and the classical prime spectrum of a
+# commutative ring
+
+def atom_equivalent(ring: FiniteRing, p: frozenset, q: frozenset) -> bool:
+    """R/p and R/q share a common nonzero submodule."""
+    for ideal in (p, q):
+        if not is_comonoform(ring, ideal):
+            raise SpectrumError(
+                f"{sorted(ideal)} is not a comonoform right ideal"
+            )
+    table = colon_table(regular_module(ring))
+    return bool(table[p] & table[q])
+
 
 def prime_ideals(ring: FiniteRing) -> list[frozenset]:
     """Classical prime ideals of a commutative ring (ab in P => a or b in P)."""
@@ -495,14 +603,8 @@ def commutative_crosscheck(ring: FiniteRing) -> dict:
         for atom in spec.atoms
     )
 
-    reg = regular_module(ring)
-    modules = [reg] + [
-        quotient(reg, ideal)
-        for ideal in submodule_lattice(reg)
-        if len(ideal) < ring.order
-    ]
     support_ok = True
-    for mod in modules:
+    for mod in _cyclic_modules(ring):
         got = frozenset(
             prime_of_atom[a] for a in atom_support(spec, mod)
         )

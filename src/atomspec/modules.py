@@ -9,9 +9,10 @@ enumeration so that equal constructions compare equal.
 The tables are read-only numpy arrays, as for rings (`TableRecord`), and
 equality and the hash read one digest of the ring, the order and the
 tables.  Submodule tests, quotients, submodules and direct sums are
-computed on whole arrays: the quotient M/N labels each element by the
-least element of its coset x + N, and the representatives are the
-elements that label themselves.
+computed on whole arrays.  One labelling of cosets (`coset_labels`)
+serves the lattice search, the quotient M/N and the colon table: each
+element is labelled by the least element of its coset x + N, and the
+representatives are the elements that label themselves.
 
 Each module's submodule lattice is computed once, by a breadth-first
 search from {0} whose successors of S are the sums S + xR for x outside
@@ -31,7 +32,6 @@ supports of every quotient are unions and intersections of rows.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
@@ -47,7 +47,7 @@ from .rings import (
     table_dtype,
 )
 
-DEFAULT_LATTICE_CAP = 1 << 20
+DEFAULT_LATTICE_CAP = 1 << 25  # bytes of submodule masks a lattice search keeps
 _BLOCK = 1 << 20  # action-table entries in a block of whole rows
 
 
@@ -88,12 +88,6 @@ def regular_module(ring: FiniteRing) -> RightModule:
     )
 
 
-def zero_module(ring: FiniteRing) -> RightModule:
-    return RightModule(
-        ring=ring, order=1, add=[[0]], act=[[0] * ring.order], provenance="zero",
-    )
-
-
 def is_submodule(module: RightModule, members: frozenset) -> bool:
     """members holds 0, lies in M, and is closed under addition and the
     action."""
@@ -104,14 +98,6 @@ def is_submodule(module: RightModule, members: frozenset) -> bool:
     inside[ids] = True
     return bool(inside[module.act[ids]].all()
                 and inside[module.add[ids[:, None], ids]].all())
-
-
-def generated_submodule(module: RightModule, xs) -> frozenset:
-    """Least submodule containing xs: the sum of the cyclics xR."""
-    total = frozenset({0})
-    for x in xs:
-        total = submodule_sum(module, total, cyclic_submodule(module, x))
-    return total
 
 
 def cyclic_submodule(module: RightModule, x: int) -> frozenset:
@@ -130,8 +116,10 @@ def submodule_sum(module: RightModule, a: frozenset, b: frozenset) -> frozenset:
 
 @lru_cache(maxsize=None)
 def submodule_lattice(module: RightModule) -> tuple[frozenset, ...]:
-    """All submodules, sorted by (cardinality, sorted element tuple), at
-    most DEFAULT_LATTICE_CAP of them.
+    """All submodules, sorted by (cardinality, sorted element tuple).
+    The search keeps a mask of m bytes for each submodule it finds, and
+    stops with CapExceededError once the masks would pass
+    DEFAULT_LATTICE_CAP bytes.
 
     Breadth-first search from {0}; the successors of S are S + xR for
     every x outside S, all found in one vectorised step: label each
@@ -140,26 +128,24 @@ def submodule_lattice(module: RightModule) -> tuple[frozenset, ...]:
     is a sum of cyclics, so the search is complete.
     """
     m = module.order
-    add, act = module.add, module.act
-    ids = np.arange(m)
-    zero = ids == 0
+    zero = np.arange(m) == 0
     found = {zero.tobytes(): zero}
     queue = [zero]
     for inside in queue:
-        labels = add[:, inside].min(axis=1)  # least element of v + S
-        reps = np.flatnonzero((labels == ids) & ~inside)
+        labels, reps = coset_labels(module, inside)
+        reps = reps[1:]  # the cosets other than S
         met = np.zeros((len(reps), m), dtype=bool)
-        met[np.arange(len(reps))[:, None], labels[act[reps]]] = True
+        met[np.arange(len(reps))[:, None], labels[module.act[reps]]] = True
         for members in met[:, labels]:
             key = members.tobytes()
             if key in found:
                 continue
             found[key] = members
             queue.append(members)
-            if len(found) > DEFAULT_LATTICE_CAP:
+            if len(found) * m > DEFAULT_LATTICE_CAP:
                 raise CapExceededError(
                     f"submodule lattice exceeded cap {DEFAULT_LATTICE_CAP} "
-                    f"(blew up at {len(found)} submodules)"
+                    f"bytes (blew up at {len(found)} submodules of order {m})"
                 )
     subs = (frozenset(np.flatnonzero(mask).tolist()) for mask in queue)
     return tuple(sorted(subs, key=submodule_key))
@@ -167,6 +153,16 @@ def submodule_lattice(module: RightModule) -> tuple[frozenset, ...]:
 
 def submodule_key(members: frozenset) -> tuple:
     return (len(members), tuple(sorted(members)))
+
+
+def coset_labels(module: RightModule, sub) -> tuple[np.ndarray, np.ndarray]:
+    """The cosets of a submodule S, given by its elements as a boolean mask
+    over M or a list of ids: the label of each x, the least element of
+    x + S, and the representatives, the elements that label themselves,
+    in id order.  The representatives are the ids of M/S, so S itself,
+    labelled 0, comes first."""
+    labels = module.add[:, sub].min(axis=1)
+    return labels, np.flatnonzero(labels == np.arange(module.order))
 
 
 def quotient_module(
@@ -183,8 +179,7 @@ def quotient_module(
         )
     add, act = module.add, module.act
     members = sorted(sub)
-    labels = add[:, members].min(axis=1)  # least element of x + N
-    reps = np.flatnonzero(labels == np.arange(module.order))
+    labels, reps = coset_labels(module, members)
     proj = np.searchsorted(reps, labels)
     quot = RightModule(
         ring=module.ring, order=len(reps), add=proj[add[reps[:, None], reps]],
@@ -270,8 +265,7 @@ def coset_colons(module: RightModule, sub: frozenset):
     of M/N in id order and their annihilators, without building M/N."""
     inside = np.zeros(module.order, dtype=bool)
     inside[list(sub)] = True
-    least = module.add[:, inside].min(axis=1)  # least element of x + N
-    reps = np.flatnonzero((least == np.arange(module.order)) & ~inside)
+    reps = coset_labels(module, inside)[1][1:]  # the cosets other than N
     yield from zip(reps.tolist(), inside[module.act[reps]])
 
 
@@ -329,65 +323,12 @@ def minimal_submodules(module: RightModule) -> list[frozenset]:
                   key=submodule_key)
 
 
-def maximal_submodules(module: RightModule) -> list[frozenset]:
-    lattice = submodule_lattice(module)
-    full = frozenset(range(module.order))
-    proper = [s for s in lattice if s != full]
-    return sorted(
-        (s for s in proper if not any(s < o for o in proper if o != s)),
-        key=submodule_key,
-    )
-
-
 def is_uniform(module: RightModule) -> bool:
     """Nonzero, and any two nonzero submodules intersect nontrivially;
     equivalently there is exactly one minimal nonzero submodule."""
     if module.order == 1:
         return False
     return len(minimal_submodules(module)) == 1
-
-
-def socle(module: RightModule) -> frozenset:
-    """Sum of all minimal nonzero submodules (zero for the zero module)."""
-    total = frozenset({0})
-    for s in minimal_submodules(module):
-        total = submodule_sum(module, total, s)
-    return total
-
-
-def _chief_series_bottom_up(module: RightModule) -> list[frozenset]:
-    """A maximal chain of submodules built from minimal submodules of the
-    successive quotients; every factor is simple."""
-    chain = [frozenset({0})]
-    current = frozenset({0})
-    full = frozenset(range(module.order))
-    while current != full:
-        quot, proj = quotient_module(module, current)
-        minimal = minimal_submodules(quot)[0]
-        current = frozenset(
-            x for x in range(module.order) if proj[x] in minimal
-        )
-        chain.append(current)
-    return chain
-
-
-def series_factors(module: RightModule, chain: list[frozenset]) -> Counter:
-    factors: Counter = Counter()
-    for lower, upper in zip(chain, chain[1:]):
-        upper_mod, incl = sub_module(module, upper)
-        inner = frozenset(i for i in range(upper_mod.order) if incl[i] in lower)
-        factor = quotient(upper_mod, inner)
-        # simple modules are isomorphic iff their annihilator sets are equal
-        factors[annihilator_set(factor)] += 1
-    return factors
-
-
-def composition_factors(module: RightModule) -> Counter:
-    """Multiplicity of each simple factor of a chief series, keyed by its
-    annihilator set: one key per iso-class."""
-    if module.order == 1:
-        return Counter()
-    return series_factors(module, _chief_series_bottom_up(module))
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,11 @@ import numpy as np
 
 from .modules import (
     RightModule,
-    annihilator,
     colon_table,
     coset_colons,
     cyclic_submodule,
-    is_submodule,
     is_uniform,
-    quotient,
     regular_module,
-    sub_module,
-    submodule_lattice,
     submodule_sum,
 )
 from .rings import FiniteRing
@@ -37,6 +32,20 @@ class Filtration:
     labels: tuple[frozenset, ...]
 
 
+def meets_no_row_above(table, sub: frozenset) -> bool:
+    """Row sub of a module M's colon table meets no row N > sub: M/sub is
+    monoform.
+
+    Subobject sharing is decided by annihilator-set intersection, and row
+    N is the annihilator set of M/N.  The submodules of M/sub are the
+    N/sub for N containing sub, and (M/sub)/(N/sub) = M/N, so M/sub
+    shares a nonzero submodule with one of its proper quotients iff row
+    sub meets some row N > sub.
+    """
+    row = table[sub]
+    return all(row.isdisjoint(other) for n, other in table.items() if n > sub)
+
+
 @lru_cache(maxsize=None)
 def is_monoform(module: RightModule) -> bool:
     """M nonzero and no nonzero submodule is shared between M and any M/N.
@@ -44,31 +53,19 @@ def is_monoform(module: RightModule) -> bool:
     A monoform module is uniform: nonzero A and B with A & B = 0 would
     share A with M/B, into which A maps injectively.  So a module that is
     not uniform, the zero module among them, is refused before its lattice
-    is built.  Otherwise subobject sharing is decided by annihilator-set
-    intersection, and the annihilator set of M/N is row N of the colon
-    table, so no quotient is built: M is monoform iff row {0} is disjoint
-    from every row N != 0.
+    is built.  Otherwise M = M/{0} is monoform iff row {0} of its colon
+    table meets no row above it, and no quotient is built.
     """
-    if not is_uniform(module):
-        return False
-    table = colon_table(module)
-    ann_m = table[frozenset({0})]
-    return not any(ann_m & row for sub, row in table.items() if len(sub) > 1)
+    return is_uniform(module) and meets_no_row_above(
+        colon_table(module), frozenset({0}))
 
 
 @lru_cache(maxsize=None)
 def _comonoform_flags(ring: FiniteRing) -> dict:
-    """{p: R/p is monoform} for every proper right ideal p.
-
-    The submodules of R/p are the q/p for q containing p, and
-    (R/p)/(q/p) = R/q, so R/p is monoform iff row p of the regular
-    module's colon table is disjoint from row q for every proper q > p.
-    """
+    """{p: R/p is monoform} for every proper right ideal p, each read off
+    row p of the regular module's colon table."""
     table = colon_table(regular_module(ring))
-    return {
-        p: not any(row & other for q, other in table.items() if q > p)
-        for p, row in table.items()
-    }
+    return {p: meets_no_row_above(table, p) for p in table}
 
 
 def is_comonoform(ring: FiniteRing, ideal: frozenset) -> bool:
@@ -79,21 +76,6 @@ def is_comonoform(ring: FiniteRing, ideal: frozenset) -> bool:
             raise MonoformError("the full ring is not a comonoform right ideal")
         raise MonoformError(f"{sorted(ideal)} is not a right ideal")
     return flags[ideal]
-
-
-def is_completely_prime(ring: FiniteRing, ideal: frozenset) -> bool:
-    """aI <= I and ab in I imply a in I or b in I, checked over all pairs."""
-    reg = regular_module(ring)
-    if not is_submodule(reg, ideal):
-        raise MonoformError(f"{sorted(ideal)} is not a right ideal")
-    if len(ideal) == ring.order:
-        return False
-    inside = np.zeros(ring.order, dtype=bool)
-    inside[list(ideal)] = True
-    outside = np.flatnonzero(~inside)
-    # the a outside I with aI <= I, and then each ab with b outside I
-    a = outside[inside[ring.mul[np.ix_(outside, list(ideal))]].all(axis=1)]
-    return not inside[ring.mul[np.ix_(a, outside)]].any()
 
 
 def monoform_filtration(module: RightModule) -> Filtration:
@@ -122,38 +104,3 @@ def monoform_filtration(module: RightModule) -> Filtration:
         chain.append(submodule_sum(module, chain[-1], cyclic_submodule(module, r)))
         labels.append(colon)
     return Filtration(chain=tuple(chain), labels=tuple(labels))
-
-
-def filtration_factor(module: RightModule, filt: Filtration, i: int) -> RightModule:
-    """The i-th factor L_i / L_{i-1} as a standalone module."""
-    upper, incl = sub_module(module, filt.chain[i + 1])
-    inner = frozenset(
-        j for j in range(upper.order) if incl[j] in filt.chain[i]
-    )
-    return quotient(upper, inner)
-
-
-def max_monoform_submodule(module: RightModule) -> frozenset:
-    """Unique maximal monoform submodule of a uniform module.
-
-    Computed as the sum of all cyclic monoform submodules (every monoform
-    submodule contains a cyclic monoform one), then verified monoform and
-    verified to contain every monoform submodule of the full lattice.
-    xR is isomorphic to R/Ann(x), so it is monoform iff Ann(x) is
-    comonoform, and no cyclic submodule is built to find them.
-    """
-    if not is_uniform(module):
-        raise MonoformError("maximal monoform submodule requires a uniform module")
-    total = frozenset({0})
-    for x in range(1, module.order):
-        if is_comonoform(module.ring, annihilator(module, x)):
-            total = submodule_sum(module, total, cyclic_submodule(module, x))
-    if not is_monoform(sub_module(module, total)[0]):
-        raise AssertionError("sum of monoform submodules failed to be monoform")
-    for sub in submodule_lattice(module):
-        if len(sub) > 1 and is_monoform(sub_module(module, sub)[0]):
-            if not sub <= total:
-                raise AssertionError(
-                    f"monoform submodule {sorted(sub)} escapes the computed maximum"
-                )
-    return total

@@ -6,14 +6,8 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .modules import RightModule, submodule_key
-from .spectrum import (
-    AtomSpectrum,
-    SpectrumError,
-    atom_support,
-    enumerate_open_sets,
-    is_open,
-)
+from .modules import submodule_key
+from .spectrum import AtomSpectrum, SpectrumError, enumerate_open_sets, is_open
 
 
 class SerreError(Exception):
@@ -33,23 +27,6 @@ class SerreSubcategory:
             raise SerreError(str(exc)) from exc
         if not opened:
             raise SerreError(f"{sorted(self.open_set)} is not an open set")
-
-
-def serre_from_generators(
-    spec: AtomSpectrum, modules: list[RightModule]
-) -> SerreSubcategory:
-    """Smallest Serre subcategory containing the generators, as the union
-    of their atom supports (open by construction, verified anyway)."""
-    phi = frozenset()
-    for mod in modules:
-        if mod.ring != spec.ring:
-            raise SerreError("generator is over a different ring")
-        phi |= atom_support(spec, mod)
-    return SerreSubcategory(spectrum=spec, open_set=phi)
-
-
-def serre_contains(sub: SerreSubcategory, module: RightModule) -> bool:
-    return atom_support(sub.spectrum, module) <= sub.open_set
 
 
 def _minimal_ideal_generators(
@@ -166,8 +143,3 @@ def dot_lines(lattice: dict) -> Iterator[str]:
     for i, j in lattice["edges"]:
         yield f"  n{i} -> n{j};"
     yield "}"
-
-
-def hasse_dot(lattice: dict) -> str:
-    """The lines of dot_lines as one text."""
-    return "".join(f"{line}\n" for line in dot_lines(lattice))

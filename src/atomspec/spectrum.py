@@ -63,17 +63,6 @@ class AtomSpectrum:
         return self.supports[ideal]
 
 
-def atom_equivalent(ring: FiniteRing, p: frozenset, q: frozenset) -> bool:
-    """R/p and R/q share a common nonzero submodule."""
-    for ideal in (p, q):
-        if not is_comonoform(ring, ideal):
-            raise SpectrumError(
-                f"{sorted(ideal)} is not a comonoform right ideal"
-            )
-    table = colon_table(regular_module(ring))
-    return bool(table[p] & table[q])
-
-
 def _atom_classes(ideals: list[frozenset], table: Mapping) -> list[list]:
     """Atom classes of the comonoform ideals, each in the order given.
 

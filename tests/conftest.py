@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from atomspec.rings import mat, product, tri2, zmod
+from atomspec.rings import fp_algebra, mat, product, tri2, zmod
 
 ZMOD_ORDERS = (4, 6, 8, 12, 30, 36, 60)
 
@@ -70,3 +70,37 @@ def incidence_constants(k, less):
             consts[i][j][index[x, w]] = 1
     unit = [int(x == y) for x, y in basis]
     return d, consts, unit
+
+
+def trivial_extension_constants(k):
+    """(dim, structure constants, unit vector) of F_p ⋉ F_p^k: basis 1,
+    e_1..e_k, with e_i e_j = 0 for i, j >= 1."""
+    d = k + 1
+    consts = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        consts[0][i][i] = consts[i][0][i] = 1
+    return d, consts, [1] + [0] * k
+
+
+def trivial_extension(p, k):
+    d, consts, unit = trivial_extension_constants(k)
+    return fp_algebra(p, d, consts, unit, name=f"F{p} x F{p}^{k}")
+
+
+def central_idempotents_mod_radical(ring) -> int:
+    """The number of central idempotents of R/J, J the Jacobson radical,
+    read off the tables without a lattice.
+
+    J = {x : 1 - xr is a unit for every r}, a unit being an element whose
+    row of mul holds one.  e + J is a central idempotent of R/J iff
+    e^2 - e and every ey - ye lie in J, and each such e + J holds |J|
+    elements of R.
+    """
+    add, mul = ring.add.astype(np.intp), ring.mul.astype(np.intp)
+    neg = add.argmin(axis=1)  # row x of add is a permutation; 0 = x + neg[x]
+    unit = (mul == ring.one).any(axis=1)
+    radical = unit[add[ring.one, neg[mul]]].all(axis=1)
+    e = np.arange(ring.order)
+    idempotent = radical[add[mul[e, e], neg]]
+    central = radical[add[mul, neg[mul.T]]].all(axis=1)
+    return int((idempotent & central).sum()) // int(radical.sum())

@@ -13,14 +13,16 @@ import pytest
 from atomspec.checks import (
     build_universe,
     closure_oracle,
+    filtration_factor,
     is_isomorphic,
+    max_monoform_submodule,
+    maximal_submodules,
     monoform_oracle_artinian,
     universe_supports,
 )
 from atomspec.modules import (
     direct_sum,
     is_uniform,
-    maximal_submodules,
     quotient,
     regular_module,
     sub_module,
@@ -28,10 +30,8 @@ from atomspec.modules import (
 )
 from atomspec.monoform import (
     MonoformError,
-    filtration_factor,
     is_comonoform,
     is_monoform,
-    max_monoform_submodule,
     monoform_filtration,
 )
 from atomspec.rings import tri2, zmod

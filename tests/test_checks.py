@@ -292,13 +292,17 @@ def test_atom_equivalence_compares_no_module_tables(monkeypatch):
     assert all(calls)
 
 
-# the slow definitional twins of the verbs, which live in checks.py only
+# the slow definitional twins of the verbs, and the reference facts only the
+# checks read, which live in checks.py only
 TWINS = (
     "validate_module", "embeds_in", "is_uniform_bruteforce",
     "composition_factors_top_down", "_chief_series_top_down", "is_isomorphic",
     "_extend", "_embedding_exists", "minimal_generating_sequence",
-    "annihilator_keys",
+    "annihilator_keys", "maximal_submodules", "socle",
+    "_chief_series_bottom_up", "series_factors", "composition_factors",
     "monoform_oracle_artinian", "monoform_by_colon_table",
+    "is_completely_prime", "filtration_factor", "max_monoform_submodule",
+    "atom_equivalent",
     "ClosureUniverse", "_invariant_key", "_find_class", "build_universe",
     "closure_oracle", "_closed", "_star",
     "calculus_check", "universe_supports",
@@ -344,13 +348,12 @@ def test_package_exports_are_unchanged():
         "checks", "closure_oracle", "commutative_crosscheck",
         "composition_factors", "cyclic_submodule", "direct_sum",
         "enumerate_open_sets", "enumerate_serre", "fp_algebra",
-        "generated_submodule", "hasse_dot", "is_comonoform",
-        "is_completely_prime", "is_isomorphic", "is_monoform", "is_open",
-        "is_uniform", "mat", "max_monoform_submodule", "modules", "monoform",
+        "is_comonoform", "is_completely_prime", "is_isomorphic",
+        "is_monoform", "is_open", "is_uniform", "mat",
+        "max_monoform_submodule", "modules", "monoform",
         "monoform_filtration", "monoform_oracle_artinian",
         "parse_module_spec", "parse_ring_document", "parse_ring_spec",
         "product", "quotient", "quotient_module", "regular_module", "rings",
-        "serialize_ring", "serre", "serre_contains", "serre_from_generators",
-        "serre_lattice", "socle", "spectrum", "sub_module",
-        "submodule_lattice", "tri2", "validate_ring", "zmod",
+        "serialize_ring", "serre", "serre_lattice", "socle", "spectrum",
+        "sub_module", "submodule_lattice", "tri2", "validate_ring", "zmod",
     ]

@@ -207,7 +207,8 @@ def test_graph_format_restricted_to_serre():
 
 
 def test_max_lattice_flag_is_a_usage_error():
-    # the lattice search is bounded by DEFAULT_LATTICE_CAP, not by a flag
+    # the lattice search is bounded by DEFAULT_LATTICE_CAP, a budget of the
+    # bytes it keeps, not by a flag
     with pytest.raises(SystemExit) as exc:
         run(["ideals", "--ring", "zmod:12", "--max-lattice", "10"])
     assert exc.value.code == 2

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atomspec.checks import atom_equivalent
 from atomspec.modules import (
     annihilator,
     annihilator_set,
@@ -33,7 +34,7 @@ from atomspec.monoform import (
     monoform_filtration,
 )
 from atomspec.rings import zmod
-from atomspec.spectrum import atom_equivalent, atom_spectrum, atom_support
+from atomspec.spectrum import atom_spectrum, atom_support
 
 from conftest import make_zoo
 

@@ -14,6 +14,8 @@ from atomspec.checks import check_suite
 from atomspec.rings import fp_algebra
 from atomspec.spectrum import atom_spectrum
 
+from conftest import central_idempotents_mod_radical
+
 
 def _group(gens, mul, identity) -> list:
     """The elements of the finite group that gens generate, identity first:
@@ -97,6 +99,7 @@ def test_atom_count_is_the_number_of_simple_modules(p, name, atoms):
     ring = group_algebra(p, name)
     assert ring.order == p ** len(GROUPS[name][0])
     assert len(atom_spectrum(ring).atoms) == atoms
+    assert central_idempotents_mod_radical(ring) == 2 ** atoms
 
 
 @pytest.mark.parametrize("p, name", [(2, "C3"), (2, "S3"), (3, "C4")])

@@ -16,7 +16,11 @@ from hypothesis import example, given, settings
 from atomspec.rings import fp_algebra
 from atomspec.serre import enumerate_serre, inclusion_edges
 from atomspec.spectrum import atom_spectrum
-from conftest import incidence_constants, posets
+from conftest import (
+    central_idempotents_mod_radical,
+    incidence_constants,
+    posets,
+)
 
 
 def incidence_algebra(p, k, less):
@@ -37,6 +41,7 @@ def test_incidence_algebra_has_one_atom_per_point(poset):
     assert ring.order == 2 ** (k + len(less))
     spec = atom_spectrum(ring)
     assert len(spec.atoms) == k
+    assert central_idempotents_mod_radical(ring) == 2 ** len(spec.atoms)
     subs = enumerate_serre(spec)
     assert len(subs) == 2 ** k
     assert len(inclusion_edges(subs)) == k * 2 ** (k - 1)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import subprocess
 import sys
@@ -10,11 +11,14 @@ from hypothesis import strategies as st
 
 from atomspec import modules
 from atomspec.checks import (
+    composition_factors,
     composition_factors_top_down,
     embeds_in,
     is_isomorphic,
     is_uniform_bruteforce,
+    maximal_submodules,
     minimal_generating_sequence,
+    socle,
     validate_module,
 )
 from atomspec.modules import (
@@ -22,19 +26,15 @@ from atomspec.modules import (
     RightModule,
     annihilator,
     annihilator_set,
-    composition_factors,
     cyclic_submodule,
     direct_sum,
-    generated_submodule,
     is_submodule,
     is_uniform,
     minimal_submodules,
-    maximal_submodules,
     parse_module_spec,
     quotient,
     quotient_module,
     regular_module,
-    socle,
     sub_module,
     submodule_lattice,
     submodule_sum,
@@ -158,13 +158,14 @@ def test_pruned_subset_scan_agrees_with_brute_force():
 
 
 def test_lattice_cap_is_enforced(monkeypatch):
-    # zmod:12 has six ideals; the cap is read when the lattice is built
+    # zmod:12 has six ideals, each kept as 12 bytes; the cap is read when
+    # the lattice is built
     module = regular_module(zmod(12))
     submodule_lattice.cache_clear()
-    monkeypatch.setattr(modules, "DEFAULT_LATTICE_CAP", 3)
+    monkeypatch.setattr(modules, "DEFAULT_LATTICE_CAP", 3 * 12)
     with pytest.raises(CapExceededError):
         submodule_lattice(module)
-    monkeypatch.setattr(modules, "DEFAULT_LATTICE_CAP", 6)
+    monkeypatch.setattr(modules, "DEFAULT_LATTICE_CAP", 6 * 12)
     assert len(submodule_lattice(module)) == 6
 
 
@@ -186,7 +187,10 @@ def test_cyclic_and_generated_submodules():
     ring = zmod(12)
     module = regular_module(ring)
     assert cyclic_submodule(module, 4) == frozenset({0, 4, 8})
-    assert generated_submodule(module, [4, 6]) == frozenset({0, 2, 4, 6, 8, 10})
+    generated = functools.reduce(
+        lambda total, x: submodule_sum(module, total, cyclic_submodule(module, x)),
+        [4, 6], frozenset({0}))
+    assert generated == frozenset({0, 2, 4, 6, 8, 10})
     assert submodule_sum(
         module, frozenset({0, 4, 8}), frozenset({0, 6})
     ) == frozenset({0, 2, 4, 6, 8, 10})

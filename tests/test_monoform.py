@@ -1,6 +1,11 @@
 import pytest
 
-from atomspec.checks import monoform_oracle_artinian
+from atomspec.checks import (
+    filtration_factor,
+    is_completely_prime,
+    max_monoform_submodule,
+    monoform_oracle_artinian,
+)
 from atomspec.modules import (
     cyclic_submodule,
     is_uniform,
@@ -12,11 +17,8 @@ from atomspec.modules import (
 )
 from atomspec.monoform import (
     MonoformError,
-    filtration_factor,
     is_comonoform,
-    is_completely_prime,
     is_monoform,
-    max_monoform_submodule,
     monoform_filtration,
 )
 from atomspec.rings import zmod

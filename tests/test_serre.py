@@ -16,15 +16,18 @@ from atomspec.modules import (
 )
 from atomspec.serre import (
     SerreError,
+    dot_lines,
     enumerate_serre,
-    hasse_dot,
     inclusion_edges,
-    serre_contains,
-    serre_from_generators,
     serre_lattice,
 )
 from atomspec.rings import tri2, zmod
-from atomspec.spectrum import atom_spectrum, atom_support, enumerate_open_sets
+from atomspec.spectrum import (
+    atom_spectrum,
+    atom_support,
+    enumerate_open_sets,
+    is_open,
+)
 
 
 def test_tri2_has_four_serre_subcategories(tri2_2):
@@ -48,14 +51,14 @@ def test_serre_membership_in_tri2(tri2_2):
     m_1 = frozenset({0, 1, 2, 3})
     m_2 = frozenset({0, 2, 4, 6})
     p_a = frozenset({0, 4})
-    sub_m1 = serre_from_generators(spec, [quotient(whole, m_1)])
+    # a module lies in the Serre subcategory <X> iff its support lies in
+    # the support of X
+    sub_m1 = atom_support(spec, quotient(whole, m_1))
     # R/p_a has both simples among its factors, so it escapes <R/m_1>
-    assert not serre_contains(sub_m1, quotient(whole, p_a))
-    assert serre_contains(sub_m1, quotient(whole, m_1))
-    both = serre_from_generators(
-        spec, [quotient(whole, m_1), quotient(whole, m_2)]
-    )
-    assert serre_contains(both, whole)
+    assert not atom_support(spec, quotient(whole, p_a)) <= sub_m1
+    assert atom_support(spec, quotient(whole, m_1)) <= sub_m1
+    both = sub_m1 | atom_support(spec, quotient(whole, m_2))
+    assert atom_support(spec, whole) <= both
 
 
 def test_invalid_open_set_rejected(zmod12):
@@ -79,7 +82,8 @@ def test_inclusion_edges_form_square(tri2_2):
 
 
 def test_hasse_dot_output(tri2_2):
-    dot = hasse_dot(serre_lattice(atom_spectrum(tri2_2)))
+    lines = dot_lines(serre_lattice(atom_spectrum(tri2_2)))
+    dot = "".join(f"{line}\n" for line in lines)
     assert dot.startswith("digraph")
     assert dot.count("->") == 4
     assert dot.endswith("}\n")
@@ -204,6 +208,5 @@ def test_generators_track_support(zoo):
         whole = regular_module(ring)
         for members in submodule_lattice(whole):
             mod = sub_module(whole, members)[0]
-            s = serre_from_generators(spec, [mod])
-            assert s.open_set == atom_support(spec, mod)
-            assert serre_contains(s, mod)
+            # the least Serre subcategory holding mod is its open support
+            assert is_open(spec, atom_support(spec, mod))

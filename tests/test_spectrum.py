@@ -5,6 +5,7 @@ import pytest
 
 from atomspec import checks, spectrum
 from atomspec.checks import (
+    atom_equivalent,
     classical_support,
     commutative_crosscheck,
     prime_ideals,
@@ -15,17 +16,21 @@ from atomspec.modules import (
     regular_module,
     sub_module,
     submodule_lattice,
-    zero_module,
 )
-from atomspec.rings import mat, tri2, zmod
+from atomspec.rings import mat, parse_ring_spec, tri2, zmod
 from atomspec.spectrum import (
     SpectrumError,
     associated_atoms,
-    atom_equivalent,
     atom_spectrum,
     atom_support,
     enumerate_open_sets,
     is_open,
+)
+
+from conftest import (
+    central_idempotents_mod_radical,
+    make_zoo,
+    trivial_extension,
 )
 
 # element id of the lower triangular ring over F_2: 4*a11 + 2*a21 + a22
@@ -108,7 +113,8 @@ def test_atom_support_of_zmod12_modules(zmod12):
         frozenset({a2})
     assert atom_support(spec, sub_module(whole, frozenset({0, 4, 8}))[0]) == \
         frozenset({a3})
-    assert atom_support(spec, zero_module(zmod12)) == frozenset()
+    assert atom_support(spec, quotient(whole, frozenset(range(12)))) == \
+        frozenset()
 
 
 def test_associated_atoms_sandwich(zoo):
@@ -179,7 +185,8 @@ def test_classical_support_of_zmod12(zmod12):
     evens = frozenset(range(0, 12, 2))
     quot = quotient(whole, evens)
     assert classical_support(zmod12, quot, primes) == frozenset({evens})
-    assert classical_support(zmod12, zero_module(zmod12), primes) == frozenset()
+    zero = quotient(whole, frozenset(range(12)))
+    assert classical_support(zmod12, zero, primes) == frozenset()
 
 
 def test_commutative_crosscheck(zoo):
@@ -218,3 +225,20 @@ def test_spectrum_is_deterministic(tri2_2):
     a = atom_spectrum(tri2_2)
     b = atom_spectrum(tri2(2))
     assert a.atoms == b.atoms
+
+
+RADICAL_RINGS = make_zoo() + [
+    parse_ring_spec(spec) for spec in (
+        "mat:2:3", "tri2:5", "prod:tri2:2,zmod:6", "zmod:360",
+        "prod:zmod:4,zmod:2,zmod:9",
+    )
+] + [trivial_extension(2, 4), trivial_extension(3, 2)]
+
+
+@pytest.mark.parametrize("ring", RADICAL_RINGS, ids=lambda r: r.name)
+def test_atoms_count_the_blocks_of_r_mod_j(ring):
+    # R/J is semisimple, a product of one simple ring per simple module,
+    # so it has 2^t central idempotents for t atoms; J is read off the
+    # tables, not the lattice
+    atoms = len(atom_spectrum(ring).atoms)
+    assert central_idempotents_mod_radical(ring) == 2 ** atoms

@@ -1,0 +1,71 @@
+"""Known answers from the trivial extensions F_p ⋉ F_p^k.
+
+R = F_p ⋉ V, V = F_p^k, has basis 1, e_1..e_k with e_i e_j = 0 for
+i, j >= 1.  V squares to zero, so a right ideal is either R itself or a
+subspace of V, and the right ideals number G_k(p) + 1, with G_k(p) the
+Galois number: the count of subspaces of F_p^k, the sum over j of the
+Gaussian binomials [k, j]_p.  R is local with residue field R/V = F_p,
+so it has one simple module and one atom, and V is its only comonoform
+right ideal.  The lattices grow as p^(k^2/4), which makes these rings
+the frontier of the lattice search.
+"""
+
+import json
+
+import pytest
+
+from atomspec import cli
+from atomspec.modules import regular_module, submodule_lattice
+from atomspec.spectrum import atom_spectrum
+
+from conftest import trivial_extension, trivial_extension_constants
+
+CASES = [(2, k) for k in range(7)] + [(3, k) for k in range(4)]
+
+
+def galois_number(k, p):
+    """The number of subspaces of F_p^k: the sum of [k, j]_p, with
+    [k, j]_p = prod over i < j of (p^(k-i) - 1) / (p^(i+1) - 1)."""
+    total = 0
+    for j in range(k + 1):
+        num = den = 1
+        for i in range(j):
+            num *= p ** (k - i) - 1
+            den *= p ** (i + 1) - 1
+        total += num // den
+    return total
+
+
+def test_galois_numbers():
+    assert [galois_number(k, 2) for k in range(7)] == [1, 2, 5, 16, 67, 374, 2825]
+    assert [galois_number(k, 3) for k in range(4)] == [1, 2, 6, 28]
+
+
+@pytest.mark.parametrize("p, k", CASES)
+def test_right_ideals_are_the_subspaces_and_r(p, k):
+    ring = trivial_extension(p, k)
+    assert ring.order == p ** (k + 1)
+    assert len(submodule_lattice(regular_module(ring))) == galois_number(k, p) + 1
+
+
+@pytest.mark.parametrize("p, k", CASES)
+def test_one_atom_whose_only_member_is_v(p, k):
+    ring = trivial_extension(p, k)
+    spec = atom_spectrum(ring)
+    # V is spanned by e_1..e_k, the ids below p^k, as 1 is the first basis
+    # vector and ids enumerate coefficient vectors lexicographically
+    assert spec.comonoform_ideals() == (frozenset(range(p ** k)),)
+    assert len(spec.atoms) == 1
+
+
+def test_ideals_past_the_lattice_cap_is_a_json_error(tmp_path, capsys):
+    # F_2 ⋉ F_2^9 has order 1024 and 8,283,459 right ideals; the search
+    # stops once it would keep 2^25 bytes, at 32,769 of them
+    d, consts, unit = trivial_extension_constants(9)
+    doc = {"fp_algebra": {"p": 2, "dim": d, "structure_constants": consts,
+                          "unit_vector": unit}}
+    path = tmp_path / "f2-x-f2-9.json"
+    path.write_text(json.dumps(doc))
+    code, _ = cli.run(["ideals", "--ring", str(path), "--format", "json"])
+    assert code == 1
+    assert '"type":"CapExceededError"' in capsys.readouterr().out
