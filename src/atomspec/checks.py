@@ -32,6 +32,7 @@ from .modules import (
     annihilator,
     annihilator_set,
     colon_table,
+    coset_labels,
     cyclic_submodule,
     direct_sum,
     is_submodule,
@@ -153,13 +154,20 @@ def socle(module: RightModule) -> frozenset:
 
 
 def _chief_series_bottom_up(module: RightModule) -> list[frozenset]:
-    """A maximal chain of submodules built from {0} upwards: each step is
-    the first strict superset in the lattice, sorted by size, so it covers
-    the last and every factor is simple."""
-    lattice = submodule_lattice(module)
+    """A maximal chain of submodules built from minimal submodules of the
+    successive quotients; every factor is simple.  It reads no lattice,
+    so it stays independent of the lattice search that the top-down
+    series and the monoform tests read."""
     chain = [frozenset({0})]
-    while len(chain[-1]) < module.order:
-        chain.append(next(s for s in lattice if chain[-1] < s))
+    current = frozenset({0})
+    while len(current) < module.order:
+        # the ids of M/S index the coset representatives of S
+        labels, reps = coset_labels(module, sorted(current))
+        minimal = minimal_submodules(quotient(module, current))[0]
+        chosen = np.zeros(module.order, dtype=bool)
+        chosen[reps[list(minimal)]] = True
+        current = frozenset(np.flatnonzero(chosen[labels]).tolist())
+        chain.append(current)
     return chain
 
 

@@ -47,7 +47,7 @@ from .rings import (
     table_dtype,
 )
 
-DEFAULT_LATTICE_CAP = 1 << 25  # bytes of submodule masks a lattice search keeps
+DEFAULT_LATTICE_CAP = 1 << 25  # bytes of submodule keys a lattice search keeps
 _BLOCK = 1 << 20  # action-table entries in a block of whole rows
 
 
@@ -117,9 +117,9 @@ def submodule_sum(module: RightModule, a: frozenset, b: frozenset) -> frozenset:
 @lru_cache(maxsize=None)
 def submodule_lattice(module: RightModule) -> tuple[frozenset, ...]:
     """All submodules, sorted by (cardinality, sorted element tuple).
-    The search keeps a mask of m bytes for each submodule it finds, and
-    stops with CapExceededError once the masks would pass
-    DEFAULT_LATTICE_CAP bytes.
+    The search keeps one key of m bytes, its mask over M, for each
+    submodule it finds, and stops with CapExceededError once the keys
+    would pass DEFAULT_LATTICE_CAP bytes.
 
     Breadth-first search from {0}; the successors of S are S + xR for
     every x outside S, all found in one vectorised step: label each
@@ -128,11 +128,11 @@ def submodule_lattice(module: RightModule) -> tuple[frozenset, ...]:
     is a sum of cyclics, so the search is complete.
     """
     m = module.order
-    zero = np.arange(m) == 0
-    found = {zero.tobytes(): zero}
+    zero = (np.arange(m) == 0).tobytes()
+    found = {zero}
     queue = [zero]
-    for inside in queue:
-        labels, reps = coset_labels(module, inside)
+    for key in queue:
+        labels, reps = coset_labels(module, np.frombuffer(key, dtype=bool))
         reps = reps[1:]  # the cosets other than S
         met = np.zeros((len(reps), m), dtype=bool)
         met[np.arange(len(reps))[:, None], labels[module.act[reps]]] = True
@@ -140,14 +140,15 @@ def submodule_lattice(module: RightModule) -> tuple[frozenset, ...]:
             key = members.tobytes()
             if key in found:
                 continue
-            found[key] = members
-            queue.append(members)
+            found.add(key)
+            queue.append(key)
             if len(found) * m > DEFAULT_LATTICE_CAP:
                 raise CapExceededError(
                     f"submodule lattice exceeded cap {DEFAULT_LATTICE_CAP} "
                     f"bytes (blew up at {len(found)} submodules of order {m})"
                 )
-    subs = (frozenset(np.flatnonzero(mask).tolist()) for mask in queue)
+    subs = (frozenset(np.flatnonzero(np.frombuffer(key, dtype=bool)).tolist())
+            for key in queue)
     return tuple(sorted(subs, key=submodule_key))
 
 
