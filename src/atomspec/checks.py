@@ -55,6 +55,7 @@ from .monoform import (
     monoform_filtration,
 )
 from .rings import (
+    CapExceededError,
     FiniteRing,
     RingAxiomError,
     additive_generators,
@@ -632,6 +633,9 @@ def commutative_crosscheck(ring: FiniteRing) -> dict:
 # checks that enumerate submodule lattices of subquotients stay usable by
 # bounding the modules they look inside
 SMALL_MODULE_ORDER = 64
+# check_suite refuses a ring with more right ideals: its properties scan
+# pairs of ideals, and F_2 x F_2^5 (375 ideals) took 48 s
+CHECK_LATTICE_CAP = 256
 
 
 ALL_CHECKS = []  # in report order
@@ -1067,7 +1071,13 @@ def check_commutative(ring: FiniteRing):
 
 def check_suite(ring: FiniteRing) -> dict:
     """Run the full battery; report pass/fail per property with witnesses.
-    A property that raises fails with witness "<Type>: <message>"."""
+    A property that raises fails with witness "<Type>: <message>"; a ring
+    with over CHECK_LATTICE_CAP right ideals raises CapExceededError."""
+    ideals = len(submodule_lattice(regular_module(ring)))
+    if ideals > CHECK_LATTICE_CAP:
+        raise CapExceededError(
+            f"{ideals} right ideals exceed the check cap {CHECK_LATTICE_CAP}"
+        )
     results = []
     for check in ALL_CHECKS:
         try:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -554,26 +555,35 @@ def serialize_ring(ring: FiniteRing) -> bytes:
     return "".join(_document_chunks(ring)).encode()
 
 
-# characters of document text the matrix reader checks at a time, and the
-# fewest numbers a row of a matrix it reads may have
-_BLOCK = 1 << 15
-_MIN_WIDTH = 64
+# one row of a matrix: "[", digits, commas and JSON whitespace, "]", then
+# the "," before the next row or the "]" that closes the matrix
+_ROW = re.compile(r"[ \t\n\r]*\[([0-9, \t\n\r]*)\][ \t\n\r]*([,\]])")
 
-# classes of the characters between the numbers of a matrix, by byte, and
-# _GAP[5a + b] for classes a, b of neighbouring separators in rows
-# "[1,2],[3,4]" once JSON's whitespace is set aside: 1 if nothing lies
-# between them, 2 if a number does, 0 if they may not be neighbours.  Both
-# are built as bytes: numpy's indexing would take memory in every process
-_OTHER, _COMMA, _OPEN, _CLOSE, _SPACE = range(5)
-_CLASS = np.frombuffer(bytes(
-    {ord(","): _COMMA, ord("["): _OPEN, ord("]"): _CLOSE, ord(" "): _SPACE,
-     ord("\t"): _SPACE, ord("\n"): _SPACE, ord("\r"): _SPACE}.get(c, _OTHER)
-    for c in range(256)), dtype=np.int8)
-_GAP = np.frombuffer(bytes(
-    {(_CLOSE, _COMMA): 1, (_COMMA, _OPEN): 1, (_OPEN, _COMMA): 2,
-     (_OPEN, _CLOSE): 2, (_COMMA, _COMMA): 2, (_COMMA, _CLOSE): 2}.get(
-        divmod(i, 5), 0) for i in range(25)), dtype=np.int8)
-_WHITESPACE = json.decoder.WHITESPACE.match
+
+def _row_numbers(body: str) -> np.ndarray | None:
+    """The numbers of the text between a row's brackets, or None unless
+    it is JSON integers separated by commas.
+
+    np.fromstring raises for an empty entry or whitespace inside a number,
+    or on older numpy stops there; it reads whitespace alone as 0 and
+    stops at a trailing comma.  So the numbers must be as many as the
+    commas + 1 and the runs of digits, and no run starts "0" and a digit.
+    A number past int64 reads as int64's largest, failing any range check.
+    """
+    try:
+        numbers = np.fromstring(body, dtype=np.int64, sep=",")
+    except ValueError:
+        return None
+    # the other characters _ROW lets in all sort below "0"
+    text = np.frombuffer(f",{body},".encode(), dtype=np.uint8)
+    digit = text >= ord("0")
+    first = digit[1:] > digit[:-1]  # text[i + 1] begins a number
+    leading_zero = first[:-1] & digit[2:] & (text[1:-1] == ord("0"))
+    if (numbers.size != body.count(",") + 1
+            or np.count_nonzero(first) != numbers.size
+            or np.count_nonzero(leading_zero)):
+        return None
+    return numbers
 
 
 def _read_matrix(s: str, idx: int, order_cap: int = DEFAULT_ORDER_CAP
@@ -582,126 +592,31 @@ def _read_matrix(s: str, idx: int, order_cap: int = DEFAULT_ORDER_CAP
     k x k matrix of JSON integers 0..k-1, end being the index after its
     closing bracket; otherwise None, and json reads the array.
 
-    The table has dtype table_dtype(k).  It is filled from whole rows of
-    text, about _BLOCK characters at a time (_block_rows).  The first row
-    fixes k, so an array that is no such matrix is declined within its
-    first row or block, and json reads no character of it more than once
-    again.  A k above order_cap raises CapExceededError there, before the
-    rest of the document is read.
+    The table has dtype table_dtype(k) and is filled one row at a time,
+    each matched by _ROW and read by _row_numbers.  The first row fixes k,
+    so an array that is no such matrix is declined at the first row that
+    shows it.  A k above order_cap raises CapExceededError at the first
+    row, before the rest of the document is read.
     """
-    start = _WHITESPACE(s, idx).end()
-    if s[start:start + 1] != "[":  # empty, or not an array of arrays
-        return None
-    first = _WHITESPACE(s, start + 1).end()
-    if not "0" <= s[first:first + 1] <= "9":
-        return None
-    # a short first row: below the reader's fixed cost of some 50 numpy
-    # calls a block, json's own lists are the cheaper read
-    size = _BLOCK
-    end = s.find("]", first, first + _BLOCK)
-    if end != -1:
-        width = s.count(",", first, end) + 1
-        if width < _MIN_WIDTH:
-            return None
-        size = min(size, (end + 2 - idx) * width + 1)  # rows as long as it
-    out, k, filled, pos = None, 0, 0, idx
+    out, i, end = None, 0, idx
     while True:
-        block = s[pos:pos + size]
-        # a character outside ASCII becomes "?", so indices still match s
-        text = np.frombuffer(block.encode("ascii", "replace"), dtype=np.uint8)
-        seps = np.flatnonzero(text - np.uint8(ord("0")) >= 10)  # non-digits
-        kind = _CLASS.take(text.take(seps))
-        other = np.flatnonzero(kind == _OTHER)
-        if other.size:  # the matrix must close before this character
-            seps, kind = seps[:other[0]], kind[:other[0]]
-        brackets = np.flatnonzero((kind == _OPEN) | (kind == _CLOSE))
-        depth = np.cumsum(np.where(kind[brackets] == _OPEN, 1, -1))
-        done = np.flatnonzero(depth < 0)
-        if done.size:  # separator r closes the matrix
-            nb = done[0]
-            r = brackets[nb]
-            cut = seps[r]
-        elif other.size or len(block) < size:
-            return None  # a character no matrix holds, or the text ends
-        else:  # separator r - 1 closes the block's last whole row
-            whole = np.flatnonzero(depth == 0)
-            if not whole.size:  # the first row is longer than the block
-                size *= 2
-                continue
-            nb = whole[-1] + 1
-            r = brackets[nb - 1] + 1
-            cut = seps[r - 1] + 1
-        if depth[:nb].max(initial=0) > 1:
-            return None  # an array inside a row
-        rows = _block_rows(text[:cut], seps[:r], kind[:r], out is not None)
-        if rows is None:
+        match = _ROW.match(s, end)
+        row = _row_numbers(match[1]) if match else None
+        if row is None:
             return None
-        counts, values = rows
-        if out is None and counts.size:
-            k = int(counts[0])
+        if out is None:
+            k = row.size
             # k rows of k numbers take 2k(k + 1) + 1 characters or more
             if 2 * k * (k + 1) > len(s) - idx:
                 return None
             _require_order(k, order_cap)
-            out = np.empty(k * k, dtype=table_dtype(k))
-        if (out is None or (counts != k).any() or values.max(initial=0) >= k
-                or filled + values.size > k * k):
+            out = np.empty((k, k), dtype=table_dtype(k))
+        if row.size != k or row.max() >= k:
             return None
-        out[filled:filled + values.size] = values
-        filled += values.size
-        if done.size:
-            if filled != k * k:
-                return None
-            return out.reshape(k, k), pos + int(cut) + 1
-        pos += int(cut)
-        size = max(size, min(2 * size, _BLOCK))
-
-
-def _block_rows(text: np.ndarray, seps: np.ndarray, kind: np.ndarray,
-                after_row: bool) -> tuple[np.ndarray, np.ndarray] | None:
-    """(numbers in each row, the numbers) of the rows text holds, or None
-    unless text is rows "[1,2],[3,4]" in JSON's grammar, led by a comma if
-    it comes after a row.
-
-    seps are the positions of text's non-digits and kind their classes,
-    and the grammar is checked on them and on the digit counts between
-    them: brackets and commas in the order _GAP allows, no whitespace
-    inside a number, no leading zeros, and at most 18 digits, so that
-    np.fromstring reads each number exactly into int64.
-    """
-    # gaps[i]: the digits just before separator i, gaps[-1] those after all
-    bounds = np.concatenate(([-1], seps, [len(text)]))
-    gaps = np.diff(bounds) - 1
-    if gaps.max() > 18 or (
-            text.take(bounds[:-1][gaps > 1] + 1) == ord("0")).any():
-        return None  # more than 18 digits, or a leading zero
-    spaces = kind == _SPACE
-    if spaces.any():  # merge the gaps around whitespace
-        kept = np.flatnonzero(~spaces)
-        heads = np.concatenate(([0], kept + 1))
-        if (np.add.reduceat(gaps > 0, heads) > 1).any():
-            return None  # whitespace inside a number
-        gaps = np.maximum.reduceat(gaps, heads)
-        seps, kind = seps[kept], kind[kept]
-    if after_row and kind.size:  # a comma, then more rows
-        if kind[0] != _COMMA or gaps[0] or kind.size == 1:
-            return None
-        seps, kind, gaps = seps[1:], kind[1:], gaps[1:]
-    if gaps[0] or gaps[-1]:
-        return None  # a number outside the rows
-    if not kind.size:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int64)
-    rule = _GAP.take(kind[:-1] * 5 + kind[1:])
-    if (kind[0] != _OPEN or kind[-1] != _CLOSE
-            or (rule != np.minimum(gaps[1:-1], 1) + 1).any()):
-        return None
-    opens = np.flatnonzero(kind == _OPEN)
-    closes = np.flatnonzero(kind == _CLOSE)
-    if (opens[1:] != closes[:-1] + 2).any():
-        return None  # rows are joined by one comma alone
-    rows = text[seps[0]:].copy()
-    rows[seps[kind != _COMMA] - seps[0]] = ord(" ")
-    return closes - opens, np.fromstring(rows.tobytes(), dtype=np.int64, sep=",")
+        out[i] = row
+        i, end = i + 1, match.end()
+        if i == k or match[2] == "]":  # k rows must end the matrix
+            return (out, end) if i == k and match[2] == "]" else None
 
 
 class _TableDecoder(json.JSONDecoder):

@@ -131,6 +131,25 @@ def test_check_verb_without_small_cyclic_modules(capsys, ring):
     assert json.loads(out)["result"]["passed"] is True
 
 
+@pytest.mark.parametrize("cap, code", [(6, 0), (5, 1)])
+def test_check_refuses_a_ring_over_the_check_cap(capsys, monkeypatch, cap,
+                                                  code):
+    # zmod:12 has 6 right ideals
+    monkeypatch.setattr(checks, "CHECK_LATTICE_CAP", cap)
+    got, out = capture_json(
+        capsys, ["check", "--ring", "zmod:12", "--format", "json"]
+    )
+    assert got == code
+    doc = json.loads(out)
+    if code:
+        assert doc["error"] == {
+            "type": "CapExceededError",
+            "message": "6 right ideals exceed the check cap 5",
+        }
+    else:
+        assert doc["result"]["passed"] is True
+
+
 def test_check_verb_reports_a_crashing_property(capsys, monkeypatch):
     # property 3 builds R/Ann(x) with quotient_module, so it raises there
     def boom(module, sub):

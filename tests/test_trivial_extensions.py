@@ -11,6 +11,7 @@ the frontier of the lattice search.
 """
 
 import json
+import time
 
 import pytest
 
@@ -58,14 +59,31 @@ def test_one_atom_whose_only_member_is_v(p, k):
     assert len(spec.atoms) == 1
 
 
+def document(tmp_path, k) -> str:
+    """The path of an fp_algebra document of F_2 ⋉ F_2^k."""
+    d, consts, unit = trivial_extension_constants(k)
+    doc = {"fp_algebra": {"p": 2, "dim": d, "structure_constants": consts,
+                          "unit_vector": unit}}
+    path = tmp_path / f"f2-x-f2-{k}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def test_ideals_past_the_lattice_cap_is_a_json_error(tmp_path, capsys):
     # F_2 ⋉ F_2^9 has order 1024 and 8,283,459 right ideals; the search
     # stops once it would keep 2^25 bytes, at 32,769 of them
-    d, consts, unit = trivial_extension_constants(9)
-    doc = {"fp_algebra": {"p": 2, "dim": d, "structure_constants": consts,
-                          "unit_vector": unit}}
-    path = tmp_path / "f2-x-f2-9.json"
-    path.write_text(json.dumps(doc))
-    code, _ = cli.run(["ideals", "--ring", str(path), "--format", "json"])
+    path = document(tmp_path, 9)
+    code, _ = cli.run(["ideals", "--ring", path, "--format", "json"])
+    assert code == 1
+    assert '"type":"CapExceededError"' in capsys.readouterr().out
+
+
+def test_check_past_the_check_cap_is_a_json_error(tmp_path, capsys):
+    # F_2 ⋉ F_2^6 has 2,826 right ideals, over CHECK_LATTICE_CAP; without
+    # the cap, check ran on it for over 300 s
+    path = document(tmp_path, 6)
+    start = time.monotonic()
+    code, _ = cli.run(["check", "--ring", path, "--format", "json"])
+    assert time.monotonic() - start < 10
     assert code == 1
     assert '"type":"CapExceededError"' in capsys.readouterr().out
