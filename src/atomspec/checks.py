@@ -2,11 +2,12 @@
 relies on, re-verified exhaustively at desk scale.
 
 The definitional twins come first, grouped by the module they check:
-slow, literal versions of what the verbs compute fast, and the reference
-facts that no verb reports (socles, composition series, completely prime
-ideals, filtration factors, the largest monoform submodule and atom
-equivalence).  The properties and the tests call them; no other module
-of the package does.
+slow, literal versions of what the verbs compute fast, the reference
+facts that no verb reports (socles, composition series, the count of
+simple modules, completely prime ideals, the largest monoform submodule
+and atom equivalence), and the per-module checks that a property runs on
+each R/I and the acceptance battery on its own modules.  The properties
+and the tests call them; no other module of the package does.
 
 Each check returns (name, passed, witness), its name written once in its
 `_property` decorator, which also lists it in ALL_CHECKS in the order of
@@ -47,7 +48,6 @@ from .modules import (
     submodule_sum,
 )
 from .monoform import (
-    Filtration,
     MonoformError,
     is_comonoform,
     is_monoform,
@@ -137,13 +137,8 @@ def is_uniform_bruteforce(module: RightModule) -> bool:
 
 
 def maximal_submodules(module: RightModule) -> list[frozenset]:
-    lattice = submodule_lattice(module)
-    full = frozenset(range(module.order))
-    proper = [s for s in lattice if s != full]
-    return sorted(
-        (s for s in proper if not any(s < o for o in proper if o != s)),
-        key=submodule_key,
-    )
+    proper = submodule_lattice(module)[:-1]  # M sorts last
+    return [s for s in proper if not any(s < o for o in proper)]
 
 
 def socle(module: RightModule) -> frozenset:
@@ -188,15 +183,18 @@ def _chief_series_top_down(module: RightModule) -> list[frozenset]:
     return chain
 
 
+def subquotient(module: RightModule, lower: frozenset,
+                upper: frozenset) -> RightModule:
+    """upper / lower as a standalone module, for submodules lower <= upper."""
+    upper_mod, incl = sub_module(module, upper)
+    inner = frozenset(i for i in range(upper_mod.order) if incl[i] in lower)
+    return quotient(upper_mod, inner)
+
+
 def series_factors(module: RightModule, chain: list[frozenset]) -> Counter:
-    factors: Counter = Counter()
-    for lower, upper in zip(chain, chain[1:]):
-        upper_mod, incl = sub_module(module, upper)
-        inner = frozenset(i for i in range(upper_mod.order) if incl[i] in lower)
-        factor = quotient(upper_mod, inner)
-        # simple modules are isomorphic iff their annihilator sets are equal
-        factors[annihilator_set(factor)] += 1
-    return factors
+    # simple modules are isomorphic iff their annihilator sets are equal
+    return Counter(annihilator_set(subquotient(module, lower, upper))
+                   for lower, upper in zip(chain, chain[1:]))
 
 
 def composition_factors(module: RightModule) -> Counter:
@@ -305,8 +303,20 @@ def is_isomorphic(a: RightModule, b: RightModule) -> bool:
                       and _embedding_exists(a, b))
 
 
-# monoform: the socle criterion, the colon-table criterion alone,
-# completely prime ideals, filtration factors and the largest monoform
+def simple_module_count(ring: FiniteRing) -> int:
+    """Simple right modules up to isomorphism: the R/m for the maximal
+    right ideals m, one per iso class."""
+    reg = regular_module(ring)
+    simples: list[RightModule] = []
+    for m in maximal_submodules(reg):
+        candidate = quotient(reg, m)
+        if not any(is_isomorphic(candidate, s) for s in simples):
+            simples.append(candidate)
+    return len(simples)
+
+
+# monoform: the socle and closure criteria, the colon-table criterion
+# alone, completely prime ideals, filtrations and the largest monoform
 # submodule
 
 def monoform_by_colon_table(module: RightModule) -> bool:
@@ -331,6 +341,16 @@ def monoform_oracle_artinian(module: RightModule) -> bool:
     return composition_factors(module)[handle] == 1
 
 
+def monoform_by_closure(module: RightModule) -> bool:
+    """Closure criterion: M is monoform iff it lies outside the Serre
+    closure of its quotients M/N by nonzero N, computed by the closure
+    oracle over the subquotients of M."""
+    universe = build_universe(module)
+    gens = {universe.class_of(quotient(module, sub))
+            for sub in submodule_lattice(module) if len(sub) > 1}
+    return universe.class_of(module) not in closure_oracle(universe, gens)
+
+
 def is_completely_prime(ring: FiniteRing, ideal: frozenset) -> bool:
     """aI <= I and ab in I imply a in I or b in I, checked over all pairs."""
     reg = regular_module(ring)
@@ -346,13 +366,24 @@ def is_completely_prime(ring: FiniteRing, ideal: frozenset) -> bool:
     return not inside[ring.mul[np.ix_(a, outside)]].any()
 
 
-def filtration_factor(module: RightModule, filt: Filtration, i: int) -> RightModule:
-    """The i-th factor L_i / L_{i-1} as a standalone module."""
-    upper, incl = sub_module(module, filt.chain[i + 1])
-    inner = frozenset(
-        j for j in range(upper.order) if incl[j] in filt.chain[i]
-    )
-    return quotient(upper, inner)
+def filtration_defect(module: RightModule) -> int | str | None:
+    """Where monoform_filtration(module) breaks its definition: "chain"
+    unless the chain climbs strictly from 0 to M in len(labels) + 1
+    steps, else the first i whose factor L_{i+1} / L_i is not monoform or
+    not isomorphic to R/p_i for its label p_i; None if it holds."""
+    filt = monoform_filtration(module)
+    chain = filt.chain
+    if (chain[0] != frozenset({0}) or len(chain[-1]) != module.order
+            or len(chain) != len(filt.labels) + 1
+            or any(not a < b for a, b in zip(chain, chain[1:]))):
+        return "chain"
+    reg = regular_module(module.ring)
+    for i, label in enumerate(filt.labels):
+        factor = subquotient(module, chain[i], chain[i + 1])
+        if not (is_monoform(factor)
+                and is_isomorphic(factor, quotient(reg, label))):
+            return i
+    return None
 
 
 def max_monoform_submodule(module: RightModule) -> frozenset:
@@ -546,8 +577,30 @@ def universe_supports(universe: ClosureUniverse,
     )
 
 
-# spectrum: atom equivalence, and the classical prime spectrum of a
-# commutative ring
+def closure_is_sound(universe: ClosureUniverse, supports: tuple,
+                     gens) -> bool:
+    """Every member of the closure of gens has its support, read from
+    universe_supports, inside the union of the supports of gens."""
+    phi = frozenset().union(frozenset(), *(supports[g] for g in gens))
+    return all(supports[m] <= phi for m in closure_oracle(universe, gens))
+
+
+# spectrum: associated atoms against supports, atom equivalence, and the
+# classical prime spectrum of a commutative ring
+
+def ass_within_support(spec: AtomSpectrum, module: RightModule) -> bool:
+    """AAss M <= ASupp M, and both are empty exactly when M = 0."""
+    ass, supp = associated_atoms(spec, module), atom_support(spec, module)
+    return ass <= supp and bool(ass) == bool(supp) == (module.order > 1)
+
+
+def sum_is_additive(spec: AtomSpectrum, a: RightModule,
+                    b: RightModule) -> bool:
+    """ASupp and AAss of a + b are the unions of those of a and b."""
+    s = direct_sum(a, b)
+    return all(f(spec, s) == f(spec, a) | f(spec, b)
+               for f in (atom_support, associated_atoms))
+
 
 def atom_equivalent(ring: FiniteRing, p: frozenset, q: frozenset) -> bool:
     """R/p and R/q share a common nonzero submodule."""
@@ -876,10 +929,7 @@ def check_socle_oracle(ring: FiniteRing):
 
 @_property("comonoform implies completely prime")
 def check_comonoform_completely_prime(ring: FiniteRing):
-    reg = regular_module(ring)
-    for ideal in submodule_lattice(reg):
-        if len(ideal) == ring.order:
-            continue
+    for ideal in submodule_lattice(regular_module(ring))[:-1]:  # R sorts last
         if is_comonoform(ring, ideal) and not is_completely_prime(ring, ideal):
             return False, sorted(ideal)
     return True, None
@@ -887,19 +937,12 @@ def check_comonoform_completely_prime(ring: FiniteRing):
 
 @_property("monoform filtrations")
 def check_filtrations(ring: FiniteRing):
-    reg = regular_module(ring)
     for mod in _cyclic_modules(ring):
-        filt = monoform_filtration(mod)
-        if list(filt.chain) != sorted(filt.chain, key=len) or any(
-            not a < b for a, b in zip(filt.chain, filt.chain[1:])
-        ):
+        defect = filtration_defect(mod)
+        if defect == "chain":
             return False, mod.provenance
-        for i, label in enumerate(filt.labels):
-            factor = filtration_factor(mod, filt, i)
-            if not is_monoform(factor):
-                return False, (mod.provenance, i)
-            if not is_isomorphic(factor, quotient(reg, label)):
-                return False, (mod.provenance, i)
+        if defect is not None:
+            return False, (mod.provenance, defect)
     return True, None
 
 
@@ -950,12 +993,7 @@ def check_direct_sum_additivity(ring: FiniteRing):
     rng = random.Random(0)
     for _ in range(20):
         a, b = rng.choice(mods), rng.choice(mods)
-        s = direct_sum(a, b)
-        if atom_support(spec, s) != atom_support(spec, a) | atom_support(spec, b):
-            return False, (a.provenance, b.provenance)
-        if associated_atoms(spec, s) != (
-            associated_atoms(spec, a) | associated_atoms(spec, b)
-        ):
+        if not sum_is_additive(spec, a, b):
             return False, (a.provenance, b.provenance)
     return True, None
 
@@ -964,10 +1002,7 @@ def check_direct_sum_additivity(ring: FiniteRing):
 def check_ass_inside_support(ring: FiniteRing):
     spec = atom_spectrum(ring)
     for mod in _cyclic_modules(ring):
-        ass = associated_atoms(spec, mod)
-        if not ass <= atom_support(spec, mod):
-            return False, mod.provenance
-        if mod.order > 1 and not ass:
+        if not ass_within_support(spec, mod):
             return False, mod.provenance
     return True, None
 
@@ -991,13 +1026,9 @@ def check_discreteness(ring: FiniteRing):
         for phi in itertools.combinations(range(k), size):
             if not is_open(spec, frozenset(phi)):
                 return False, list(phi)
-    reg = regular_module(ring)
-    simple_handles = set()
-    for mod in _cyclic_modules(ring):
-        if mod.order > 1 and len(submodule_lattice(mod)) == 2:
-            simple_handles.add(annihilator_set(mod))
-    if len(simple_handles) != k:
-        return False, ("atoms", k, "simple classes", len(simple_handles))
+    simples = simple_module_count(ring)
+    if simples != k:
+        return False, ("atoms", k, "simple classes", simples)
     return True, None
 
 
@@ -1008,14 +1039,7 @@ def check_monoform_closure_equivalence(ring: FiniteRing):
     for mod in _cyclic_modules(ring):
         if mod.order > SMALL_MODULE_ORDER:
             continue
-        universe = build_universe(mod)
-        gens = {
-            universe.class_of(quotient(mod, sub))
-            for sub in submodule_lattice(mod)
-            if len(sub) > 1
-        }
-        in_closure = universe.class_of(mod) in closure_oracle(universe, gens)
-        if in_closure != (not is_monoform(mod)):
+        if monoform_by_closure(mod) != is_monoform(mod):
             return False, mod.provenance
     return True, None
 
@@ -1047,10 +1071,8 @@ def check_oracle_soundness(ring: FiniteRing):
         gens = frozenset(
             i for i in range(len(universe.members)) if rng.random() < 0.4
         )
-        phi = frozenset().union(frozenset(), *(supports[g] for g in gens))
-        for member in closure_oracle(universe, gens):
-            if not supports[member] <= phi:
-                return False, sorted(gens)
+        if not closure_is_sound(universe, supports, gens):
+            return False, sorted(gens)
     return True, None
 
 

@@ -442,6 +442,7 @@ def mat(k: int, p: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """Full k x k matrix ring over F_p (order p^(k^2))."""
     if k < 1:
         raise RingFormatError("matrix size must be positive")
+    _require_power_order(p, k * k, order_cap)  # before the k^2 positions exist
     positions = [(r, c) for r in range(k) for c in range(k)]
     return _matrix_algebra(p, positions, f"mat:{k}:{p}", order_cap)
 
@@ -529,7 +530,16 @@ def parse_ring_spec(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteR
             parts = [s for s in rest.split(",") if s]
             if len(parts) < 2:
                 raise RingFormatError("prod needs at least two factors")
-            factors = [parse_ring_spec(s, order_cap=order_cap) for s in parts]
+            # each factor is capped by what the earlier ones leave, so no
+            # factor past the cap is built
+            factors, n = [], 1
+            for s in parts:
+                try:
+                    factors.append(parse_ring_spec(s, order_cap=order_cap // n))
+                except CapExceededError as exc:
+                    raise CapExceededError(
+                        f"product order exceeds cap {order_cap}") from exc
+                n *= factors[-1].order
             return product(*factors, order_cap=order_cap)
     except ValueError as exc:
         raise RingFormatError(f"bad ring spec {text!r}: {exc}") from exc

@@ -11,36 +11,30 @@ import time
 import pytest
 
 from atomspec.checks import (
+    ass_within_support,
     build_universe,
+    check_roundtrip_open_sets,
+    check_socle_oracle,
+    check_support_exactness,
+    closure_is_sound,
     closure_oracle,
-    filtration_factor,
-    is_isomorphic,
+    filtration_defect,
     max_monoform_submodule,
-    maximal_submodules,
-    monoform_oracle_artinian,
+    monoform_by_closure,
+    simple_module_count,
+    sum_is_additive,
     universe_supports,
 )
 from atomspec.modules import (
-    direct_sum,
     is_uniform,
     quotient,
     regular_module,
     sub_module,
     submodule_lattice,
 )
-from atomspec.monoform import (
-    MonoformError,
-    is_comonoform,
-    is_monoform,
-    monoform_filtration,
-)
+from atomspec.monoform import MonoformError, is_comonoform, is_monoform
 from atomspec.rings import tri2, zmod
-from atomspec.spectrum import (
-    associated_atoms,
-    atom_spectrum,
-    atom_support,
-    enumerate_open_sets,
-)
+from atomspec.spectrum import atom_spectrum, enumerate_open_sets
 
 from conftest import ZMOD_ORDERS, make_zoo
 
@@ -131,13 +125,7 @@ def test_criterion_3_discreteness_and_simple_count(capsys):
             opens = enumerate_open_sets(spec)
             assert len(opens) == 2 ** len(spec.atoms)
             # independent count of simple modules up to isomorphism
-            whole = regular_module(ring)
-            simples = []
-            for m in maximal_submodules(whole):
-                candidate = quotient(whole, m)
-                if not any(is_isomorphic(candidate, s) for s in simples):
-                    simples.append(candidate)
-            assert len(spec.atoms) == len(simples)
+            assert len(spec.atoms) == simple_module_count(ring)
 
     run_criterion(capsys, 3, 30.0, body)
 
@@ -145,12 +133,7 @@ def test_criterion_3_discreteness_and_simple_count(capsys):
 def test_criterion_4_monoform_socle_oracle(capsys):
     def body():
         for ring in make_zoo():
-            whole = regular_module(ring)
-            for ideal in submodule_lattice(whole):
-                if len(ideal) == whole.order:
-                    continue
-                mod = quotient(whole, ideal)
-                assert is_monoform(mod) == monoform_oracle_artinian(mod)
+            assert check_socle_oracle(ring)[1:] == (True, None)
 
     run_criterion(capsys, 4, 60.0, body)
 
@@ -162,15 +145,7 @@ def test_criterion_5_monoform_closure_criterion(capsys):
             for mod in universe.members:
                 if mod.order <= 1 or mod.order > 64:
                     continue
-                inner = build_universe(mod)
-                quots = {
-                    inner.class_of(quotient(mod, sub))
-                    for sub in submodule_lattice(mod)
-                    if len(sub) > 1
-                }
-                closed = closure_oracle(inner, quots)
-                escapes = inner.class_of(mod) not in closed
-                assert escapes == is_monoform(mod)
+                assert monoform_by_closure(mod) == is_monoform(mod)
 
     run_criterion(capsys, 5, 120.0, body)
 
@@ -178,19 +153,9 @@ def test_criterion_5_monoform_closure_criterion(capsys):
 def test_criterion_6_filtrations(capsys):
     def body():
         rng = random.Random(6)
-
-        def verify(module):
-            filt = monoform_filtration(module)
-            assert filt.chain[0] == frozenset({0})
-            assert len(filt.chain[-1]) == module.order
-            for lo, hi in zip(filt.chain, filt.chain[1:]):
-                assert lo < hi
-            for i in range(len(filt.labels)):
-                assert is_monoform(filtration_factor(module, filt, i))
-
         zoo = make_zoo()
         for ring in zoo:
-            verify(regular_module(ring))
+            assert filtration_defect(regular_module(ring)) is None
         for _ in range(50):
             ring = rng.choice(zoo)
             whole = regular_module(ring)
@@ -201,7 +166,7 @@ def test_criterion_6_filtrations(capsys):
             else:
                 mod = quotient(whole, members)
             if mod.order > 1:
-                verify(mod)
+                assert filtration_defect(mod) is None
 
     run_criterion(capsys, 6, 60.0, body)
 
@@ -210,35 +175,20 @@ def test_criterion_7_support_exactness_and_sandwich(capsys):
     def body():
         rng = random.Random(7)
         for ring in make_zoo():
+            # exactness on every 0 -> S -> M -> M/S -> 0 with M = R/I,
+            # R = R/0 among them
+            assert check_support_exactness(ring)[1:] == (True, None)
             spec = atom_spectrum(ring)
             whole = regular_module(ring)
             lattice = submodule_lattice(whole)
             for members in lattice:
-                sub = sub_module(whole, members)[0]
-                quot = quotient(whole, members)
-                # exactness: support of the middle is the union over the ends
-                assert atom_support(spec, whole) == (
-                    atom_support(spec, sub) | atom_support(spec, quot)
-                )
-                ass = associated_atoms(spec, sub)
-                supp = atom_support(spec, sub)
-                assert ass <= supp
-                if sub.order > 1:
-                    assert ass
-                else:
-                    assert not supp
+                assert ass_within_support(spec, sub_module(whole, members)[0])
             small = [
                 sub_module(whole, m)[0] for m in lattice if len(m) <= 8
             ]
             for _ in range(20):
                 a, b = rng.choice(small), rng.choice(small)
-                summed = direct_sum(a, b)
-                assert atom_support(spec, summed) == (
-                    atom_support(spec, a) | atom_support(spec, b)
-                )
-                assert associated_atoms(spec, summed) == (
-                    associated_atoms(spec, a) | associated_atoms(spec, b)
-                )
+                assert sum_is_additive(spec, a, b)
 
     run_criterion(capsys, 7, 60.0, body)
 
@@ -247,19 +197,9 @@ def test_criterion_8_serre_open_set_correspondence(capsys):
     def body():
         rng = random.Random(8)
         for ring in make_zoo():
-            spec = atom_spectrum(ring)
-            whole = regular_module(ring)
             # roundtrip: the modules supported inside an open set have
             # supports that union back to exactly that open set
-            cyclic_supports = [
-                spec.support_of_ideal(q) for q in spec.comonoform_ideals()
-            ]
-            for phi in enumerate_open_sets(spec):
-                union = frozenset()
-                for supp in cyclic_supports:
-                    if supp <= phi:
-                        union |= supp
-                assert union == phi
+            assert check_roundtrip_open_sets(ring)[1:] == (True, None)
         for ring in (zmod(4), zmod(12), tri2(2)):
             spec = atom_spectrum(ring)
             universe = build_universe(regular_module(ring))
@@ -269,13 +209,7 @@ def test_criterion_8_serre_open_set_correspondence(capsys):
             # soundness on random generator sets
             for _ in range(20):
                 gens = [i for i in range(n) if rng.random() < 0.4]
-                closed = closure_oracle(universe, gens)
-                phi = frozenset().union(
-                    frozenset(), *(supports[g] for g in gens)
-                )
-                assert phi in open_sets
-                for m in closed:
-                    assert supports[m] <= phi
+                assert closure_is_sound(universe, supports, gens)
             # completeness: closure-closed families biject with open sets
             families = set()
             for r in range(n + 1):
@@ -286,6 +220,7 @@ def test_criterion_8_serre_open_set_correspondence(capsys):
                 phi = frozenset().union(
                     frozenset(), *(supports[m] for m in family)
                 )
+                assert phi in open_sets
                 assert family == frozenset(
                     m for m in range(n) if supports[m] <= phi
                 )

@@ -6,8 +6,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from atomspec import modules
 from atomspec.checks import (
@@ -41,7 +39,7 @@ from atomspec.modules import (
 )
 from atomspec.rings import CapExceededError, mat, product, tri2, zmod
 
-from conftest import TABLE_FORMS, ZMOD_ORDERS, table_in_form
+from conftest import TABLE_FORMS, table_in_form
 
 
 def composition_length(module: RightModule) -> int:
@@ -370,27 +368,6 @@ def test_parse_module_spec_forms(zmod12):
     assert parse_module_spec(zmod12, "sub:0,4,8").order == 3
     summed = parse_module_spec(zmod12, "sum:cyclic:4+cyclic:6")
     assert summed.order == 6
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.sampled_from(ZMOD_ORDERS), st.integers(min_value=0, max_value=59))
-def test_annihilator_is_ideal(n, x):
-    ring = zmod(n)
-    module = regular_module(ring)
-    ann = annihilator(module, x % n)
-    assert is_submodule(module, ann)
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.sampled_from(ZMOD_ORDERS))
-def test_lattice_is_join_and_meet_closed(n):
-    module = regular_module(zmod(n))
-    lattice = submodule_lattice(module)
-    universe = set(lattice)
-    for a in lattice:
-        for b in lattice:
-            assert a & b in universe
-            assert submodule_sum(module, a, b) in universe
 
 
 @pytest.mark.parametrize("form", TABLE_FORMS)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atomspec import rings
 from atomspec.rings import (
     CapExceededError,
     FiniteRing,
@@ -98,6 +99,36 @@ def test_order_cap_enforced():
         mat(3, 5)
     with pytest.raises(CapExceededError):
         zmod(10, order_cap=5)
+
+
+def test_mat_is_refused_before_its_positions_exist():
+    # p^(k^2) is checked before the k^2 matrix units are listed, which
+    # for mat:1000:2 took 84 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            parse_ring_spec("mat:1000:2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_product_builds_no_factor_past_the_cap(monkeypatch):
+    built = []
+    real = rings.validate_ring
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("name"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rings, "validate_ring", counting)
+    with pytest.raises(CapExceededError) as refused:
+        parse_ring_spec("prod:zmod:64,zmod:64,zmod:2")
+    assert built == ["zmod:64", "zmod:64"]
+    assert "exceeds cap 4096" in str(refused.value)
+    # a product of order exactly the cap is still built
+    assert parse_ring_spec("prod:zmod:8,zmod:8", order_cap=64).order == 64
 
 
 def test_nonprime_field_rejected():

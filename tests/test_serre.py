@@ -21,11 +21,10 @@ from atomspec.serre import (
     inclusion_edges,
     serre_lattice,
 )
-from atomspec.rings import tri2, zmod
+from atomspec.rings import zmod
 from atomspec.spectrum import (
     atom_spectrum,
     atom_support,
-    enumerate_open_sets,
     is_open,
 )
 
@@ -143,34 +142,6 @@ def test_closure_oracle_soundness_matches_open_sets(zmod12):
         phi = frozenset().union(*(supports[g] for g in gens))
         for m in closed:
             assert supports[m] <= phi
-
-
-def test_oracle_completeness_on_curated_rings():
-    # for these rings the open-set subcategories and the closure-oracle
-    # subcategories coincide exactly
-    for ring in (zmod(4), zmod(12), tri2(2)):
-        spec = atom_spectrum(ring)
-        ambient = regular_module(ring)
-        universe = build_universe(ambient)
-        supports = universe_supports(universe, spec)
-        open_sets = set(enumerate_open_sets(spec))
-        # closure-closed subsets of the universe, keyed by their support union
-        closed_families = set()
-        n = len(universe.members)
-        for r in range(n + 1):
-            for gens in itertools.combinations(range(n), r):
-                closed = closure_oracle(universe, gens)
-                closed_families.add(closed)
-        assert len(closed_families) == len(open_sets)
-        for family in closed_families:
-            phi = frozenset().union(
-                frozenset(), *(supports[m] for m in family)
-            )
-            assert phi in open_sets
-            # family is exactly the members supported inside phi
-            assert family == frozenset(
-                m for m in range(n) if supports[m] <= phi
-            )
 
 
 def test_calculus_identities_hold(tri2_2):

@@ -1,4 +1,3 @@
-import itertools
 from dataclasses import replace
 
 import pytest
@@ -20,7 +19,6 @@ from atomspec.modules import (
 from atomspec.rings import mat, parse_ring_spec, tri2, zmod
 from atomspec.spectrum import (
     SpectrumError,
-    associated_atoms,
     atom_spectrum,
     atom_support,
     enumerate_open_sets,
@@ -71,21 +69,6 @@ def test_tri2_atom_equivalences(tri2_2):
     assert spec.atom_of(p_a) != spec.atom_of(m_2)
 
 
-def test_atom_equivalence_is_an_equivalence(zoo):
-    for ring in zoo:
-        if ring.order > 16:
-            continue
-        spec = atom_spectrum(ring)
-        comono = spec.comonoform_ideals()
-        for p in comono:
-            assert atom_equivalent(ring, p, p)
-        for p, q in itertools.combinations(comono, 2):
-            assert atom_equivalent(ring, p, q) == atom_equivalent(ring, q, p)
-        for p, q, r in itertools.combinations(comono, 3):
-            if atom_equivalent(ring, p, q) and atom_equivalent(ring, q, r):
-                assert atom_equivalent(ring, p, r)
-
-
 def test_zmod_spectra_are_singleton_classes():
     for n in (4, 6, 8, 12, 30, 36, 60):
         ring = zmod(n)
@@ -115,23 +98,6 @@ def test_atom_support_of_zmod12_modules(zmod12):
         frozenset({a3})
     assert atom_support(spec, quotient(whole, frozenset(range(12)))) == \
         frozenset()
-
-
-def test_associated_atoms_sandwich(zoo):
-    # AAss is contained in ASupp; both empty only for the zero module
-    for ring in zoo:
-        if ring.order > 16:
-            continue
-        spec = atom_spectrum(ring)
-        whole = regular_module(ring)
-        for members in submodule_lattice(whole):
-            mod = sub_module(whole, members)[0]
-            ass = associated_atoms(spec, mod)
-            supp = atom_support(spec, mod)
-            assert ass <= supp
-            assert (len(members) == 1) == (not supp)
-            if len(members) > 1:
-                assert ass
 
 
 def test_support_additive_over_direct_sums(zmod12):
