@@ -1,0 +1,128 @@
+"""Resource gates, run as `PYTHONPATH=src python -m pytest -q gates`.
+
+A row is one CLI cell (`--format json` is added): its exit code, a check of
+its JSON report, and bounds on its wall seconds and peak RSS (ru_maxrss) in
+MB, None where it has none.  A cell runs in a fresh process, is killed at
+its time bound, and prints `gate <name>: exit <code> in <s> s, peak <MB> MB`.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+import pytest
+
+from atomspec.rings import zmod
+
+SPAWN = os.path.join(os.path.dirname(__file__), "spawn.py")
+SUM12 = "sum:" + "+".join(["regular"] * 12)  # F_2^12 over F_2, order 4096
+capped = lambda r: r["error"]["type"] == "CapExceededError"  # noqa: E731
+passed = lambda r: r["result"]["passed"] is True  # noqa: E731
+valid = lambda r: r["result"]["valid"] is True  # noqa: E731
+
+ROWS = [  # name, argv, exit code, check, seconds, MB
+    # the 12.9 MB report is written as it is produced; built whole, 93 MB
+    ("serre F2^10", ["serre", "--ring", "prod:" + ",".join(["zmod:2"] * 10)], 0,
+     lambda r: (r["result"]["count"], len(r["result"]["edges"])) == (1024, 5120),
+     None, 70),
+    # the tables stay int16 from build to validation; int64 copies, 505 MB
+    ("validate zmod:4096", ["validate", "--ring", "zmod:4096"], 0, valid, None, 250),
+    ("validate F2^12", ["validate", "--ring", "prod:" + ",".join(["zmod:2"] * 12)],
+     0, valid, None, 250),
+    # read as text into table arrays, one row at a time; json.loads, 1.8 GB
+    ("validate Z/4096 document", ["validate", "--ring", "{z4096}"], 0,
+     lambda r: valid(r) and r["ring"]["hash"] == zmod(4096).content_hash(),
+     None, 380),
+    # the read stops at the first table row wider than the cap
+    ("validate Z/4096 document --max-order 64",
+     ["validate", "--ring", "{z4096}", "--max-order", "64"], 1, capped,
+     lambda took: took["validate Z/4096 document"] / 4, None),
+    # read off a filtration of length 12, not from 4.9e11 subspaces
+    ("support F2^12", ["support", "--ring", "zmod:2", "--module", SUM12], 0,
+     lambda r: r["result"]["atoms"] == [0], None, None),
+    ("filtration F2^12", ["filtration", "--ring", "zmod:2", "--module", SUM12], 0,
+     lambda r: len(r["result"]["chain"]) == 13, None, None),
+    # the whole battery at the order frontier: zmod:2048 took 149 s and
+    # 1.9 GB before maps were checked on generators
+    ("check zmod:1024", ["check", "--ring", "zmod:1024"], 0, passed, 60, 600),
+    ("check zmod:2048", ["check", "--ring", "zmod:2048"], 0, passed, 60, 600),
+    ("check mat:2:7", ["check", "--ring", "mat:2:7"], 0, passed, 60, 600),
+    # the lattice search stops at 2^25 bytes of keys, after 32,769 of
+    # 8,283,459 ideals; check refuses more than 256 right ideals (2,826)
+    ("ideals F2 x F2^9", ["ideals", "--ring", "{f2x9}"], 1, capped, 30, 150),
+    ("check F2 x F2^6", ["check", "--ring", "{f2x6}"], 1, capped, 30, 150),
+    # refused before their tables or positions are built
+    ("validate mat:99999999:2", ["validate", "--ring", "mat:99999999:2"], 1,
+     capped, 10, 200),
+    ("validate 60 x zmod:4096",
+     ["validate", "--ring", "prod:" + ",".join(["zmod:4096"] * 60)], 1,
+     capped, 10, 200),
+]
+
+
+def measure(argv, seconds):
+    """(exit code, stdout bytes, wall seconds, peak RSS in MB) of
+    `python -m atomspec.cli *argv`, spawned by a fresh gates/spawn.py."""
+    done = subprocess.run([sys.executable, SPAWN, json.dumps([argv, seconds])],
+                          stdout=subprocess.PIPE, check=True)
+    head, _, out = done.stdout.partition(b"\n")
+    code, took, kb = json.loads(head)
+    return code, out, took, kb / 1024
+
+
+@pytest.fixture(scope="session")
+def docs():
+    """The ring documents the rows name: Z/4096 written row by row, and
+    F_2 x F_2^k (basis 1, e_1..e_k, e_i e_j = 0 for i, j >= 1), k = 6, 9."""
+    n = 4096
+    names = [str(v) for v in range(n)]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"z4096": os.path.join(tmp, "z4096.json")}
+        with open(paths["z4096"], "w") as f:
+            f.write(f'{{"order":{n},"one":1,"add":[')
+            f.write(",".join("[" + ",".join(names[i:] + names[:i]) + "]"
+                             for i in range(n)))
+            f.write('],"mul":[')
+            f.write(",".join("[" + ",".join(names[i * j % n] for j in range(n)) + "]"
+                             for i in range(n)))
+            f.write("]}")
+        for k in (6, 9):
+            d = k + 1
+            consts = [[[int(l == i + j and 0 in (i, j)) for l in range(d)]
+                       for j in range(d)] for i in range(d)]
+            paths[f"f2x{k}"] = os.path.join(tmp, f"f2-x-f2-{k}.json")
+            with open(paths[f"f2x{k}"], "w") as f:
+                json.dump({"fp_algebra": {"p": 2, "dim": d, "structure_constants": consts,
+                                          "unit_vector": [1] + [0] * k}}, f)
+        yield paths
+
+
+@pytest.fixture(scope="session")
+def took():  # wall seconds of each row run so far, by name
+    return {}
+
+
+@pytest.mark.parametrize("name, argv, code, check, seconds, mb", ROWS,
+                         ids=[row[0] for row in ROWS])
+def test_gate(name, argv, code, check, seconds, mb, docs, took, capsys):
+    if callable(seconds):
+        seconds = seconds(took)
+    argv = [arg.format(**docs) for arg in argv] + ["--format", "json"]
+    got, out, took[name], peak = measure(argv, seconds)
+    with capsys.disabled():
+        print(f"\ngate {name}: exit {got} in {took[name]:.2f} s, peak {peak:.0f} MB")
+    assert got == code
+    assert check(json.loads(out))
+    assert seconds is None or took[name] < seconds
+    assert mb is None or peak < mb
+
+
+def test_a_reading_ignores_the_test_process_peak():
+    # a cell spawned from this process would start its ru_maxrss at this
+    # process's peak: a trivial one read 313 MB after 300 MB was touched
+    touched = b"x" * (300 << 20)
+    del touched
+    code, _, _, peak = measure(["validate", "--ring", "zmod:2", "--format", "json"], None)
+    assert code == 0 and peak < 60

@@ -21,30 +21,19 @@ import time
 from collections.abc import Iterator
 
 from .checks import check_suite
-from .modules import (
-    ModuleError,
-    parse_module_spec,
-    regular_module,
-    submodule_lattice,
-)
-from .monoform import MonoformError, is_monoform, monoform_filtration
+from .modules import parse_module_spec, regular_module, submodule_lattice
+from .monoform import is_monoform, monoform_filtration
 from .rings import (
     BUILTIN_PREFIXES,
-    CapExceededError,
     DEFAULT_ORDER_CAP,
+    AtomspecError,
     FiniteRing,
-    RingError,
     RingFormatError,
     parse_ring_document,
     parse_ring_spec,
 )
 from .serre import Rows, dot_lines, serre_lattice
-from .spectrum import (
-    SpectrumError,
-    associated_atoms,
-    atom_spectrum,
-    atom_support,
-)
+from .spectrum import associated_atoms, atom_spectrum, atom_support
 
 VERBS = (
     "validate", "ideals", "spectrum", "monoform", "support",
@@ -52,7 +41,7 @@ VERBS = (
 )
 
 
-class DomainError(Exception):
+class DomainError(AtomspecError):
     pass
 
 
@@ -250,11 +239,12 @@ def run(argv=None) -> tuple[int, dict]:
             "result": _payload(args, ring),
             "cap_warnings": [],
         }
-    except (RingError, ModuleError, MonoformError, SpectrumError,
-            CapExceededError, DomainError) as exc:
+    except (AtomspecError, MemoryError) as exc:
+        # numpy raises MemoryError subclasses such as _ArrayMemoryError
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         report = {
             "verb": args.verb,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
+            "error": {"type": kind, "message": str(exc)},
         }
         if args.format == "json":
             _write_json(report)

@@ -41,6 +41,7 @@ import numpy as np
 
 from .rings import (
     DEFAULT_ORDER_CAP,
+    AtomspecError,
     CapExceededError,
     FiniteRing,
     TableRecord,
@@ -51,7 +52,7 @@ DEFAULT_LATTICE_CAP = 1 << 25  # bytes of submodule keys a lattice search keeps
 _BLOCK = 1 << 20  # action-table entries in a block of whole rows
 
 
-class ModuleError(Exception):
+class ModuleError(AtomspecError):
     pass
 
 

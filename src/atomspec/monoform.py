@@ -16,10 +16,10 @@ from .modules import (
     regular_module,
     submodule_sum,
 )
-from .rings import FiniteRing
+from .rings import AtomspecError, FiniteRing
 
 
-class MonoformError(Exception):
+class MonoformError(AtomspecError):
     pass
 
 

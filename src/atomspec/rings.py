@@ -49,7 +49,11 @@ DEFAULT_ORDER_CAP = 4096
 _CHUNK = 1 << 17
 
 
-class RingError(Exception):
+class AtomspecError(Exception):
+    """Base class of the errors atomspec raises on an input it refuses."""
+
+
+class RingError(AtomspecError):
     """Base class for ring construction failures."""
 
 

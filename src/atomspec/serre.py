@@ -7,10 +7,11 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .modules import submodule_key
+from .rings import AtomspecError
 from .spectrum import AtomSpectrum, SpectrumError, enumerate_open_sets, is_open
 
 
-class SerreError(Exception):
+class SerreError(AtomspecError):
     pass
 
 

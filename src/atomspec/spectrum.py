@@ -19,12 +19,10 @@ from .modules import (
     submodule_key,
 )
 from .monoform import is_comonoform, monoform_filtration
-from .rings import FiniteRing
-
-MAX_ATOMS_FOR_POWERSET = 20
+from .rings import AtomspecError, FiniteRing
 
 
-class SpectrumError(Exception):
+class SpectrumError(AtomspecError):
     pass
 
 
@@ -45,15 +43,6 @@ class AtomSpectrum:
     atoms: tuple[Atom, ...]
     index: Mapping = field(compare=False, repr=False)
     supports: Mapping = field(compare=False, repr=False)
-
-    def atom_of(self, ideal: frozenset) -> int:
-        """Atom id of a comonoform right ideal."""
-        try:
-            return self.index[ideal]
-        except KeyError:
-            raise SpectrumError(
-                f"{sorted(ideal)} is not a comonoform right ideal"
-            ) from None
 
     def comonoform_ideals(self) -> tuple[frozenset, ...]:
         return tuple(ideal for atom in self.atoms for ideal in atom.members)
@@ -187,13 +176,10 @@ def is_open(spec: AtomSpectrum, phi: frozenset) -> bool:
 
 def enumerate_open_sets(spec: AtomSpectrum) -> list[frozenset]:
     """All open subsets, sorted by (size, sorted atom ids): every subset,
-    as the topology is discrete."""
+    as the topology is discrete.  R/J is a product of one simple ring per
+    atom, so |R| >= 2^k for k atoms: the 2^k open sets never outnumber the
+    elements of R, whose tables hold |R|^2 entries."""
     k = len(spec.atoms)
-    if k > MAX_ATOMS_FOR_POWERSET:
-        raise SpectrumError(
-            f"{k} atoms have 2^{k} open sets, too many to list "
-            f"(max {MAX_ATOMS_FOR_POWERSET} atoms)"
-        )
     return [
         frozenset(c)
         for size in range(k + 1)

@@ -1,9 +1,12 @@
+import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from atomspec.modules import quotient, regular_module, sub_module, submodule_lattice
 from atomspec.rings import fp_algebra, mat, product, tri2, zmod
 
 ZMOD_ORDERS = (4, 6, 8, 12, 30, 36, 60)
@@ -24,6 +27,27 @@ def make_zoo():
         + [tri2(2), tri2(3), mat(2, 2)]
         + [product(zmod(4), zmod(3)), product(zmod(2), zmod(2))]
     )
+
+
+def peak_bytes(fn):
+    """fn's return value and the peak bytes tracemalloc saw while it ran;
+    numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@functools.lru_cache(maxsize=None)
+def modules_around(ring):
+    """The regular module, then each quotient and submodule of it, in
+    pairs."""
+    reg = regular_module(ring)
+    out = [reg]
+    for sub in submodule_lattice(reg):
+        out += [quotient(reg, sub), sub_module(reg, sub)[0]]
+    return tuple(out)
 
 
 @pytest.fixture(scope="session")

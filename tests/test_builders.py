@@ -7,8 +7,6 @@ their tables, projection and inclusion maps and provenance strings
 exactly.
 """
 
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +25,7 @@ from atomspec.modules import (
 )
 from atomspec.rings import zmod
 
-from conftest import make_zoo
+from conftest import make_zoo, modules_around
 
 ZOO = make_zoo()
 
@@ -132,20 +130,9 @@ def assert_builders_agree(module):
         assert all(type(i) is int for i in incl)
 
 
-@functools.lru_cache(maxsize=None)
-def _modules_of(ring):
-    """The regular module, every quotient and every submodule."""
-    reg = regular_module(ring)
-    out = [reg]
-    for ideal in submodule_lattice(reg):
-        out.append(quotient_module(reg, ideal)[0])
-        out.append(sub_module(reg, ideal)[0])
-    return tuple(out)
-
-
 @pytest.mark.parametrize("ring", ZOO, ids=lambda r: r.name)
 def test_builders_match_nested_loops(ring):
-    for module in _modules_of(ring):
+    for module in modules_around(ring):
         assert_builders_agree(module)
 
 
@@ -160,7 +147,7 @@ def test_direct_sum_matches_nested_loops(ring):
         assert summed == want
         assert summed.provenance == "sum:regular+regular"
         assert_same_module(direct_sum(reg, reg), want)
-    quotients = _modules_of(ring)[1::2]
+    quotients = modules_around(ring)[1::2]
     for a, b in zip(quotients, quotients[::-1]):
         assert_same_module(direct_sum(a, b), direct_sum_oracle(a, b))
 
@@ -175,7 +162,7 @@ def test_builders_on_sum_of_regular(ring):
 @given(st.data())
 def test_is_submodule_agrees_with_oracle(data):
     ring = data.draw(st.sampled_from(ZOO))
-    module = data.draw(st.sampled_from(_modules_of(ring)))
+    module = data.draw(st.sampled_from(modules_around(ring)))
     m = module.order
     # ids may fall outside 0..m-1 and may leave out 0
     members = frozenset(data.draw(st.sets(st.integers(-2, m + 2), max_size=m)))

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -217,6 +218,25 @@ def test_cap_exceeded_exits_one(capsys):
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["type"] == "CapExceededError"
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="RLIMIT_AS bounds the address space on Linux")
+def test_running_out_of_memory_is_a_json_error():
+    # the two 20000 x 20000 int16 tables need 763 MiB each, more than a
+    # 1 GiB address space holds; numpy's _ArrayMemoryError was a traceback
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "atomspec.cli", "validate", "--ring",
+         "zmod:20000", "--max-order", "20000", "--format", "json"],
+        capture_output=True, text=True, preexec_fn=limit, timeout=60,
+    )
+    assert proc.returncode == 1
+    [line] = proc.stdout.splitlines()
+    assert json.loads(line)["error"]["type"] == "MemoryError"
+    assert "Traceback" not in proc.stderr
 
 
 def test_graph_format_restricted_to_serre():

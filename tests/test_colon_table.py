@@ -24,7 +24,6 @@ from atomspec.modules import (
     quotient,
     quotient_module,
     regular_module,
-    sub_module,
     submodule_lattice,
 )
 from atomspec.monoform import (
@@ -36,7 +35,7 @@ from atomspec.monoform import (
 from atomspec.rings import zmod
 from atomspec.spectrum import atom_spectrum, atom_support
 
-from conftest import make_zoo
+from conftest import make_zoo, modules_around
 
 ZOO = make_zoo()
 
@@ -92,17 +91,6 @@ def monoform_filtration_by_quotients(module):
         ))
         labels.append(annihilator(quot, x))
     return Filtration(chain=tuple(chain), labels=tuple(labels))
-
-
-def modules_around(ring):
-    """The regular module, every quotient and every submodule of it."""
-    reg = regular_module(ring)
-    lattice = submodule_lattice(reg)
-    return (
-        [reg]
-        + [quotient(reg, sub) for sub in lattice]
-        + [sub_module(reg, sub)[0] for sub in lattice]
-    )
 
 
 def _agree(ring, module):

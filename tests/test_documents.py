@@ -10,7 +10,6 @@ order, with a duplicate key, and with single-token corruptions.
 
 import json
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +28,7 @@ from atomspec.rings import (
     validate_ring,
     zmod,
 )
-from conftest import incidence_constants, make_zoo, posets
+from conftest import incidence_constants, make_zoo, peak_bytes, posets
 
 ZOO = make_zoo()
 
@@ -236,12 +235,7 @@ def test_reading_a_document_takes_its_text_and_tables(indent):
         {"order": ring.order, "one": ring.one, "add": ring.add.tolist(),
          "mul": ring.mul.tolist()}, indent=indent).encode()
     tables = 2 * 512 * 512 * np.dtype(np.int16).itemsize
-    tracemalloc.start()
-    try:
-        parse_ring_document(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(lambda: parse_ring_document(data))
     assert peak < len(data) + 3 * tables + (1 << 20)
 
 

@@ -2,7 +2,6 @@ import functools
 import itertools
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +38,7 @@ from atomspec.modules import (
 )
 from atomspec.rings import CapExceededError, mat, product, tri2, zmod
 
-from conftest import TABLE_FORMS, table_in_form
+from conftest import TABLE_FORMS, peak_bytes, table_in_form
 
 
 def composition_length(module: RightModule) -> int:
@@ -330,12 +329,8 @@ def test_minimal_submodules_match_pairwise_oracle(zoo):
 def test_minimal_submodules_read_the_action_table_in_blocks():
     # an order x order intp temporary would be 32 MiB at order 2048
     module = regular_module(zmod(2048))
-    tracemalloc.start()
-    try:
-        assert minimal_submodules(module) == [frozenset({0, 1024})]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    minimal, peak = peak_bytes(lambda: minimal_submodules(module))
+    assert minimal == [frozenset({0, 1024})]
     assert peak < 16 << 20
 
 

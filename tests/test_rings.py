@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from atomspec.rings import (
     zmod,
 )
 
-from conftest import TABLE_FORMS, make_zoo, table_in_form
+from conftest import TABLE_FORMS, make_zoo, peak_bytes, table_in_form
 
 
 def test_zmod12_is_a_valid_ring():
@@ -104,13 +103,8 @@ def test_order_cap_enforced():
 def test_mat_is_refused_before_its_positions_exist():
     # p^(k^2) is checked before the k^2 matrix units are listed, which
     # for mat:1000:2 took 84 MiB
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapExceededError):
-            parse_ring_spec("mat:1000:2")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(
+        lambda: pytest.raises(CapExceededError, parse_ring_spec, "mat:1000:2"))
     assert peak < 16 * 2 ** 20
 
 
@@ -276,13 +270,7 @@ def test_ring_hash_is_the_same_in_every_process():
 def test_building_a_ring_needs_a_few_copies_of_its_tables(spec):
     # the builders and validate_ring keep the tables in their dtype and
     # chunk the checks by rows, so no n x n int64 copy and no
-    # (rows x n x dim) product temporary is ever alive; numpy reports its
-    # buffers to tracemalloc
-    tracemalloc.start()
-    try:
-        ring = parse_ring_spec(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # (rows x n x dim) product temporary is ever alive
+    ring, peak = peak_bytes(lambda: parse_ring_spec(spec))
     tables = ring.add.nbytes + ring.mul.nbytes
     assert peak <= 3 * tables + 2 ** 20, (peak, tables)
