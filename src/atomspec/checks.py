@@ -14,6 +14,15 @@ Each check returns (name, passed, witness), its name written once in its
 definition; check_suite aggregates them into a report.  A
 failed check is an implementation bug, never an acceptable state, so
 witnesses are kept small and concrete.
+
+A run (check_suite, or one property called on its own) opens one memo and
+drops it when it returns or raises.  Through `_once`, the run builds each
+subquotient once per (module, members) pair, and computes each
+per-module fact (annihilator keys, invariant key, generating sequence,
+minimal submodules, uniformity, atom support and associated atoms) once
+per distinct module.  Modules
+compare by digest, not provenance, so a reused module keeps the
+provenance of its first build, and a failing witness names that one.
 """
 
 from __future__ import annotations
@@ -22,6 +31,8 @@ import itertools
 import random
 from collections import Counter
 from collections.abc import Mapping
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from types import MappingProxyType
@@ -71,6 +82,50 @@ from .spectrum import (
     enumerate_open_sets,
     is_open,
 )
+
+
+# ---------------------------------------------------------------------------
+# the run memo
+
+# (function, *arguments) -> value during a run, one per thread or task
+_memo: ContextVar[dict | None] = ContextVar("checks_memo", default=None)
+
+
+@contextmanager
+def _run():
+    """Open the memo unless a run holds it already; the outermost run
+    drops it when it returns or raises."""
+    if _memo.get() is not None:
+        yield
+        return
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _once(fn, *args):
+    """fn(*args), computed once per equal arguments while a run is open,
+    and on every call outside one.  The callers pass the names of this
+    module, read at the call, so a replaced name is what a miss calls.
+
+    A module fn builds, alone or first in a pair with its map, is
+    replaced by the first equal module of the run: the memo also maps
+    each module to itself."""
+    memo = _memo.get()
+    if memo is None:
+        return fn(*args)
+    key = (fn, *args)
+    if key not in memo:
+        value = fn(*args)
+        if isinstance(value, RightModule):
+            value = memo.setdefault(value, value)
+        elif (isinstance(value, tuple) and value
+              and isinstance(value[0], RightModule)):
+            value = (memo.setdefault(value[0], value[0]), *value[1:])
+        memo[key] = value
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +199,7 @@ def maximal_submodules(module: RightModule) -> list[frozenset]:
 def socle(module: RightModule) -> frozenset:
     """Sum of all minimal nonzero submodules (zero for the zero module)."""
     total = frozenset({0})
-    for s in minimal_submodules(module):
+    for s in _once(minimal_submodules, module):
         total = submodule_sum(module, total, s)
     return total
 
@@ -159,7 +214,7 @@ def _chief_series_bottom_up(module: RightModule) -> list[frozenset]:
     while len(current) < module.order:
         # the ids of M/S index the coset representatives of S
         labels, reps = coset_labels(module, sorted(current))
-        minimal = minimal_submodules(quotient(module, current))[0]
+        minimal = _once(minimal_submodules, _once(quotient, module, current))[0]
         chosen = np.zeros(module.order, dtype=bool)
         chosen[reps[list(minimal)]] = True
         current = frozenset(np.flatnonzero(chosen[labels]).tolist())
@@ -177,7 +232,7 @@ def _chief_series_top_down(module: RightModule) -> list[frozenset]:
         top = maximal_submodules(current)[0]
         parent_set = frozenset(to_parent[i] for i in top)
         chain.append(parent_set)
-        current, incl = sub_module(current, top)
+        current, incl = _once(sub_module, current, top)
         to_parent = {i: to_parent[incl[i]] for i in range(current.order)}
     chain.reverse()
     return chain
@@ -186,14 +241,14 @@ def _chief_series_top_down(module: RightModule) -> list[frozenset]:
 def subquotient(module: RightModule, lower: frozenset,
                 upper: frozenset) -> RightModule:
     """upper / lower as a standalone module, for submodules lower <= upper."""
-    upper_mod, incl = sub_module(module, upper)
+    upper_mod, incl = _once(sub_module, module, upper)
     inner = frozenset(i for i in range(upper_mod.order) if incl[i] in lower)
-    return quotient(upper_mod, inner)
+    return _once(quotient, upper_mod, inner)
 
 
 def series_factors(module: RightModule, chain: list[frozenset]) -> Counter:
     # simple modules are isomorphic iff their annihilator sets are equal
-    return Counter(annihilator_set(subquotient(module, lower, upper))
+    return Counter(annihilator_set(_once(subquotient, module, lower, upper))
                    for lower, upper in zip(chain, chain[1:]))
 
 
@@ -271,10 +326,10 @@ def _embedding_exists(a: RightModule, b: RightModule) -> bool:
     each extension step agrees with psi, which is well defined and
     injective.
     """
-    keys_a, keys_b = annihilator_keys(a), annihilator_keys(b)
+    keys_a, keys_b = _once(annihilator_keys, a), _once(annihilator_keys, b)
     if not Counter(keys_a) <= Counter(keys_b):
         return False
-    gens = minimal_generating_sequence(a)
+    gens = _once(minimal_generating_sequence, a)
 
     def search(i: int, phi: np.ndarray) -> bool:
         if i == len(gens):
@@ -309,7 +364,7 @@ def simple_module_count(ring: FiniteRing) -> int:
     reg = regular_module(ring)
     simples: list[RightModule] = []
     for m in maximal_submodules(reg):
-        candidate = quotient(reg, m)
+        candidate = _once(quotient, reg, m)
         if not any(is_isomorphic(candidate, s) for s in simples):
             simples.append(candidate)
     return len(simples)
@@ -333,9 +388,9 @@ def monoform_oracle_artinian(module: RightModule) -> bool:
     among the composition factors.  Independent of is_monoform."""
     if module.order == 1:
         return False
-    if len(minimal_submodules(module)) != 1:
+    if len(_once(minimal_submodules, module)) != 1:
         return False
-    soc, _ = sub_module(module, socle(module))
+    soc, _ = _once(sub_module, module, socle(module))
     # simple modules are isomorphic iff their annihilator sets are equal
     handle = annihilator_set(soc)
     return composition_factors(module)[handle] == 1
@@ -346,7 +401,7 @@ def monoform_by_closure(module: RightModule) -> bool:
     closure of its quotients M/N by nonzero N, computed by the closure
     oracle over the subquotients of M."""
     universe = build_universe(module)
-    gens = {universe.class_of(quotient(module, sub))
+    gens = {universe.class_of(_once(quotient, module, sub))
             for sub in submodule_lattice(module) if len(sub) > 1}
     return universe.class_of(module) not in closure_oracle(universe, gens)
 
@@ -379,9 +434,9 @@ def filtration_defect(module: RightModule) -> int | str | None:
         return "chain"
     reg = regular_module(module.ring)
     for i, label in enumerate(filt.labels):
-        factor = subquotient(module, chain[i], chain[i + 1])
+        factor = _once(subquotient, module, chain[i], chain[i + 1])
         if not (is_monoform(factor)
-                and is_isomorphic(factor, quotient(reg, label))):
+                and is_isomorphic(factor, _once(quotient, reg, label))):
             return i
     return None
 
@@ -395,16 +450,16 @@ def max_monoform_submodule(module: RightModule) -> frozenset:
     xR is isomorphic to R/Ann(x), so it is monoform iff Ann(x) is
     comonoform, and no cyclic submodule is built to find them.
     """
-    if not is_uniform(module):
+    if not _once(is_uniform, module):
         raise MonoformError("maximal monoform submodule requires a uniform module")
     total = frozenset({0})
     for x in range(1, module.order):
         if is_comonoform(module.ring, annihilator(module, x)):
             total = submodule_sum(module, total, cyclic_submodule(module, x))
-    if not is_monoform(sub_module(module, total)[0]):
+    if not is_monoform(_once(sub_module, module, total)[0]):
         raise AssertionError("sum of monoform submodules failed to be monoform")
     for sub in submodule_lattice(module):
-        if len(sub) > 1 and is_monoform(sub_module(module, sub)[0]):
+        if len(sub) > 1 and is_monoform(_once(sub_module, module, sub)[0]):
             if not sub <= total:
                 raise AssertionError(
                     f"monoform submodule {sorted(sub)} escapes the computed maximum"
@@ -438,12 +493,12 @@ class ClosureUniverse:
 def _invariant_key(module: RightModule) -> tuple:
     """Order and the multiset of annihilators: equal for isomorphic
     modules."""
-    counts = Counter(annihilator_keys(module))
+    counts = Counter(_once(annihilator_keys, module))
     return module.order, tuple(sorted(counts.items()))
 
 
 def _find_class(members, by_key: Mapping, module) -> int | None:
-    for i in by_key.get(_invariant_key(module), ()):
+    for i in by_key.get(_once(_invariant_key, module), ()):
         if is_isomorphic(members[i], module):
             return i
     return None
@@ -456,30 +511,30 @@ def build_universe(ambient: RightModule) -> ClosureUniverse:
     by_key: dict[tuple, list[int]] = {}
 
     def intern(module: RightModule) -> None:
-        same_key = by_key.setdefault(_invariant_key(module), [])
+        same_key = by_key.setdefault(_once(_invariant_key, module), [])
         if not any(is_isomorphic(members[i], module) for i in same_key):
             same_key.append(len(members))
             members.append(module)
 
     # seed with every subquotient
     for sub in submodule_lattice(ambient):
-        inner, _ = sub_module(ambient, sub)
+        inner, _ = _once(sub_module, ambient, sub)
         for nested in submodule_lattice(inner):
-            intern(quotient(inner, nested))
+            intern(_once(quotient, inner, nested))
 
     sub_classes: list[set[int]] = [set() for _ in members]
     quot_classes: list[set[int]] = [set() for _ in members]
     triples: set[tuple[int, int, int]] = set()
     for e, member in enumerate(members):
         for sub in submodule_lattice(member):
-            l_idx = _find_class(members, by_key, sub_module(member, sub)[0])
-            n_idx = _find_class(members, by_key, quotient(member, sub))
+            l_idx = _find_class(members, by_key, _once(sub_module, member, sub)[0])
+            n_idx = _find_class(members, by_key, _once(quotient, member, sub))
             assert l_idx is not None and n_idx is not None
             sub_classes[e].add(l_idx)
             quot_classes[e].add(n_idx)
             triples.add((l_idx, e, n_idx))
     zero_index = _find_class(
-        members, by_key, quotient(ambient, frozenset(range(ambient.order)))
+        members, by_key, _once(quotient, ambient, frozenset(range(ambient.order)))
     )
     assert zero_index is not None
     return ClosureUniverse(
@@ -573,7 +628,7 @@ def calculus_check(universe: ClosureUniverse, samples: int = 100) -> dict:
 def universe_supports(universe: ClosureUniverse,
                       spec: AtomSpectrum) -> tuple[frozenset, ...]:
     return tuple(
-        atom_support(spec, member) for member in universe.members
+        _once(atom_support, spec, member) for member in universe.members
     )
 
 
@@ -590,15 +645,16 @@ def closure_is_sound(universe: ClosureUniverse, supports: tuple,
 
 def ass_within_support(spec: AtomSpectrum, module: RightModule) -> bool:
     """AAss M <= ASupp M, and both are empty exactly when M = 0."""
-    ass, supp = associated_atoms(spec, module), atom_support(spec, module)
+    ass = _once(associated_atoms, spec, module)
+    supp = _once(atom_support, spec, module)
     return ass <= supp and bool(ass) == bool(supp) == (module.order > 1)
 
 
 def sum_is_additive(spec: AtomSpectrum, a: RightModule,
                     b: RightModule) -> bool:
     """ASupp and AAss of a + b are the unions of those of a and b."""
-    s = direct_sum(a, b)
-    return all(f(spec, s) == f(spec, a) | f(spec, b)
+    s = _once(direct_sum, a, b)
+    return all(_once(f, spec, s) == _once(f, spec, a) | _once(f, spec, b)
                for f in (atom_support, associated_atoms))
 
 
@@ -668,7 +724,7 @@ def commutative_crosscheck(ring: FiniteRing) -> dict:
     support_ok = True
     for mod in _cyclic_modules(ring):
         got = frozenset(
-            prime_of_atom[a] for a in atom_support(spec, mod)
+            prime_of_atom[a] for a in _once(atom_support, spec, mod)
         )
         if got != classical_support(ring, mod, primes):
             support_ok = False
@@ -701,7 +757,8 @@ def _property(name: str):
     def decorate(body):
         @wraps(body)
         def check(ring):
-            return (name, *body(ring))
+            with _run():
+                return (name, *body(ring))
         check.property = name
         ALL_CHECKS.append(check)
         return check
@@ -713,7 +770,7 @@ def _cyclic_modules(ring: FiniteRing) -> tuple[RightModule, ...]:
     """R/I for every proper right ideal I (includes the regular module)."""
     reg = regular_module(ring)
     return tuple(
-        quotient(reg, ideal)
+        _once(quotient, reg, ideal)
         for ideal in submodule_lattice(reg)
         if len(ideal) < ring.order
     )
@@ -730,11 +787,17 @@ def check_ring_axioms(ring: FiniteRing):
 
 @_property("annihilators are right ideals")
 def check_annihilators_are_ideals(ring: FiniteRing):
+    """Ann(x) is tested at the first x of each R/I with that annihilator,
+    Ann(0) = R among them, and once per run, so the witness is the first
+    x whose Ann(x) fails."""
     reg = regular_module(ring)
     for mod in _cyclic_modules(ring):
-        for x in range(mod.order):
-            if not is_submodule(reg, annihilator(mod, x)):
-                return False, (mod.provenance, x)
+        seen = set()
+        for x, key in enumerate(_once(annihilator_keys, mod)):
+            if key not in seen:
+                seen.add(key)
+                if not _once(is_submodule, reg, annihilator(mod, x)):
+                    return False, (mod.provenance, x)
     return True, None
 
 
@@ -742,7 +805,7 @@ def check_annihilators_are_ideals(ring: FiniteRing):
 def check_index_multiplicativity(ring: FiniteRing):
     reg = regular_module(ring)
     for sub in submodule_lattice(reg):
-        if reg.order != len(sub) * quotient(reg, sub).order:
+        if reg.order != len(sub) * _once(quotient, reg, sub).order:
             return False, sorted(sub)
     return True, None
 
@@ -756,17 +819,21 @@ def check_cyclic_iso_quotient(ring: FiniteRing):
     """
     reg = regular_module(ring)
     ring_gens = additive_generators(ring.add)
-    quotients = {}  # R/Ann(x) and its additive generators, once per Ann(x)
+    quotients = {}  # per Ann(x): R/Ann(x), its projection and generators
     for mod in _cyclic_modules(ring):
-        cyclics = {}  # xR once per distinct cyclic submodule of mod
+        cyclics = {}  # per distinct xR: xR and the map mod id -> xR id
         for x in range(mod.order):
             ann = annihilator(mod, x)
             if ann not in quotients:
-                quo, proj = quotient_module(reg, ann)
-                quotients[ann] = quo, proj, additive_generators(quo.add)
+                quo, proj = _once(quotient_module, reg, ann)
+                quotients[ann] = (quo, np.array(proj, dtype=np.intp),
+                                  additive_generators(quo.add))
             members = cyclic_submodule(mod, x)
             if members not in cyclics:
-                cyclics[members] = sub_module(mod, members)
+                cyc, incl = _once(sub_module, mod, members)
+                index = np.full(mod.order, -1, dtype=np.intp)
+                index[list(incl)] = np.arange(len(incl))
+                cyclics[members] = cyc, index
             if not _canonical_map_is_iso(mod, x, *quotients[ann],
                                          *cyclics[members], ring_gens):
                 return False, (mod.provenance, x)
@@ -774,17 +841,18 @@ def check_cyclic_iso_quotient(ring: FiniteRing):
 
 
 def _canonical_map_is_iso(mod: RightModule, x: int, quo: RightModule,
-                          proj: tuple, quo_gens: list, cyc: RightModule,
-                          incl: tuple, ring_gens: list) -> bool:
+                          proj: np.ndarray, quo_gens: list, cyc: RightModule,
+                          index: np.ndarray, ring_gens: list) -> bool:
     """phi(r + Ann(x)) = x.r is a well-defined, bijective, additive and
     R-linear map from quo = R/Ann(x) to cyc = xR.
 
-    proj sends each r in R to its coset id in quo; incl sends the ids of
-    cyc to elements of mod.  quo_gens and ring_gens generate (quo, +) and
-    (R, +).  Additivity is tested as phi(u + g) = phi(u) + phi(g) for
-    every u and every g in quo_gens, and R-linearity as phi(u.a) =
-    phi(u).a for every u and every a in ring_gens: O(m |A| + n) in all
-    for |quo| = m, |R| = n and A the larger generating set.
+    proj sends each r in R to its coset id in quo; index sends each
+    element of mod to its id in cyc, or to -1 outside cyc.  quo_gens and
+    ring_gens generate (quo, +) and (R, +).  Additivity is tested as
+    phi(u + g) = phi(u) + phi(g) for every u and every g in quo_gens, and
+    R-linearity as phi(u.a) = phi(u).a for every u and every a in
+    ring_gens: O(m |A| + n) in all for |quo| = m, |R| = n and A the
+    larger generating set.
 
     That suffices for modules, which quo and cyc are.  In a finite group
     -g is a multiple of g, so every v in quo is a sum g_1 + ... + g_k of
@@ -797,12 +865,9 @@ def _canonical_map_is_iso(mod: RightModule, x: int, quo: RightModule,
     phi(u).a' + phi(u).g = phi(u).(a' + g), by induction on the length.
     """
     row = mod.act[x]  # x.r for each r
-    proj = np.array(proj, dtype=np.intp)
     if (len(proj) != len(row) or quo.order != cyc.order
             or proj.max() >= quo.order):
         return False
-    index = np.full(mod.order, -1, dtype=np.intp)  # mod id -> cyc id
-    index[list(incl)] = np.arange(len(incl))
     image = index[row]  # phi(proj[r]) for each r
     phi = np.full(quo.order, -1, dtype=np.intp)
     phi[proj] = image
@@ -839,7 +904,7 @@ def check_series_independence(ring: FiniteRing):
 def check_uniform_oracle(ring: FiniteRing):
     for mod in _cyclic_modules(ring):
         if len(submodule_lattice(mod)) <= SMALL_MODULE_ORDER:
-            if is_uniform(mod) != is_uniform_bruteforce(mod):
+            if _once(is_uniform, mod) != is_uniform_bruteforce(mod):
                 return False, mod.provenance
     return True, None
 
@@ -852,7 +917,7 @@ def check_annihilator_reduction(ring: FiniteRing):
         for b in mods:
             reduced = bool(annihilator_set(a) & annihilator_set(b))
             literal = any(
-                len(s) > 1 and embeds_in(sub_module(a, s)[0], b)
+                len(s) > 1 and embeds_in(_once(sub_module, a, s)[0], b)
                 for s in submodule_lattice(a)
             )
             if reduced != literal:
@@ -867,7 +932,7 @@ def check_monoform_hereditary(ring: FiniteRing):
         if not is_monoform(mod):
             continue
         for sub in submodule_lattice(mod):
-            if len(sub) > 1 and not is_monoform(sub_module(mod, sub)[0]):
+            if len(sub) > 1 and not is_monoform(_once(sub_module, mod, sub)[0]):
                 return False, (mod.provenance, sorted(sub))
     return True, None
 
@@ -877,7 +942,7 @@ def check_monoform_implies_uniform(ring: FiniteRing):
     """is_monoform refuses a module that is not uniform before the colon
     table; the colon-table criterion alone must agree."""
     for mod in _cyclic_modules(ring):
-        if monoform_by_colon_table(mod) and not is_uniform(mod):
+        if monoform_by_colon_table(mod) and not _once(is_uniform, mod):
             return False, mod.provenance
     return True, None
 
@@ -905,16 +970,16 @@ def check_atom_equivalence_relation(ring: FiniteRing):
 def check_monoform_sum(ring: FiniteRing):
     """In a uniform module, the sum of two monoform submodules is monoform."""
     for mod in _cyclic_modules(ring):
-        if not is_uniform(mod):
+        if not _once(is_uniform, mod):
             continue
         monoforms = [
             s for s in submodule_lattice(mod)
-            if len(s) > 1 and is_monoform(sub_module(mod, s)[0])
+            if len(s) > 1 and is_monoform(_once(sub_module, mod, s)[0])
         ]
         for a in monoforms:
             for b in monoforms:
                 total = submodule_sum(mod, a, b)
-                if not is_monoform(sub_module(mod, total)[0]):
+                if not is_monoform(_once(sub_module, mod, total)[0]):
                     return False, (mod.provenance, sorted(a), sorted(b))
     return True, None
 
@@ -949,7 +1014,7 @@ def check_filtrations(ring: FiniteRing):
 @_property("maximal monoform submodules")
 def check_max_monoform(ring: FiniteRing):
     for mod in _cyclic_modules(ring):
-        if not is_uniform(mod):
+        if not _once(is_uniform, mod):
             continue
         # raises internally if the maximum fails its own verification
         max_monoform_submodule(mod)
@@ -960,10 +1025,10 @@ def check_max_monoform(ring: FiniteRing):
 def check_support_exactness(ring: FiniteRing):
     spec = atom_spectrum(ring)
     for mod in _cyclic_modules(ring):
-        total = atom_support(spec, mod)
+        total = _once(atom_support, spec, mod)
         for sub in submodule_lattice(mod):
-            left = atom_support(spec, sub_module(mod, sub)[0])
-            right = atom_support(spec, quotient(mod, sub))
+            left = _once(atom_support, spec, _once(sub_module, mod, sub)[0])
+            right = _once(atom_support, spec, _once(quotient, mod, sub))
             if total != left | right:
                 return False, (mod.provenance, sorted(sub))
     return True, None
@@ -973,10 +1038,10 @@ def check_support_exactness(ring: FiniteRing):
 def check_ass_sandwich(ring: FiniteRing):
     spec = atom_spectrum(ring)
     for mod in _cyclic_modules(ring):
-        mid = associated_atoms(spec, mod)
+        mid = _once(associated_atoms, spec, mod)
         for sub in submodule_lattice(mod):
-            left = associated_atoms(spec, sub_module(mod, sub)[0])
-            right = associated_atoms(spec, quotient(mod, sub))
+            left = _once(associated_atoms, spec, _once(sub_module, mod, sub)[0])
+            right = _once(associated_atoms, spec, _once(quotient, mod, sub))
             if not (left <= mid and mid <= left | right):
                 return False, (mod.provenance, sorted(sub))
     return True, None
@@ -1011,7 +1076,7 @@ def check_ass_inside_support(ring: FiniteRing):
 def check_supports_are_open(ring: FiniteRing):
     spec = atom_spectrum(ring)
     for mod in _cyclic_modules(ring):
-        if not is_open(spec, atom_support(spec, mod)):
+        if not is_open(spec, _once(atom_support, spec, mod)):
             return False, mod.provenance
     return True, None
 
@@ -1092,25 +1157,27 @@ def check_commutative(ring: FiniteRing):
 
 
 def check_suite(ring: FiniteRing) -> dict:
-    """Run the full battery; report pass/fail per property with witnesses.
-    A property that raises fails with witness "<Type>: <message>"; a ring
-    with over CHECK_LATTICE_CAP right ideals raises CapExceededError."""
+    """Run the full battery in one run memo; report pass/fail per property
+    with witnesses.  A property that raises fails with witness
+    "<Type>: <message>"; a ring with over CHECK_LATTICE_CAP right ideals
+    raises CapExceededError."""
     ideals = len(submodule_lattice(regular_module(ring)))
     if ideals > CHECK_LATTICE_CAP:
         raise CapExceededError(
             f"{ideals} right ideals exceed the check cap {CHECK_LATTICE_CAP}"
         )
     results = []
-    for check in ALL_CHECKS:
-        try:
-            name, passed, witness = check(ring)
-        except Exception as exc:  # a crash fails its property, not the report
-            name = check.property
-            passed, witness = False, f"{type(exc).__name__}: {exc}"
-        entry = {"property": name, "passed": passed}
-        if witness is not None:
-            entry["witness"] = witness
-        results.append(entry)
+    with _run():
+        for check in ALL_CHECKS:
+            try:
+                name, passed, witness = check(ring)
+            except Exception as exc:  # a crash fails its property only
+                name = check.property
+                passed, witness = False, f"{type(exc).__name__}: {exc}"
+            entry = {"property": name, "passed": passed}
+            if witness is not None:
+                entry["witness"] = witness
+            results.append(entry)
     return {
         "ring": ring.name or f"order {ring.order}",
         "order": ring.order,

@@ -182,7 +182,8 @@ def quotient_module(
     add, act = module.add, module.act
     members = sorted(sub)
     labels, reps = coset_labels(module, members)
-    proj = np.searchsorted(reps, labels)
+    # in the quotient's table dtype, so the gathers below make no wider copy
+    proj = np.searchsorted(reps, labels).astype(table_dtype(len(reps)))
     quot = RightModule(
         ring=module.ring, order=len(reps), add=proj[add[reps[:, None], reps]],
         act=proj[act[reps]], provenance=f"({module.provenance})/{members}",
@@ -201,7 +202,7 @@ def sub_module(
     add, act = module.add, module.act
     members = sorted(sub)
     incl = np.array(members, dtype=np.intp)
-    index = np.zeros(module.order, dtype=np.intp)
+    index = np.zeros(module.order, dtype=table_dtype(len(incl)))
     index[incl] = np.arange(len(incl))
     new = RightModule(
         ring=module.ring, order=len(incl), add=index[add[incl[:, None], incl]],

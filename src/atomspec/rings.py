@@ -519,6 +519,34 @@ def fp_algebra(
 BUILTIN_PREFIXES = ("zmod", "tri2", "mat", "prod")
 
 
+def _spec_order(text: str, order_cap: int) -> int | None:
+    """The order of a zmod:n, tri2:p or mat:k:p spec read off its text, or
+    order_cap + 1 if it is larger; None for any other text, or where the
+    builder refuses the parameters (n < 1, k < 1, p < 2)."""
+    head, _, rest = text.partition(":")
+    try:
+        if head == "zmod":
+            n = int(rest)
+            return min(n, order_cap + 1) if n >= 1 else None
+        if head == "tri2":
+            p, d = int(rest), 3
+        elif head == "mat":
+            k, _, p = rest.partition(":")
+            k, p = int(k), int(p)
+            if k < 1:
+                return None
+            d = k * k
+        else:
+            return None
+    except ValueError:
+        return None
+    if p < 2:
+        return None
+    if d >= order_cap.bit_length():  # then p^d >= 2^d > order_cap
+        return order_cap + 1
+    return min(p ** d, order_cap + 1)
+
+
 def parse_ring_spec(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """Parse a builtin ring spec: zmod:n | tri2:p | mat:k:p | prod:spec,spec,..."""
     head, _, rest = text.partition(":")
@@ -534,17 +562,12 @@ def parse_ring_spec(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteR
             parts = [s for s in rest.split(",") if s]
             if len(parts) < 2:
                 raise RingFormatError("prod needs at least two factors")
-            # each factor is capped by what the earlier ones leave, so no
-            # factor past the cap is built
-            factors, n = [], 1
-            for s in parts:
-                try:
-                    factors.append(parse_ring_spec(s, order_cap=order_cap // n))
-                except CapExceededError as exc:
-                    raise CapExceededError(
-                        f"product order exceeds cap {order_cap}") from exc
-                n *= factors[-1].order
-            return product(*factors, order_cap=order_cap)
+            # refused before any factor is built; a factor whose order
+            # is not read here is refused by its own parse
+            if math.prod(_spec_order(s, order_cap) or 1 for s in parts) > order_cap:
+                raise CapExceededError(f"product order exceeds cap {order_cap}")
+            return product(*(parse_ring_spec(s, order_cap=order_cap) for s in parts),
+                           order_cap=order_cap)
     except ValueError as exc:
         raise RingFormatError(f"bad ring spec {text!r}: {exc}") from exc
     raise RingFormatError(f"unknown ring spec {text!r}")

@@ -1,4 +1,7 @@
 import ast
+import gc
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import atomspec
-from atomspec import checks
+from atomspec import checks, modules, monoform, spectrum
 from atomspec.checks import ALL_CHECKS, check_suite
 from atomspec.modules import (
     RightModule,
@@ -126,6 +129,89 @@ def test_canonical_map_modules_satisfy_the_module_axioms(ring, monkeypatch):
     assert built
     for module in built:
         checks.validate_module(module)
+
+
+BUILDERS = ("sub_module", "quotient_module", "quotient", "subquotient",
+            "direct_sum")
+
+
+@pytest.mark.parametrize("spec", ["zmod:12", "tri2:3"])
+def test_a_run_builds_each_subquotient_once(spec, monkeypatch):
+    # modules compare by digest, so an equal module built again counts
+    builds, open_memo = Counter(), []
+
+    def counting(name, make):
+        def build(*args):
+            builds[(name, *args)] += 1
+            open_memo.append(checks._memo.get() is not None)
+            return make(*args)
+        return build
+
+    for name in BUILDERS:
+        monkeypatch.setattr(checks, name, counting(name, getattr(checks, name)))
+    assert check_suite(parse_ring_spec(spec))["passed"]
+    assert {key[0] for key in builds} >= {"sub_module", "quotient_module"}
+    assert max(builds.values()) == 1
+    assert all(open_memo)
+
+
+def _recorded_builds(monkeypatch) -> list:
+    """Weak references to the modules that sub_module and quotient_module
+    build through the checks namespace from now on."""
+    refs = []
+
+    def recording(make):
+        def build(module, sub):
+            made = make(module, sub)
+            refs.append(weakref.ref(made[0]))
+            return made
+        return build
+
+    for name in ("sub_module", "quotient_module"):
+        monkeypatch.setattr(checks, name, recording(getattr(checks, name)))
+    return refs
+
+
+def _assert_memo_dropped(refs):
+    # the process-wide caches keep some modules too; with them cleared,
+    # a module the run memo still held would stay alive
+    assert checks._memo.get() is None
+    for layer in (modules, monoform, spectrum, checks):
+        for value in vars(layer).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    gc.collect()
+    assert refs and not [ref for ref in refs if ref() is not None]
+
+
+def test_the_memo_is_dropped_when_the_suite_returns(monkeypatch):
+    refs = _recorded_builds(monkeypatch)
+
+    def boom(*args):
+        raise ValueError("boom")
+
+    # a property that raises fails on its own, and the run goes on
+    monkeypatch.setattr(checks, "is_completely_prime", boom)
+    report = check_suite(parse_ring_spec("tri2:2"))
+    assert [p["property"] for p in report["properties"]
+            if not p["passed"]] == ["comonoform implies completely prime"]
+    _assert_memo_dropped(refs)
+
+
+def test_the_memo_is_dropped_when_a_property_raises(monkeypatch):
+    refs = _recorded_builds(monkeypatch)
+
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(checks, "_canonical_map_is_iso", boom)
+    try:
+        checks.check_cyclic_iso_quotient(parse_ring_spec("zmod:12"))
+    except ValueError:
+        pass
+    else:
+        pytest.fail("the property did not raise")
+    _assert_memo_dropped(refs)
 
 
 def _no_search(*args):

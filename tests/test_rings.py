@@ -119,10 +119,33 @@ def test_product_builds_no_factor_past_the_cap(monkeypatch):
     monkeypatch.setattr(rings, "validate_ring", counting)
     with pytest.raises(CapExceededError) as refused:
         parse_ring_spec("prod:zmod:64,zmod:64,zmod:2")
-    assert built == ["zmod:64", "zmod:64"]
+    assert built == []
     assert "exceeds cap 4096" in str(refused.value)
     # a product of order exactly the cap is still built
     assert parse_ring_spec("prod:zmod:8,zmod:8", order_cap=64).order == 64
+
+
+@pytest.mark.parametrize("spec", [
+    "prod:" + ",".join(["zmod:4096"] * 60),
+    "prod:zmod:2,mat:99999999:2",
+    "prod:tri2:17,zmod:2",  # 4913 * 2
+    "prod:mat:2:7,tri2:2",  # 2401 * 8
+    "prod:zmod:64,zmod:65,zmod:abc",  # over the cap before the bad factor
+])
+def test_product_is_refused_before_any_factor_is_built(spec, monkeypatch):
+    def building(*args, **kwargs):
+        raise AssertionError("a factor was built")
+
+    monkeypatch.setattr(rings, "validate_ring", building)
+    with pytest.raises(CapExceededError, match="product order exceeds cap 4096"):
+        parse_ring_spec(spec)
+
+
+def test_product_with_an_unreadable_factor_is_a_format_error():
+    with pytest.raises(RingFormatError):
+        parse_ring_spec("prod:zmod:2,zmod:abc")
+    with pytest.raises(RingFormatError):
+        parse_ring_spec("prod:zmod:2,tri2:4")
 
 
 def test_nonprime_field_rejected():
