@@ -29,67 +29,3 @@ def _import_numpy_single_threaded() -> None:
 
 
 _import_numpy_single_threaded()
-
-from .checks import (
-    ClosureUniverse,
-    atom_equivalent,
-    build_universe,
-    calculus_check,
-    check_suite,
-    closure_oracle,
-    commutative_crosscheck,
-    composition_factors,
-    is_completely_prime,
-    is_isomorphic,
-    max_monoform_submodule,
-    monoform_oracle_artinian,
-    socle,
-)
-from .modules import (
-    RightModule,
-    annihilator,
-    annihilator_set,
-    cyclic_submodule,
-    direct_sum,
-    is_uniform,
-    parse_module_spec,
-    quotient,
-    quotient_module,
-    regular_module,
-    sub_module,
-    submodule_lattice,
-)
-from .monoform import (
-    Filtration,
-    is_comonoform,
-    is_monoform,
-    monoform_filtration,
-)
-from .rings import (
-    FiniteRing,
-    fp_algebra,
-    mat,
-    parse_ring_document,
-    parse_ring_spec,
-    product,
-    serialize_ring,
-    tri2,
-    validate_ring,
-    zmod,
-)
-from .serre import (
-    SerreSubcategory,
-    enumerate_serre,
-    serre_lattice,
-)
-from .spectrum import (
-    Atom,
-    AtomSpectrum,
-    associated_atoms,
-    atom_spectrum,
-    atom_support,
-    enumerate_open_sets,
-    is_open,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -743,7 +743,7 @@ def commutative_crosscheck(ring: FiniteRing) -> dict:
 # bounding the modules they look inside
 SMALL_MODULE_ORDER = 64
 # check_suite refuses a ring with more right ideals: its properties scan
-# pairs of ideals, and F_2 x F_2^5 (375 ideals) took 48 s
+# pairs of ideals, and F_2 x F_2^5 (375 ideals) takes 11-17 s, 79 MB
 CHECK_LATTICE_CAP = 256
 
 

@@ -20,7 +20,6 @@ import sys
 import time
 from collections.abc import Iterator
 
-from .checks import check_suite
 from .modules import parse_module_spec, regular_module, submodule_lattice
 from .monoform import is_monoform, monoform_filtration
 from .rings import (
@@ -146,6 +145,9 @@ def _payload(args, ring: FiniteRing) -> dict:
     if verb == "serre":
         return serre_lattice(atom_spectrum(ring))
     if verb == "check":
+        # the checks and their oracles load only for this verb
+        from .checks import check_suite
+
         return check_suite(ring)
     raise AssertionError(f"unhandled verb {verb}")
 

@@ -559,9 +559,13 @@ def parse_ring_spec(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteR
             k, _, p = rest.partition(":")
             return mat(int(k), int(p), order_cap=order_cap)
         if head == "prod":
-            parts = [s for s in rest.split(",") if s]
+            parts = rest.split(",")
             if len(parts) < 2:
                 raise RingFormatError("prod needs at least two factors")
+            for s in parts:
+                if not s or s.partition(":")[0] == "prod":
+                    raise RingFormatError(f"prod factor {s!r} in {text!r} is "
+                                          "empty or a product")
             # refused before any factor is built; a factor whose order
             # is not read here is refused by its own parse
             if math.prod(_spec_order(s, order_cap) or 1 for s in parts) > order_cap:

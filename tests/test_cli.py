@@ -267,6 +267,35 @@ def test_check_imports_no_masked_arrays():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_importing_the_package_loads_no_submodule():
+    code = (
+        "import sys, atomspec\n"
+        "print(sorted(m for m in sys.modules if m.startswith('atomspec.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_only_check_loads_the_checks_module():
+    code = (
+        "import contextlib, io, sys\n"
+        "from atomspec.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run(['validate', '--ring', 'zmod:12'])[0] == 0\n"
+        "    assert run(['serre', '--ring', 'zmod:12'])[0] == 0\n"
+        "    assert run(['support', '--ring', 'zmod:12',\n"
+        "                '--module', 'regular'])[0] == 0\n"
+        "    assert 'atomspec.checks' not in sys.modules\n"
+        "    assert run(['check', '--ring', 'zmod:12'])[0] == 0\n"
+        "assert 'atomspec.checks' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs /proc/self/task to count threads")
 @pytest.mark.parametrize("given", [None, "2"])

@@ -148,6 +148,21 @@ def test_product_with_an_unreadable_factor_is_a_format_error():
         parse_ring_spec("prod:zmod:2,tri2:4")
 
 
+@pytest.mark.parametrize("spec, factor", [
+    ("prod:zmod:2,,zmod:3", "''"),
+    ("prod:zmod:2,zmod:3,", "''"),
+    ("prod:,zmod:2,zmod:3", "''"),
+    ("prod:zmod:2,prod:zmod:3,zmod:5", "'prod:zmod:3'"),
+])
+def test_product_with_an_empty_or_nested_factor_is_refused(spec, factor, monkeypatch):
+    def building(*args, **kwargs):
+        raise AssertionError("a factor was built")
+
+    monkeypatch.setattr(rings, "validate_ring", building)
+    with pytest.raises(RingFormatError, match=f"prod factor {factor} in "):
+        parse_ring_spec(spec)
+
+
 def test_nonprime_field_rejected():
     with pytest.raises(RingFormatError):
         tri2(4)
