@@ -39,11 +39,17 @@ ROWS = [  # name, argv, exit code, check, seconds, MB
     ("validate Z/4096 document --max-order 64",
      ["validate", "--ring", "{z4096}", "--max-order", "64"], 1, capped,
      lambda took: took["validate Z/4096 document"] / 4, None),
-    # read off a filtration of length 12, not from 4.9e11 subspaces
+    # support reads column 1 of the action table, and filtration takes 12
+    # steps of colon ideals, not 4.9e11 subspaces
     ("support F2^12", ["support", "--ring", "zmod:2", "--module", SUM12], 0,
      lambda r: r["result"]["atoms"] == [0], None, None),
     ("filtration F2^12", ["filtration", "--ring", "zmod:2", "--module", SUM12], 0,
      lambda r: len(r["result"]["chain"]) == 13, None, None),
+    # column 1 of the action table against the socle; the module's lattice
+    # and colon table took 3.7-4.5 s and 177 MB (2.6-3.0 s and 144 MB after)
+    ("monoform zmod:4096",
+     ["monoform", "--ring", "zmod:4096", "--module", "regular"], 0,
+     lambda r: r["result"]["monoform"] is False, 10, 165),
     # the whole battery at the order frontier: zmod:2048 took 149 s and
     # 1.9 GB before maps were checked on generators; at the order cap,
     # zmod:4096 took 66.9 s and 805 MB before each subquotient was built

@@ -375,9 +375,9 @@ def simple_module_count(ring: FiniteRing) -> int:
 # submodule
 
 def monoform_by_colon_table(module: RightModule) -> bool:
-    """is_monoform without its uniformity test: M nonzero, and row {0} of
-    the colon table disjoint from every row N != 0.  Independent of
-    is_uniform, so check_monoform_implies_uniform can compare the two."""
+    """The definition read off M's colon table: M nonzero, and row {0}
+    disjoint from every row N != 0.  It tests no uniformity, so
+    check_monoform_implies_uniform can compare it with is_uniform."""
     return module.order > 1 and meets_no_row_above(
         colon_table(module), frozenset({0}))
 
@@ -685,8 +685,8 @@ def prime_ideals(ring: FiniteRing) -> list[frozenset]:
 def classical_support(ring: FiniteRing, module: RightModule,
                       primes: list[frozenset]) -> frozenset:
     """Supp M = V(Ann M) = {q prime : Ann M <= q}, Ann M = {a : M.a = 0}:
-    from the action table alone, independent of the filtration that
-    atom_support reads.  For M = 0, Ann M = R lies in no prime."""
+    from the action table alone, independent of the idempotent -> atom
+    map that atom_support reads.  For M = 0, Ann M = R lies in no prime."""
     ann = frozenset(np.flatnonzero((module.act == 0).all(axis=0)).tolist())
     return frozenset(q for q in primes if ann <= q)
 
@@ -939,8 +939,9 @@ def check_monoform_hereditary(ring: FiniteRing):
 
 @_property("monoform implies uniform")
 def check_monoform_implies_uniform(ring: FiniteRing):
-    """is_monoform refuses a module that is not uniform before the colon
-    table; the colon-table criterion alone must agree."""
+    """is_monoform reads the one minimal submodule of a uniform module;
+    the colon-table criterion, which tests no uniformity, must accept
+    only uniform modules."""
     for mod in _cyclic_modules(ring):
         if monoform_by_colon_table(mod) and not _once(is_uniform, mod):
             return False, mod.provenance

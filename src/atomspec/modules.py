@@ -21,12 +21,11 @@ action table, since it is already closed under addition and the action.
 Every submodule is a sum of the cyclics it contains, so the search
 reaches all of them.
 
-Everything about the quotients M/N is read from one colon table instead
-of building M/N: row N holds the colon ideals (N : x) = {a : x.a in N}
-for x outside N, and (N : x) is exactly Ann(x + N) in M/N, so row N is
-the annihilator set of M/N.  The submodules of M/N are the L/N for L
-containing N, with (M/N)/(L/N) = M/L, so monoform tests and atom
-supports of every quotient are unions and intersections of rows.
+The quotients R/p of the regular module are read from one colon table
+instead of building them: row N holds the colon ideals
+(N : x) = {a : x.a in N} for x outside N, which is Ann(x + N) in M/N,
+so row N is the annihilator set of M/N, and the comonoform test of each
+p compares row p with the rows above it.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from .modules import (
     colon_table,
     coset_colons,
     cyclic_submodule,
-    is_uniform,
+    minimal_submodules,
     regular_module,
     submodule_sum,
 )
@@ -46,18 +46,37 @@ def meets_no_row_above(table, sub: frozenset) -> bool:
     return all(row.isdisjoint(other) for n, other in table.items() if n > sub)
 
 
+def primitive_idempotents(ring: FiniteRing) -> np.ndarray:
+    """The primitive idempotents in id order: the e != 0 with ee = e and
+    no idempotent f outside {0, e} with ef = fe = f.  Every simple module
+    is the top of eR for some primitive e."""
+    idem = np.flatnonzero(np.diagonal(ring.mul) == np.arange(ring.order))[1:]
+    prod = ring.mul[np.ix_(idem, idem)]  # e_i e_j
+    # f = e_j lies under e = e_i when ef = f = fe; e lies under itself
+    under = (prod == idem) & (prod.T == idem)
+    return idem[under.sum(axis=1) == 1]
+
+
 @lru_cache(maxsize=None)
 def is_monoform(module: RightModule) -> bool:
     """M nonzero and no nonzero submodule is shared between M and any M/N.
 
-    A monoform module is uniform: nonzero A and B with A & B = 0 would
-    share A with M/B, into which A maps injectively.  So a module that is
-    not uniform, the zero module among them, is refused before its lattice
-    is built.  Otherwise M = M/{0} is monoform iff row {0} of its colon
-    table meets no row above it, and no quotient is built.
+    A monoform M is uniform, and a uniform M with socle S is monoform iff
+    S occurs once among its composition factors: if twice, S embeds in
+    some M/N with N != 0.  For e primitive with Se != 0, S is the top of
+    eR, so Me = Hom(eR, M) has |Se|^k elements for k occurrences, and
+    k = 1 iff Me lies in Me & S = Se.  So this reads the minimal
+    submodules and one column of the action table; no lattice, colon
+    table or quotient is built.
     """
-    return is_uniform(module) and meets_no_row_above(
-        colon_table(module), frozenset({0}))
+    minimal = minimal_submodules(module)  # none for the zero module
+    if len(minimal) != 1:
+        return False
+    inside = np.zeros(module.order, dtype=bool)
+    inside[list(minimal[0])] = True
+    col = next(e for e in primitive_idempotents(module.ring)
+               if module.act[inside, e].any())
+    return bool(inside[module.act[:, col]].all())
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,7 @@
 """Atom spectrum of a finite ring: atom equivalence classes of comonoform
 right ideals, atom support, associated atoms, and the open-set topology,
-which is discrete: every atom holds a simple module, whose support is
-that atom alone."""
+which is discrete: every atom holds a simple module, the top of eR for a
+primitive idempotent e, whose support is that atom alone."""
 
 from __future__ import annotations
 
@@ -11,14 +11,16 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
+import numpy as np
+
 from .modules import (
     RightModule,
-    colon_table,
     distinct_annihilators,
     regular_module,
     submodule_key,
+    submodule_lattice,
 )
-from .monoform import is_comonoform, monoform_filtration
+from .monoform import is_comonoform, primitive_idempotents
 from .rings import AtomspecError, FiniteRing
 
 
@@ -36,13 +38,15 @@ class Atom:
 @dataclass(frozen=True)
 class AtomSpectrum:
     """The atoms of a ring, with what atom_spectrum derives from them once:
-    `index` sends each comonoform ideal p to its atom id, and `supports`
-    sends it to Supp R/p."""
+    `index` sends each comonoform ideal p to its atom id, `supports` sends
+    it to Supp R/p, and `atom_of_idempotent` sends each primitive
+    idempotent e to the atom of the top of eR."""
 
     ring: FiniteRing
     atoms: tuple[Atom, ...]
     index: Mapping = field(compare=False, repr=False)
     supports: Mapping = field(compare=False, repr=False)
+    atom_of_idempotent: Mapping = field(compare=False, repr=False)
 
     def comonoform_ideals(self) -> tuple[frozenset, ...]:
         return tuple(ideal for atom in self.atoms for ideal in atom.members)
@@ -50,30 +54,6 @@ class AtomSpectrum:
     def support_of_ideal(self, ideal: frozenset) -> frozenset:
         """Atom support of R/ideal for a comonoform ideal."""
         return self.supports[ideal]
-
-
-def _atom_classes(ideals: list[frozenset], table: Mapping) -> list[list]:
-    """Atom classes of the comonoform ideals, each in the order given.
-
-    R/p and R/q are atom equivalent iff rows p and q of the colon table
-    meet.  The relation is transitive on monoform modules, so an ideal
-    joins the one class whose rows its row meets; a row that meets two
-    classes is a witness that transitivity fails.
-    """
-    classes: list[tuple[list, set]] = []  # members, union of their rows
-    for ideal in ideals:
-        row = table[ideal]
-        met = [c for c in classes if not c[1].isdisjoint(row)]
-        if len(met) > 1:
-            raise AssertionError(
-                f"atom equivalence is not transitive at {sorted(ideal)}"
-            )
-        if not met:
-            classes.append(([], set()))
-            met = classes[-1:]
-        met[0][0].append(ideal)
-        met[0][1].update(row)
-    return [members for members, _ in classes]
 
 
 def _assert_discrete(atoms: tuple[Atom, ...], supports: Mapping) -> None:
@@ -95,58 +75,59 @@ def atom_spectrum(ring: FiniteRing) -> AtomSpectrum:
     the atom index and the supports, and assert that the topology is
     discrete (_assert_discrete).
 
-    Canonical class representative: the ideal with lexicographically
-    smallest sorted element tuple.  Supp R/p is the set of atoms met by
-    the rows q >= p of the regular module's colon table: the subquotients
-    R/p / q/p are the R/q.
+    R/p is uniform for p comonoform, so the least ideal L above p gives
+    its socle L/p, and R/p and R/q are atom equivalent iff their socles
+    are isomorphic.  L/p is the top of eR, e primitive, iff L.e is not
+    inside p: the first such e keys the atom of p, and each e gets the
+    atom of the top of eR, which is R/m for some maximal m.  Supp R/p
+    holds the atoms of the e with R.e not inside p.  Canonical class
+    representative: the ideal with lexicographically smallest sorted
+    element tuple.
     """
-    table = colon_table(regular_module(ring))
-    ideals = sorted(
-        (ideal for ideal in table if is_comonoform(ring, ideal)),
-        key=submodule_key,
-    )
-    classes = [
-        (min(members, key=lambda s: tuple(sorted(s))), tuple(members))
-        for members in _atom_classes(ideals, table)
-    ]
-    classes.sort(key=lambda pair: submodule_key(pair[0]))
-    atoms = tuple(
-        Atom(id=k, canonical_rep=rep, members=members)
-        for k, (rep, members) in enumerate(classes)
-    )
-    index = {ideal: atom.id for atom in atoms for ideal in atom.members}
-    met = {  # row q -> the atoms of the comonoform ideals in it
-        q: frozenset(index[c] for c in row if c in index)
-        for q, row in table.items()
-    }
-    supports = {
-        p: frozenset().union(*(ids for q, ids in met.items() if p <= q))
-        for p in index
-    }
+    lattice = submodule_lattice(regular_module(ring))
+    prims = primitive_idempotents(ring)
+    cols = ring.mul[:, prims]  # the columns R.e
+    met = {}  # p -> (L.e outside p, R.e outside p), one flag per e
+    for p in lattice[:-1]:  # R sorts last
+        if is_comonoform(ring, p):
+            outside = np.ones(ring.order, dtype=bool)
+            outside[list(p)] = False
+            above = sorted(next(q for q in lattice if p < q))
+            met[p] = outside[cols[above]].any(0), outside[cols].any(0)
+    classes: dict[int, list] = {}  # first e -> members, in lattice order
+    for p, (top, _) in met.items():
+        classes.setdefault(int(prims[top.argmax()]), []).append(p)
+    reps = [(min(ms, key=lambda s: tuple(sorted(s))), tuple(ms))
+            for ms in classes.values()]
+    reps.sort(key=lambda pair: submodule_key(pair[0]))
+    atoms = tuple(Atom(id=k, canonical_rep=rep, members=ms)
+                  for k, (rep, ms) in enumerate(reps))
+    index = {p: atom.id for atom in atoms for p in atom.members}
+    atom_of = {e: index[p] for p, (top, _) in met.items()
+               for e in prims[top].tolist()}
+    supports = {p: frozenset(atom_of[e] for e in prims[whole].tolist())
+                for p, (_, whole) in met.items()}
     _assert_discrete(atoms, supports)
-    return AtomSpectrum(
-        ring=ring,
-        atoms=atoms,
-        index=MappingProxyType(index),
-        supports=MappingProxyType(supports),
-    )
+    return AtomSpectrum(ring=ring, atoms=atoms, index=MappingProxyType(index),
+                        supports=MappingProxyType(supports),
+                        atom_of_idempotent=MappingProxyType(atom_of))
 
 
 def atom_support(spec: AtomSpectrum, module: RightModule) -> frozenset:
     """Atom ids with a representative occurring as a subquotient of M.
 
-    Atom support is additive on short exact sequences: Supp M is
-    Supp L | Supp M/L for every submodule L.  So along a monoform
-    filtration with factors R/p_i it is the union of the Supp R/p_i that
-    the spectrum holds, and no lattice or quotient of M is built.
+    The spectrum is discrete, so these are the atoms of the composition
+    factors of M, and the top of eR, e primitive, is one iff
+    Me = Hom(eR, M) is nonzero: the atoms of the e whose column of the
+    action table is not all zero.  No lattice, filtration or quotient of
+    M is built.
     """
     if module.ring != spec.ring:
         raise SpectrumError("module is over a different ring")
-    if module.order == 1:
-        return frozenset()
-    return frozenset().union(
-        *(spec.supports[p] for p in monoform_filtration(module).labels)
-    )
+    prims = list(spec.atom_of_idempotent)
+    met = module.act[:, prims].any(axis=0).tolist()
+    return frozenset(spec.atom_of_idempotent[e]
+                     for e, hit in zip(prims, met) if hit)
 
 
 def associated_atoms(spec: AtomSpectrum, module: RightModule) -> frozenset:

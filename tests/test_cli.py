@@ -480,7 +480,7 @@ def test_module_spec_at_the_order_cap_is_built(capsys):
     assert json.loads(out)["result"]["atoms"] == [0, 1]
 
 
-@pytest.mark.parametrize("verb", ["support", "filtration"])
+@pytest.mark.parametrize("verb", ["support", "filtration", "monoform"])
 @pytest.mark.parametrize("ring, module", [
     ("zmod:12", "sum:regular+quot:0,6"),
     ("tri2:2", "sum:regular+cyclic:4"),
@@ -489,12 +489,16 @@ def test_module_spec_at_the_order_cap_is_built(capsys):
 def test_module_verbs_build_no_lattice_of_the_module(capsys, monkeypatch,
                                                      verb, ring, module):
     # the spectrum reads the regular module's lattice; the module itself
-    # is read through colon ideals only
+    # is read through colon ideals (filtration) or through columns of its
+    # action table (support, monoform), and only filtration walks one
     def guarded(fn):
         def call(mod, *args):
             assert mod == regular_module(mod.ring), (fn.__name__, mod)
             return fn(mod, *args)
         return call
+
+    def refused(mod):
+        raise AssertionError(f"{verb} walked a filtration")
 
     for name, namespace in list(sys.modules.items()):
         if name.startswith("atomspec"):
@@ -502,6 +506,9 @@ def test_module_verbs_build_no_lattice_of_the_module(capsys, monkeypatch,
                 if hasattr(namespace, fn):
                     monkeypatch.setattr(namespace, fn,
                                         guarded(getattr(namespace, fn)))
+            walk = "monoform_filtration"
+            if verb != "filtration" and hasattr(namespace, walk):
+                monkeypatch.setattr(namespace, walk, refused)
     code, out = capture_json(
         capsys, [verb, "--ring", ring, "--module", module, "--format", "json"]
     )

@@ -1,25 +1,30 @@
-"""The colon-ideal decisions against their quotient-lattice definitions.
+"""The lattice-free decisions against their quotient-lattice definitions.
 
-`is_monoform`, `is_comonoform`, `atom_equivalent` and the cached supports
-of the R/p read every quotient M/N from the colon table of M, and
-`monoform_filtration` reads each M/L from the colon ideals (L : r).
-`atom_support` is the union of the supports of the filtration's labels.
-The oracles here build each M/N, as the definitions do, and take
-annihilator sets and annihilators of its elements directly; the colon
-table's atom support stays as a second oracle.
+`is_comonoform` and `atom_equivalent` read every R/p from the regular
+module's colon table, and `monoform_filtration` reads each M/L from the
+colon ideals (L : r).  `is_monoform` and `atom_support` read neither:
+they test columns of M's action table at the primitive idempotents.  The oracles here build each M/N, as the definitions do,
+and take annihilator sets and annihilators of its elements directly;
+the socle criterion, the colon-table criterion with the uniformity
+test, and the colon table's atom support stay as second oracles.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomspec.checks import atom_equivalent
+from atomspec.checks import (
+    atom_equivalent,
+    monoform_by_colon_table,
+    monoform_oracle_artinian,
+)
 from atomspec.modules import (
     annihilator,
     annihilator_set,
     colon_table,
     cyclic_submodule,
     direct_sum,
+    is_uniform,
     parse_module_spec,
     quotient,
     quotient_module,
@@ -95,7 +100,10 @@ def monoform_filtration_by_quotients(module):
 
 def _agree(ring, module):
     spec = atom_spectrum(ring)
-    assert is_monoform(module) == is_monoform_by_quotients(module)
+    monoform = is_monoform(module)
+    assert monoform == is_monoform_by_quotients(module)
+    assert monoform == monoform_oracle_artinian(module)
+    assert monoform == (is_uniform(module) and monoform_by_colon_table(module))
     support = atom_support(spec, module)
     assert support == atom_support_by_quotients(spec, module)
     assert support == atom_support_by_colon_table(spec, module)

@@ -20,8 +20,9 @@ from atomspec.monoform import (
     is_comonoform,
     is_monoform,
     monoform_filtration,
+    primitive_idempotents,
 )
-from atomspec.rings import zmod
+from atomspec.rings import parse_ring_spec, zmod
 
 
 def modules_of(ring, max_order=None):
@@ -34,6 +35,20 @@ def modules_of(ring, max_order=None):
         if max_order is None or mod.order <= max_order:
             out.append(mod)
     return out
+
+
+@pytest.mark.parametrize("spec, count", [
+    # omega(n) for Z/n; 2p for tri2:p; the rank-one idempotents of M_2(F_p),
+    # p^2 + p of them, and of M_3(F_2), 7 lines times 4 complements; k for
+    # F_2^k
+    ("zmod:1", 0), ("zmod:12", 2), ("zmod:360", 3),
+    ("tri2:2", 4), ("tri2:3", 6), ("tri2:5", 10),
+    ("mat:2:2", 6), ("mat:2:3", 12), ("mat:3:2", 28),
+    ("zmod:2", 1), ("prod:zmod:2,zmod:2,zmod:2", 3),
+    ("prod:" + ",".join(["zmod:2"] * 6), 6),
+])
+def test_primitive_idempotent_counts(spec, count):
+    assert len(primitive_idempotents(parse_ring_spec(spec))) == count
 
 
 def test_simple_modules_are_monoform():

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from atomspec import checks, spectrum
+from atomspec import checks
 from atomspec.checks import (
     atom_equivalent,
     classical_support,
@@ -161,22 +161,18 @@ def test_commutative_crosscheck(zoo):
         assert report["passed"], report
 
 
-def test_crosscheck_catches_a_wrong_filtration(monkeypatch):
-    """classical_support reads Ann M, not the monoform filtration that
-    atom_support reads, so a filtration that loses its last label fails
-    the support comparison and the `check` property built on it."""
-    real = spectrum.monoform_filtration
-
-    def short(module):
-        filt = real(module)
-        return replace(filt, labels=filt.labels[:-1])
-
-    monkeypatch.setattr(spectrum, "monoform_filtration", short)
-    ring = zmod(12)
-    report = commutative_crosscheck(ring)
+def test_crosscheck_catches_a_wrong_idempotent_atom(monkeypatch):
+    """classical_support reads Ann M, not the idempotent -> atom map that
+    atom_support reads, so a map that loses an idempotent fails the
+    support comparison and the `check` property built on it."""
+    real = atom_spectrum(zmod(12))
+    *kept, _ = real.atom_of_idempotent.items()
+    faulty = replace(real, atom_of_idempotent=dict(kept))
+    monkeypatch.setattr(checks, "atom_spectrum", lambda ring: faulty)
+    report = commutative_crosscheck(zmod(12))
     assert not report["checks"]["atom_support_equals_support"]
     assert report["checks"]["open_equals_specialization_closed"]
-    name, passed, _ = checks.check_commutative(ring)
+    name, passed, _ = checks.check_commutative(zmod(12))
     assert (name, passed) == ("commutative recovery", False)
 
 

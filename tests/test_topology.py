@@ -21,7 +21,6 @@ from atomspec.spectrum import (
     Atom,
     AtomSpectrum,
     _assert_discrete,
-    _atom_classes,
     atom_spectrum,
     enumerate_open_sets,
     is_open,
@@ -92,15 +91,7 @@ def test_atom_without_singleton_support_is_rejected():
     })
     with pytest.raises(AssertionError, match="atom 0 has no singleton"):
         _assert_discrete(atoms, supports)
-    spec = AtomSpectrum(ring=None, atoms=atoms,
-                        index=MappingProxyType({}), supports=supports)
+    spec = AtomSpectrum(ring=None, atoms=atoms, index=MappingProxyType({}),
+                        supports=supports,
+                        atom_of_idempotent=MappingProxyType({}))
     assert not is_open(spec, frozenset({0}))
-
-
-def test_row_meeting_two_atom_classes_is_rejected():
-    p, q, r = frozenset({1}), frozenset({2}), frozenset({3})
-    table = {p: frozenset({"a"}), q: frozenset({"b"}),
-             r: frozenset({"a", "b"})}
-    assert _atom_classes([p, r, q], table) == [[p, r, q]]
-    with pytest.raises(AssertionError, match="not transitive"):
-        _atom_classes([p, q, r], table)
