@@ -15,14 +15,15 @@ definition; check_suite aggregates them into a report.  A
 failed check is an implementation bug, never an acceptable state, so
 witnesses are kept small and concrete.
 
-A run (check_suite, or one property called on its own) opens one memo and
-drops it when it returns or raises.  Through `_once`, the run builds each
-subquotient once per (module, members) pair, and computes each
-per-module fact (annihilator keys, invariant key, generating sequence,
-minimal submodules, uniformity, atom support and associated atoms) once
-per distinct module.  Modules
-compare by digest, not provenance, so a reused module keeps the
-provenance of its first build, and a failing witness names that one.
+A run (check_suite, or one property called on its own) opens one memo,
+this module's only cache, and drops it when it returns or raises.  Through
+`_once`, the run builds each subquotient once per (module, members) pair,
+and computes each fact of a ring or module (its cyclic modules R/I,
+annihilator keys, invariant key, generating sequence, minimal
+submodules, uniformity, socle criterion, colon table, closure universe,
+atom support and associated atoms) once.  Modules compare by digest, not
+provenance, so a reused module keeps the provenance of its first build,
+and a failing witness names that one.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from collections.abc import Mapping
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
+from functools import wraps
 from types import MappingProxyType
 
 import numpy as np
@@ -43,7 +44,7 @@ from .modules import (
     RightModule,
     annihilator,
     annihilator_set,
-    colon_table,
+    coset_colons,
     coset_labels,
     cyclic_submodule,
     direct_sum,
@@ -62,7 +63,6 @@ from .monoform import (
     MonoformError,
     is_comonoform,
     is_monoform,
-    meets_no_row_above,
     monoform_filtration,
 )
 from .rings import (
@@ -370,19 +370,36 @@ def simple_module_count(ring: FiniteRing) -> int:
     return len(simples)
 
 
-# monoform: the socle and closure criteria, the colon-table criterion
-# alone, completely prime ideals, filtrations and the largest monoform
-# submodule
+# monoform: the colon table and its criterion alone, the socle and
+# closure criteria, completely prime ideals, filtrations and the largest
+# monoform submodule
+
+def colon_table(module: RightModule) -> MappingProxyType:
+    """{N: {(N : x) : x not in N}} for every proper submodule N.
+    (N : x) = {a in R : x.a in N} is Ann(x + N) in M/N, so row N equals
+    annihilator_set(M/N), computed without building M/N."""
+    return MappingProxyType({
+        sub: frozenset(frozenset(np.flatnonzero(colon).tolist())
+                       for _, colon in coset_colons(module, sub))
+        for sub in submodule_lattice(module) if len(sub) < module.order})
+
+
+def meets_no_row_above(table, sub: frozenset) -> bool:
+    """Row sub of M's colon table meets no row N > sub: M/sub is monoform.
+    Its quotients are the (M/sub)/(N/sub) = M/N for N > sub, and two
+    modules share a nonzero submodule iff their annihilator sets meet."""
+    row = table[sub]
+    return all(row.isdisjoint(other) for n, other in table.items() if n > sub)
+
 
 def monoform_by_colon_table(module: RightModule) -> bool:
     """The definition read off M's colon table: M nonzero, and row {0}
     disjoint from every row N != 0.  It tests no uniformity, so
     check_monoform_implies_uniform can compare it with is_uniform."""
     return module.order > 1 and meets_no_row_above(
-        colon_table(module), frozenset({0}))
+        _once(colon_table, module), frozenset({0}))
 
 
-@lru_cache(maxsize=None)
 def monoform_oracle_artinian(module: RightModule) -> bool:
     """Socle criterion: simple socle whose iso class occurs exactly once
     among the composition factors.  Independent of is_monoform."""
@@ -400,7 +417,7 @@ def monoform_by_closure(module: RightModule) -> bool:
     """Closure criterion: M is monoform iff it lies outside the Serre
     closure of its quotients M/N by nonzero N, computed by the closure
     oracle over the subquotients of M."""
-    universe = build_universe(module)
+    universe = _once(build_universe, module)
     gens = {universe.class_of(_once(quotient, module, sub))
             for sub in submodule_lattice(module) if len(sub) > 1}
     return universe.class_of(module) not in closure_oracle(universe, gens)
@@ -504,7 +521,6 @@ def _find_class(members, by_key: Mapping, module) -> int | None:
     return None
 
 
-@lru_cache(maxsize=None)
 def build_universe(ambient: RightModule) -> ClosureUniverse:
     """All subquotients of the ambient up to isomorphism, plus structure."""
     members: list[RightModule] = []
@@ -665,7 +681,7 @@ def atom_equivalent(ring: FiniteRing, p: frozenset, q: frozenset) -> bool:
             raise SpectrumError(
                 f"{sorted(ideal)} is not a comonoform right ideal"
             )
-    table = colon_table(regular_module(ring))
+    table = _once(colon_table, regular_module(ring))
     return bool(table[p] & table[q])
 
 
@@ -722,7 +738,7 @@ def commutative_crosscheck(ring: FiniteRing) -> dict:
     )
 
     support_ok = True
-    for mod in _cyclic_modules(ring):
+    for mod in _once(_cyclic_modules, ring):
         got = frozenset(
             prime_of_atom[a] for a in _once(atom_support, spec, mod)
         )
@@ -765,7 +781,6 @@ def _property(name: str):
     return decorate
 
 
-@lru_cache(maxsize=None)
 def _cyclic_modules(ring: FiniteRing) -> tuple[RightModule, ...]:
     """R/I for every proper right ideal I (includes the regular module)."""
     reg = regular_module(ring)
@@ -791,7 +806,7 @@ def check_annihilators_are_ideals(ring: FiniteRing):
     Ann(0) = R among them, and once per run, so the witness is the first
     x whose Ann(x) fails."""
     reg = regular_module(ring)
-    for mod in _cyclic_modules(ring):
+    for mod in _once(_cyclic_modules, ring):
         seen = set()
         for x, key in enumerate(_once(annihilator_keys, mod)):
             if key not in seen:
@@ -820,7 +835,7 @@ def check_cyclic_iso_quotient(ring: FiniteRing):
     reg = regular_module(ring)
     ring_gens = additive_generators(ring.add)
     quotients = {}  # per Ann(x): R/Ann(x), its projection and generators
-    for mod in _cyclic_modules(ring):
+    for mod in _once(_cyclic_modules, ring):
         cyclics = {}  # per distinct xR: xR and the map mod id -> xR id
         for x in range(mod.order):
             ann = annihilator(mod, x)
@@ -894,7 +909,7 @@ def check_lattice_closure(ring: FiniteRing):
 
 @_property("composition series independence")
 def check_series_independence(ring: FiniteRing):
-    for mod in _cyclic_modules(ring):
+    for mod in _once(_cyclic_modules, ring):
         if composition_factors(mod) != composition_factors_top_down(mod):
             return False, mod.provenance
     return True, None
@@ -902,7 +917,7 @@ def check_series_independence(ring: FiniteRing):
 
 @_property("uniform agrees with pairwise oracle")
 def check_uniform_oracle(ring: FiniteRing):
-    for mod in _cyclic_modules(ring):
+    for mod in _once(_cyclic_modules, ring):
         if len(submodule_lattice(mod)) <= SMALL_MODULE_ORDER:
             if _once(is_uniform, mod) != is_uniform_bruteforce(mod):
                 return False, mod.provenance
@@ -912,7 +927,7 @@ def check_uniform_oracle(ring: FiniteRing):
 @_property("annihilator-set reduction")
 def check_annihilator_reduction(ring: FiniteRing):
     """Shared-submodule reduction vs a literal embedding search."""
-    mods = [m for m in _cyclic_modules(ring) if m.order <= 16]
+    mods = [m for m in _once(_cyclic_modules, ring) if m.order <= 16]
     for a in mods:
         for b in mods:
             reduced = bool(annihilator_set(a) & annihilator_set(b))
@@ -928,7 +943,7 @@ def check_annihilator_reduction(ring: FiniteRing):
 @_property("monoform is hereditary")
 def check_monoform_hereditary(ring: FiniteRing):
     """Every nonzero submodule of a monoform module is monoform."""
-    for mod in _cyclic_modules(ring):
+    for mod in _once(_cyclic_modules, ring):
         if not is_monoform(mod):
             continue
         for sub in submodule_lattice(mod):
@@ -942,7 +957,7 @@ def check_monoform_implies_uniform(ring: FiniteRing):
     """is_monoform reads the one minimal submodule of a uniform module;
     the colon-table criterion, which tests no uniformity, must accept
     only uniform modules."""
-    for mod in _cyclic_modules(ring):
+    for mod in _once(_cyclic_modules, ring):
         if monoform_by_colon_table(mod) and not _once(is_uniform, mod):
             return False, mod.provenance
     return True, None
@@ -970,7 +985,7 @@ def check_atom_equivalence_relation(ring: FiniteRing):
 @_property("monoform submodule sums")
 def check_monoform_sum(ring: FiniteRing):
     """In a uniform module, the sum of two monoform submodules is monoform."""
-    for mod in _cyclic_modules(ring):
+    for mod in _once(_cyclic_modules, ring):
         if not _once(is_uniform, mod):
             continue
         monoforms = [
@@ -987,8 +1002,8 @@ def check_monoform_sum(ring: FiniteRing):
 
 @_property("monoform agrees with socle oracle")
 def check_socle_oracle(ring: FiniteRing):
-    for mod in _cyclic_modules(ring):
-        if is_monoform(mod) != monoform_oracle_artinian(mod):
+    for mod in _once(_cyclic_modules, ring):
+        if is_monoform(mod) != _once(monoform_oracle_artinian, mod):
             return False, mod.provenance
     return True, None
 
@@ -1003,7 +1018,7 @@ def check_comonoform_completely_prime(ring: FiniteRing):
 
 @_property("monoform filtrations")
 def check_filtrations(ring: FiniteRing):
-    for mod in _cyclic_modules(ring):
+    for mod in _once(_cyclic_modules, ring):
         defect = filtration_defect(mod)
         if defect == "chain":
             return False, mod.provenance
@@ -1014,7 +1029,7 @@ def check_filtrations(ring: FiniteRing):
 
 @_property("maximal monoform submodules")
 def check_max_monoform(ring: FiniteRing):
-    for mod in _cyclic_modules(ring):
+    for mod in _once(_cyclic_modules, ring):
         if not _once(is_uniform, mod):
             continue
         # raises internally if the maximum fails its own verification
@@ -1025,7 +1040,7 @@ def check_max_monoform(ring: FiniteRing):
 @_property("support exactness")
 def check_support_exactness(ring: FiniteRing):
     spec = atom_spectrum(ring)
-    for mod in _cyclic_modules(ring):
+    for mod in _once(_cyclic_modules, ring):
         total = _once(atom_support, spec, mod)
         for sub in submodule_lattice(mod):
             left = _once(atom_support, spec, _once(sub_module, mod, sub)[0])
@@ -1038,7 +1053,7 @@ def check_support_exactness(ring: FiniteRing):
 @_property("associated atom sandwich")
 def check_ass_sandwich(ring: FiniteRing):
     spec = atom_spectrum(ring)
-    for mod in _cyclic_modules(ring):
+    for mod in _once(_cyclic_modules, ring):
         mid = _once(associated_atoms, spec, mod)
         for sub in submodule_lattice(mod):
             left = _once(associated_atoms, spec, _once(sub_module, mod, sub)[0])
@@ -1053,7 +1068,7 @@ def check_direct_sum_additivity(ring: FiniteRing):
     # factor cap keeps the summed module's tables and lattice tractable;
     # it admits the smallest cyclic module, or R itself for the zero ring
     spec = atom_spectrum(ring)
-    mods = _cyclic_modules(ring) or (regular_module(ring),)
+    mods = _once(_cyclic_modules, ring) or (regular_module(ring),)
     cap = max(16, min(m.order for m in mods))
     mods = [m for m in mods if m.order <= cap]
     rng = random.Random(0)
@@ -1067,7 +1082,7 @@ def check_direct_sum_additivity(ring: FiniteRing):
 @_property("associated atoms within support")
 def check_ass_inside_support(ring: FiniteRing):
     spec = atom_spectrum(ring)
-    for mod in _cyclic_modules(ring):
+    for mod in _once(_cyclic_modules, ring):
         if not ass_within_support(spec, mod):
             return False, mod.provenance
     return True, None
@@ -1076,7 +1091,7 @@ def check_ass_inside_support(ring: FiniteRing):
 @_property("module supports are open")
 def check_supports_are_open(ring: FiniteRing):
     spec = atom_spectrum(ring)
-    for mod in _cyclic_modules(ring):
+    for mod in _once(_cyclic_modules, ring):
         if not is_open(spec, _once(atom_support, spec, mod)):
             return False, mod.provenance
     return True, None
@@ -1102,7 +1117,7 @@ def check_discreteness(ring: FiniteRing):
 def check_monoform_closure_equivalence(ring: FiniteRing):
     """M is non-monoform iff M falls into the Serre closure of its proper
     quotients, computed by the brute-force oracle."""
-    for mod in _cyclic_modules(ring):
+    for mod in _once(_cyclic_modules, ring):
         if mod.order > SMALL_MODULE_ORDER:
             continue
         if monoform_by_closure(mod) != is_monoform(mod):
@@ -1130,7 +1145,7 @@ def check_oracle_soundness(ring: FiniteRing):
     open set."""
     spec = atom_spectrum(ring)
     reg = regular_module(ring)
-    universe = build_universe(reg)
+    universe = _once(build_universe, reg)
     supports = universe_supports(universe, spec)
     rng = random.Random(0)
     for _ in range(5):
@@ -1144,7 +1159,7 @@ def check_oracle_soundness(ring: FiniteRing):
 
 @_property("subcategory calculus")
 def check_calculus(ring: FiniteRing):
-    universe = build_universe(regular_module(ring))
+    universe = _once(build_universe, regular_module(ring))
     result = calculus_check(universe, samples=25)
     return result["passed"], result["violations"] or None
 

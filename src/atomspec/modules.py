@@ -10,7 +10,7 @@ The tables are read-only numpy arrays, as for rings (`TableRecord`), and
 equality and the hash read one digest of the ring, the order and the
 tables.  Submodule tests, quotients, submodules and direct sums are
 computed on whole arrays.  One labelling of cosets (`coset_labels`)
-serves the lattice search, the quotient M/N and the colon table: each
+serves the lattice search, the quotient M/N and the colon ideals: each
 element is labelled by the least element of its coset x + N, and the
 representatives are the elements that label themselves.
 
@@ -20,12 +20,6 @@ S.  The cyclic submodule xR = {x.a : a in R} is read directly off the
 action table, since it is already closed under addition and the action.
 Every submodule is a sum of the cyclics it contains, so the search
 reaches all of them.
-
-The quotients R/p of the regular module are read from one colon table
-instead of building them: row N holds the colon ideals
-(N : x) = {a : x.a in N} for x outside N, which is Ann(x + N) in M/N,
-so row N is the annihilator set of M/N, and the comonoform test of each
-p compares row p with the rows above it.
 """
 
 from __future__ import annotations
@@ -34,7 +28,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
-from types import MappingProxyType
 
 import numpy as np
 
@@ -247,14 +240,8 @@ def annihilator_set(module: RightModule) -> frozenset:
     sets intersect: a shared u gives the same Ann(u) on both sides, and
     conversely Ann(x) = Ann(y) makes xR and yR isomorphic via the maps
     through R/Ann(x).  This turns subobject-sharing questions into finite
-    set intersections.
+    set intersections.  Each Ann(x) is a zero pattern of a row of act.
     """
-    return distinct_annihilators(module)
-
-
-def distinct_annihilators(module: RightModule) -> frozenset:
-    """{Ann(x) : x nonzero in M}, from the distinct zero patterns of the
-    action table's rows (uncached)."""
     rows = {row.tobytes(): row for row in module.act[1:] == 0}
     return frozenset(
         frozenset(np.flatnonzero(row).tolist()) for row in rows.values()
@@ -269,29 +256,6 @@ def coset_colons(module: RightModule, sub: frozenset):
     inside[list(sub)] = True
     reps = coset_labels(module, inside)[1][1:]  # the cosets other than N
     yield from zip(reps.tolist(), inside[module.act[reps]])
-
-
-@lru_cache(maxsize=None)
-def colon_table(module: RightModule) -> MappingProxyType:
-    """{N: {(N : x) : x not in N}} for every proper submodule N.
-
-    (N : x) = {a in R : x.a in N} is Ann(x + N) in M/N, so row N equals
-    annihilator_set(M/N), computed without building M/N.  Row {0} is
-    annihilator_set(M).  Equal colon ideals are shared between rows.
-    """
-    interned: dict[bytes, frozenset] = {}
-    table = {}
-    for sub in submodule_lattice(module):
-        if len(sub) == module.order:
-            continue
-        row = set()
-        for _, colon in coset_colons(module, sub):
-            key = np.packbits(colon).tobytes()
-            if key not in interned:
-                interned[key] = frozenset(np.flatnonzero(colon).tolist())
-            row.add(interned[key])
-        table[sub] = frozenset(row)
-    return MappingProxyType(table)
 
 
 # ---------------------------------------------------------------------------

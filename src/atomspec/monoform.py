@@ -1,18 +1,20 @@
-"""Decision procedures for monoform modules and comonoform right ideals."""
+"""Decision procedures for monoform modules and comonoform right ideals,
+both by one socle test (`socle_test`) of M/0 and of R/p; what the
+test reads of the ring is computed once per ring (`radical`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .modules import (
     RightModule,
-    colon_table,
     coset_colons,
     cyclic_submodule,
-    minimal_submodules,
+    is_submodule,
     regular_module,
     submodule_sum,
 )
@@ -32,69 +34,84 @@ class Filtration:
     labels: tuple[frozenset, ...]
 
 
-def meets_no_row_above(table, sub: frozenset) -> bool:
-    """Row sub of a module M's colon table meets no row N > sub: M/sub is
-    monoform.
+class Radical(NamedTuple):
+    """The Jacobson radical J as a mask over R, generators of J as a right
+    ideal, the primitive idempotents e in id order and each |eR/eJ|."""
 
-    Subobject sharing is decided by annihilator-set intersection, and row
-    N is the annihilator set of M/N.  The submodules of M/sub are the
-    N/sub for N containing sub, and (M/sub)/(N/sub) = M/N, so M/sub
-    shares a nonzero submodule with one of its proper quotients iff row
-    sub meets some row N > sub.
-    """
-    row = table[sub]
-    return all(row.isdisjoint(other) for n, other in table.items() if n > sub)
+    members: np.ndarray
+    gens: np.ndarray
+    idempotents: np.ndarray
+    top_orders: np.ndarray
 
 
-def primitive_idempotents(ring: FiniteRing) -> np.ndarray:
-    """The primitive idempotents in id order: the e != 0 with ee = e and
-    no idempotent f outside {0, e} with ef = fe = f.  Every simple module
-    is the top of eR for some primitive e."""
-    idem = np.flatnonzero(np.diagonal(ring.mul) == np.arange(ring.order))[1:]
-    prod = ring.mul[np.ix_(idem, idem)]  # e_i e_j
+@lru_cache(maxsize=None)
+def radical(ring: FiniteRing) -> Radical:
+    """J = {x : xR is nil}, x being nilpotent iff x^(2^t) = 0 once 2^t
+    reaches n; each generator is the least element of J outside the sum
+    of the gR before it.  The primitive idempotents are the e != 0 with
+    ee = e and no idempotent f outside {0, e} with ef = fe = f."""
+    n, add, mul = ring.order, ring.add, ring.mul
+    power = np.arange(n)
+    for _ in range(n.bit_length()):
+        power = mul[power, power]
+    members = (power == 0)[mul].all(axis=1)
+    span, gens = np.arange(n) == 0, []
+    while (missing := members & ~span).any():
+        gens.append(int(missing.argmax()))
+        sums = add[np.ix_(np.flatnonzero(span), mul[gens[-1]])]
+        span = np.zeros(n, dtype=bool)
+        span[sums] = True
+    idem = np.flatnonzero(np.diagonal(mul) == np.arange(n))[1:]
+    prod = mul[np.ix_(idem, idem)]  # e_i e_j
     # f = e_j lies under e = e_i when ef = f = fe; e lies under itself
-    under = (prod == idem) & (prod.T == idem)
-    return idem[under.sum(axis=1) == 1]
+    prims = idem[((prod == idem) & (prod.T == idem)).sum(axis=1) == 1]
+    tops = [len(set(mul[e].tolist())) // len(set(mul[e, members].tolist()))
+            for e in prims]
+    return Radical(members, np.array(gens, dtype=np.intp), prims,
+                   np.array(tops, dtype=np.intp))
+
+
+def socle_test(module: RightModule, inside: np.ndarray) -> tuple[bool, np.ndarray]:
+    """Whether M/N is monoform, for N the submodule with mask `inside`,
+    and the mask over radical(R).idempotents of the e whose top(eR) is a
+    summand of soc(M/N) = T/N, T = {x : x.J inside N}.
+
+    Over a finite ring a module is monoform iff its socle is simple and
+    occurs once among its composition factors (Kanda 2012).  The first e
+    with T.e not inside N gives a simple summand S = top(eR) of T/N, so
+    T/N is simple iff |T| = |N| |top(eR)|; S occurs once iff M.e lies in
+    T, as (M/N)e = Hom(eR, M/N) has |Se|^k elements for k occurrences
+    and meets T/N in Se.
+    """
+    rad = radical(module.ring)
+    soc = inside[module.act[:, rad.gens]].all(axis=1)
+    block = module.act[np.ix_(np.flatnonzero(soc), rad.idempotents)]
+    tops = ~inside[block].all(axis=0)
+    if not tops.any():  # M = N
+        return False, tops
+    k = int(tops.argmax())
+    return bool(soc.sum() == inside.sum() * rad.top_orders[k]
+                and soc[module.act[:, rad.idempotents[k]]].all()), tops
 
 
 @lru_cache(maxsize=None)
 def is_monoform(module: RightModule) -> bool:
-    """M nonzero and no nonzero submodule is shared between M and any M/N.
-
-    A monoform M is uniform, and a uniform M with socle S is monoform iff
-    S occurs once among its composition factors: if twice, S embeds in
-    some M/N with N != 0.  For e primitive with Se != 0, S is the top of
-    eR, so Me = Hom(eR, M) has |Se|^k elements for k occurrences, and
-    k = 1 iff Me lies in Me & S = Se.  So this reads the minimal
-    submodules and one column of the action table; no lattice, colon
-    table or quotient is built.
-    """
-    minimal = minimal_submodules(module)  # none for the zero module
-    if len(minimal) != 1:
-        return False
-    inside = np.zeros(module.order, dtype=bool)
-    inside[list(minimal[0])] = True
-    col = next(e for e in primitive_idempotents(module.ring)
-               if module.act[inside, e].any())
-    return bool(inside[module.act[:, col]].all())
+    """M nonzero and no nonzero submodule is shared between M and any M/N:
+    the socle test of M/0."""
+    return socle_test(module, np.arange(module.order) == 0)[0]
 
 
 @lru_cache(maxsize=None)
-def _comonoform_flags(ring: FiniteRing) -> dict:
-    """{p: R/p is monoform} for every proper right ideal p, each read off
-    row p of the regular module's colon table."""
-    table = colon_table(regular_module(ring))
-    return {p: meets_no_row_above(table, p) for p in table}
-
-
 def is_comonoform(ring: FiniteRing, ideal: frozenset) -> bool:
-    """Right ideal p with R/p monoform."""
-    flags = _comonoform_flags(ring)
-    if ideal not in flags:
-        if ideal == frozenset(range(ring.order)):
-            raise MonoformError("the full ring is not a comonoform right ideal")
+    """Right ideal p with R/p monoform: the socle test of R/p."""
+    reg = regular_module(ring)
+    if not is_submodule(reg, ideal):
         raise MonoformError(f"{sorted(ideal)} is not a right ideal")
-    return flags[ideal]
+    if len(ideal) == ring.order:
+        raise MonoformError("the full ring is not a comonoform right ideal")
+    inside = np.zeros(ring.order, dtype=bool)
+    inside[list(ideal)] = True
+    return socle_test(reg, inside)[0]
 
 
 def monoform_filtration(module: RightModule) -> Filtration:

@@ -1,7 +1,7 @@
-"""Atom spectrum of a finite ring: atom equivalence classes of comonoform
-right ideals, atom support, associated atoms, and the open-set topology,
-which is discrete: every atom holds a simple module, the top of eR for a
-primitive idempotent e, whose support is that atom alone."""
+"""Atom spectrum of a finite ring: the comonoform right ideals p, found by
+the socle test of each R/p, in atoms keyed by the primitive idempotents e
+whose top(eR) is the socle of R/p; atom support, associated atoms, and
+the open-set topology, which is discrete."""
 
 from __future__ import annotations
 
@@ -15,12 +15,11 @@ import numpy as np
 
 from .modules import (
     RightModule,
-    distinct_annihilators,
     regular_module,
     submodule_key,
     submodule_lattice,
 )
-from .monoform import is_comonoform, primitive_idempotents
+from .monoform import radical, socle_test
 from .rings import AtomspecError, FiniteRing
 
 
@@ -75,25 +74,25 @@ def atom_spectrum(ring: FiniteRing) -> AtomSpectrum:
     the atom index and the supports, and assert that the topology is
     discrete (_assert_discrete).
 
-    R/p is uniform for p comonoform, so the least ideal L above p gives
-    its socle L/p, and R/p and R/q are atom equivalent iff their socles
-    are isomorphic.  L/p is the top of eR, e primitive, iff L.e is not
-    inside p: the first such e keys the atom of p, and each e gets the
-    atom of the top of eR, which is R/m for some maximal m.  Supp R/p
-    holds the atoms of the e with R.e not inside p.  Canonical class
-    representative: the ideal with lexicographically smallest sorted
-    element tuple.
+    The socle test of R/p (`socle_test`) decides whether p is
+    comonoform, and then names the primitive e whose top(eR) is the
+    socle of R/p.  R/p and R/q are atom equivalent iff their socles are
+    isomorphic, so the first such e keys the atom of p, and each e gets
+    the atom of the top of eR, which is R/m for some maximal m.
+    Supp R/p holds the atoms of the e with R.e not inside p.  Canonical
+    class representative: the ideal with lexicographically smallest
+    sorted element tuple.
     """
-    lattice = submodule_lattice(regular_module(ring))
-    prims = primitive_idempotents(ring)
+    reg = regular_module(ring)
+    prims = radical(ring).idempotents
     cols = ring.mul[:, prims]  # the columns R.e
-    met = {}  # p -> (L.e outside p, R.e outside p), one flag per e
-    for p in lattice[:-1]:  # R sorts last
-        if is_comonoform(ring, p):
-            outside = np.ones(ring.order, dtype=bool)
-            outside[list(p)] = False
-            above = sorted(next(q for q in lattice if p < q))
-            met[p] = outside[cols[above]].any(0), outside[cols].any(0)
+    met = {}  # p -> (top(eR) is the socle of R/p, R.e outside p), per e
+    for p in submodule_lattice(reg)[:-1]:  # R sorts last
+        inside = np.zeros(ring.order, dtype=bool)
+        inside[list(p)] = True
+        monoform, tops = socle_test(reg, inside)
+        if monoform:
+            met[p] = tops, ~inside[cols].all(0)
     classes: dict[int, list] = {}  # first e -> members, in lattice order
     for p, (top, _) in met.items():
         classes.setdefault(int(prims[top.argmax()]), []).append(p)
@@ -131,13 +130,16 @@ def atom_support(spec: AtomSpectrum, module: RightModule) -> frozenset:
 
 
 def associated_atoms(spec: AtomSpectrum, module: RightModule) -> frozenset:
-    """Atom ids with a representative occurring as a submodule of M."""
+    """Atom ids with a representative occurring as a submodule of M.
+
+    Every monoform submodule holds a simple one in its atom, so these are
+    the atoms of the simple submodules: of the e with soc(M).e != 0.
+    """
     if module.ring != spec.ring:
         raise SpectrumError("module is over a different ring")
-    return frozenset(
-        spec.index[ann] for ann in distinct_annihilators(module)
-        if ann in spec.index
-    )
+    _, tops = socle_test(module, np.arange(module.order) == 0)
+    prims = radical(module.ring).idempotents[tops].tolist()
+    return frozenset(spec.atom_of_idempotent[e] for e in prims)
 
 
 def is_open(spec: AtomSpectrum, phi: frozenset) -> bool:

@@ -381,7 +381,8 @@ TWINS = (
     "_extend", "_embedding_exists", "minimal_generating_sequence",
     "annihilator_keys", "maximal_submodules", "socle",
     "_chief_series_bottom_up", "series_factors", "composition_factors",
-    "subquotient", "simple_module_count", "monoform_oracle_artinian",
+    "subquotient", "simple_module_count", "colon_table",
+    "meets_no_row_above", "monoform_oracle_artinian",
     "monoform_by_closure", "monoform_by_colon_table",
     "is_completely_prime", "filtration_defect", "max_monoform_submodule",
     "ClosureUniverse", "_invariant_key", "_find_class", "build_universe",
@@ -419,6 +420,14 @@ def test_twins_live_in_checks_only(name):
     if name in PIPELINE:
         assert "checks" not in imported
         assert not {s for s in sources if s.split(".")[-1] == "checks"}
+
+
+def test_the_run_memo_is_the_only_cache_of_checks():
+    # what a run computes is dropped with its memo; an lru_cache would
+    # keep every ring and module it saw for the life of the process
+    defined, _, _ = _defined_and_imported("checks")
+    assert not [name for name in defined
+                if hasattr(getattr(checks, name, None), "cache_info")]
 
 
 # each public name and the one module it is imported from; the package

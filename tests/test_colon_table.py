@@ -1,12 +1,14 @@
 """The lattice-free decisions against their quotient-lattice definitions.
 
-`is_comonoform` and `atom_equivalent` read every R/p from the regular
-module's colon table, and `monoform_filtration` reads each M/L from the
-colon ideals (L : r).  `is_monoform` and `atom_support` read neither:
-they test columns of M's action table at the primitive idempotents.  The oracles here build each M/N, as the definitions do,
-and take annihilator sets and annihilators of its elements directly;
-the socle criterion, the colon-table criterion with the uniformity
-test, and the colon table's atom support stay as second oracles.
+`is_monoform` and `is_comonoform` are one socle test, of M/0 and of R/p;
+`atom_support` and `associated_atoms` read columns of M's action table
+at the primitive idempotents; `monoform_filtration` reads each M/L from
+the colon ideals (L : r).  The oracles here build each M/N, as the
+definitions do, and take annihilator sets and annihilators of its
+elements directly.  The socle criterion, the colon-table criterion with
+the uniformity test, the colon table's atom support and
+`atom_equivalent`, which reads the regular module's colon table, stay as
+second oracles; the colon table is a twin in `atomspec.checks`.
 """
 
 import pytest
@@ -15,13 +17,13 @@ from hypothesis import strategies as st
 
 from atomspec.checks import (
     atom_equivalent,
+    colon_table,
     monoform_by_colon_table,
     monoform_oracle_artinian,
 )
 from atomspec.modules import (
     annihilator,
     annihilator_set,
-    colon_table,
     cyclic_submodule,
     direct_sum,
     is_uniform,
@@ -40,9 +42,11 @@ from atomspec.monoform import (
 from atomspec.rings import zmod
 from atomspec.spectrum import atom_spectrum, atom_support
 
-from conftest import make_zoo, modules_around
+from conftest import make_zoo, modules_around, trivial_extension
 
 ZOO = make_zoo()
+# local rings with V^2 = 0, whose right ideals are R and the subspaces of V
+TRIVIAL_EXTENSIONS = [trivial_extension(2, k) for k in range(5)]
 
 
 def is_monoform_by_quotients(module):
@@ -121,7 +125,8 @@ def test_colon_table_agrees_with_quotients(ring):
         _agree(ring, module)
 
 
-@pytest.mark.parametrize("ring", ZOO, ids=[r.name for r in ZOO])
+@pytest.mark.parametrize("ring", ZOO + TRIVIAL_EXTENSIONS,
+                         ids=[r.name for r in ZOO + TRIVIAL_EXTENSIONS])
 def test_comonoform_and_atoms_agree_with_quotients(ring):
     reg = regular_module(ring)
     spec = atom_spectrum(ring)

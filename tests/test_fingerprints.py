@@ -8,7 +8,11 @@ quotients were read from the colon table, so a change to any reported
 ideal, atom, support, open set, generator or edge shows up here.  The
 `check` hashes were recorded from the implementation that built modules
 with nested Python loops and decided xR = R/Ann(x) by an isomorphism
-search, before the numpy builders and the canonical-map check.
+search, before the numpy builders and the canonical-map check.  The
+`ass` and `filtration` hashes of the regular module were recorded from
+the implementation that read associated atoms off the distinct
+annihilators of M and comonoform ideals off the regular module's colon
+table, before one socle test decided both.
 """
 
 import contextlib
@@ -80,12 +84,36 @@ FINGERPRINTS = {
         "6a4cb5e6d32039ff25c5c6039d0ca5824169d076fb4f4b104fc163f36da829f6",
     ("check", "prod:tri2:2,zmod:6"):
         "70361081f8f82b28e96cb75c4054dafde4e902904816354ce0046e9540b66d08",
+    ("ass", "zmod:12"):
+        "8334b36dfe189e589efd6bf12923ff09f461a395ff8fb5a7fae845fe4d5aba0c",
+    ("filtration", "zmod:12"):
+        "8094f61b0942d5667dae0811b0c8383951433bd0da5f3405d98be9f2e2a85d42",
+    ("ass", "zmod:60"):
+        "a14213ea52e31b65c4ebb942b4dad13b235ba9664ce7ea5abe76a6450578e40a",
+    ("filtration", "zmod:60"):
+        "16a3c5f05ec8f54fddf1731d3375145ac275d84259eb4bdaea98685bb30631ba",
+    ("ass", "tri2:3"):
+        "362609cbb83d9880de52dfb2b84cf19cde32d41dff6bcf4e02e886a07d10e3ea",
+    ("filtration", "tri2:3"):
+        "714e7ba52eabfd72c491f854c3d742143dc4961c9a99cdfaf40333cbea6a32b0",
+    ("ass", "mat:2:2"):
+        "49611dbeb317a6c9715a57a56443bd7cc3557bac583ecff33f4be6c8ca58dfdb",
+    ("filtration", "mat:2:2"):
+        "b30b7576cb8409efc30cddccb359349ff22c932053e64ebcd8f22d6fb990a079",
+    ("ass", FIVE_FIELDS):
+        "56defcc49ef2dc6ecff3cb124015e2dbd7a885edb1d6b8e967dbb53991b8e12d",
+    ("filtration", FIVE_FIELDS):
+        "4c4262fbaa6776088baafd211a6876fe06c54e962a1ed68bc740793f7d6cb815",
+    ("ass", "prod:tri2:2,zmod:6"):
+        "8566f13f0c423020438bcca99d1e485af00493c35a47a6c28731e7c79cbe839d",
+    ("filtration", "prod:tri2:2,zmod:6"):
+        "529677312686fc48b5b1107acb80d1a3dc35ecb1feeb4a3473c002388d0c3b07",
 }
 
 
 def _argv(verb, ring):
     argv = [verb, "--ring", ring, "--format", "json"]
-    if verb == "support":
+    if verb in ("support", "ass", "filtration"):
         argv += ["--module", "regular"]
     return argv
 

@@ -1,9 +1,15 @@
+from functools import reduce
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomspec.checks import (
     filtration_defect,
     is_completely_prime,
     max_monoform_submodule,
+    maximal_submodules,
     monoform_oracle_artinian,
 )
 from atomspec.modules import (
@@ -20,9 +26,13 @@ from atomspec.monoform import (
     is_comonoform,
     is_monoform,
     monoform_filtration,
-    primitive_idempotents,
+    radical,
 )
 from atomspec.rings import parse_ring_spec, zmod
+
+from conftest import make_zoo, posets, trivial_extension
+from test_group_algebras import group_algebra
+from test_incidence import incidence_algebra
 
 
 def modules_of(ring, max_order=None):
@@ -48,7 +58,68 @@ def modules_of(ring, max_order=None):
     ("prod:" + ",".join(["zmod:2"] * 6), 6),
 ])
 def test_primitive_idempotent_counts(spec, count):
-    assert len(primitive_idempotents(parse_ring_spec(spec))) == count
+    assert len(radical(parse_ring_spec(spec)).idempotents) == count
+
+
+def radical_ids(ring) -> frozenset:
+    return frozenset(np.flatnonzero(radical(ring).members).tolist())
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 12, 36, 60, 360])
+def test_radical_of_zmod_is_the_multiples_of_rad_n(n):
+    # J(Z/n) = rad(n) Z/n, rad(n) the product of the primes dividing n;
+    # each primitive idempotent has the top Z/p for one prime p
+    primes = [p for p in range(2, n + 1)
+              if n % p == 0 and all(p % q for q in range(2, p))]
+    assert radical_ids(zmod(n)) == frozenset(range(0, n, int(np.prod(primes))))
+    assert sorted(radical(zmod(n)).top_orders.tolist()) == primes
+
+
+@pytest.mark.parametrize("k, p", [(2, 2), (2, 3), (3, 2)])
+def test_matrix_rings_have_no_radical(k, p):
+    # M_k(F_p) is simple, and its simple module F_p^k is the top of eR
+    # for every primitive e
+    ring = parse_ring_spec(f"mat:{k}:{p}")
+    rad = radical(ring)
+    assert radical_ids(ring) == {0}
+    assert len(rad.gens) == 0
+    assert set(rad.top_orders.tolist()) == {p ** k}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_radical_of_tri2_has_p_elements(p):
+    # the strictly upper triangular matrices, over F_p x F_p
+    rad = radical(parse_ring_spec(f"tri2:{p}"))
+    assert int(rad.members.sum()) == p
+    assert rad.top_orders.tolist() == [p] * (2 * p)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_radical_of_a_trivial_extension_is_v(k):
+    # V is spanned by e_1..e_k, the ids below 2^k
+    assert radical_ids(trivial_extension(2, k)) == frozenset(range(2 ** k))
+
+
+SMALL_GROUP_ALGEBRAS = [(2, "C3"), (2, "C4"), (2, "S3"), (3, "C4")]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(
+    st.sampled_from(make_zoo()),
+    posets(max_points=3).map(lambda poset: incidence_algebra(2, *poset)),
+    st.sampled_from(SMALL_GROUP_ALGEBRAS).map(
+        lambda pg: group_algebra(*pg)),
+))
+def test_radical_is_the_meet_of_the_maximal_right_ideals(ring):
+    reg = regular_module(ring)
+    rad = radical(ring)
+    assert radical_ids(ring) == reduce(frozenset.__and__,
+                                       maximal_submodules(reg))
+    # the generators generate J as a right ideal
+    span = frozenset({0})
+    for g in rad.gens.tolist():
+        span = submodule_sum(reg, span, cyclic_submodule(reg, g))
+    assert span == radical_ids(ring)
 
 
 def test_simple_modules_are_monoform():
