@@ -18,6 +18,7 @@ from atomspec.rings import zmod
 
 SPAWN = os.path.join(os.path.dirname(__file__), "spawn.py")
 SUM12 = "sum:" + "+".join(["regular"] * 12)  # F_2^12 over F_2, order 4096
+F2_12 = "prod:" + ",".join(["zmod:2"] * 12)  # the ring F_2^12, order 4096
 capped = lambda r: r["error"]["type"] == "CapExceededError"  # noqa: E731
 passed = lambda r: r["result"]["passed"] is True  # noqa: E731
 valid = lambda r: r["result"]["valid"] is True  # noqa: E731
@@ -29,16 +30,16 @@ ROWS = [  # name, argv, exit code, check, seconds, MB
      None, 70),
     # the tables stay int16 from build to validation; int64 copies, 505 MB
     ("validate zmod:4096", ["validate", "--ring", "zmod:4096"], 0, valid, None, 250),
-    ("validate F2^12", ["validate", "--ring", "prod:" + ",".join(["zmod:2"] * 12)],
-     0, valid, None, 250),
+    ("validate F2^12", ["validate", "--ring", F2_12], 0, valid, None, 250),
     # read as text into table arrays, one row at a time; json.loads, 1.8 GB
     ("validate Z/4096 document", ["validate", "--ring", "{z4096}"], 0,
      lambda r: valid(r) and r["ring"]["hash"] == zmod(4096).content_hash(),
      None, 380),
-    # the read stops at the first table row wider than the cap
+    # the first table row wider than the cap is refused from a 64 KiB head
+    # of the file; reading the whole file first peaked at 334 MB
     ("validate Z/4096 document --max-order 64",
      ["validate", "--ring", "{z4096}", "--max-order", "64"], 1, capped,
-     lambda took: took["validate Z/4096 document"] / 4, None),
+     lambda took: took["validate Z/4096 document"] / 4, 60),
     # support reads column 1 of the action table, and filtration takes 12
     # steps of colon ideals, not 4.9e11 subspaces
     ("support F2^12", ["support", "--ring", "zmod:2", "--module", SUM12], 0,
@@ -62,12 +63,20 @@ ROWS = [  # name, argv, exit code, check, seconds, MB
     # 8,283,459 ideals; check refuses more than 256 right ideals (2,826)
     ("ideals F2 x F2^9", ["ideals", "--ring", "{f2x9}"], 1, capped, 30, 150),
     ("check F2 x F2^6", ["check", "--ring", "{f2x6}"], 1, capped, 30, 150),
-    # one atom, whose one member is V: one socle test for each of the
-    # 29,213 right ideals (4.5-5.2 s, 74 MB); comparing the rows of the
-    # regular module's colon table pairwise took 37-40 s and 94-96 MB
+    # one atom, whose one member is V: the comonoform ideals are found
+    # among the annihilators of the characters of (R, +), one socle test
+    # each; testing each of the 29,213 right ideals took 4.5-5.2 s and
+    # 74 MB, and at F2 x F2^8 the lattice search stopped at its cap
     ("spectrum F2 x F2^7", ["spectrum", "--ring", "{f2x7}"], 0,
      lambda r: (r["result"]["atom_count"], r["result"]["atoms"][0]["members"])
-     == (1, [list(range(128))]), 15, 120),
+     == (1, [list(range(128))]), 5, 60),
+    ("spectrum F2 x F2^8", ["spectrum", "--ring", "{f2x8}"], 0,
+     lambda r: (r["result"]["atom_count"], r["result"]["atoms"][0]["members"])
+     == (1, [list(range(256))]), 5, 60),
+    # 12 atoms among 4,095 distinct annihilators of characters; the
+    # lattice of its 4,096 right ideals took 56 s and 195 MB
+    ("spectrum F2^12", ["spectrum", "--ring", F2_12], 0,
+     lambda r: r["result"]["atom_count"] == 12, 30, 250),
     # refused before their tables or positions are built; a product's
     # factor orders are read off the spec text, so no factor is built
     # (0.23 s and 34 MB; building the first zmod:4096 took 146 MB)
@@ -92,7 +101,7 @@ def measure(argv, seconds):
 @pytest.fixture(scope="session")
 def docs():
     """The ring documents the rows name: Z/4096 written row by row, and
-    F_2 x F_2^k (basis 1, e_1..e_k, e_i e_j = 0 for i, j >= 1), k = 6, 7, 9."""
+    F_2 x F_2^k (basis 1, e_1..e_k, e_i e_j = 0 for i, j >= 1), k = 6 to 9."""
     n = 4096
     names = [str(v) for v in range(n)]
     with tempfile.TemporaryDirectory() as tmp:
@@ -105,7 +114,7 @@ def docs():
             f.write(",".join("[" + ",".join(names[i * j % n] for j in range(n)) + "]"
                              for i in range(n)))
             f.write("]}")
-        for k in (6, 7, 9):
+        for k in (6, 7, 8, 9):
             d = k + 1
             consts = [[[int(l == i + j and 0 in (i, j)) for l in range(d)]
                        for j in range(d)] for i in range(d)]

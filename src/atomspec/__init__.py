@@ -8,8 +8,8 @@ import sys as _sys
 def _import_numpy_single_threaded() -> None:
     """Import numpy with OpenBLAS held to the importing thread.
 
-    atomspec does no floating-point linear algebra: its one matrix
-    product is on int64, which numpy does not hand to BLAS.  So OpenBLAS
+    atomspec does no floating-point linear algebra: its matrix
+    products are on int64, which numpy does not hand to BLAS.  So OpenBLAS
     worker threads only cost start-up time.  OPENBLAS_NUM_THREADS=1 is
     set for the import alone and removed after it, unless something else
     changed it meanwhile, so no child process inherits it.  A numpy that

@@ -30,6 +30,7 @@ from .rings import (
     RingFormatError,
     parse_ring_document,
     parse_ring_spec,
+    refuse_by_head,
 )
 from .serre import Rows, dot_lines, serre_lattice
 from .spectrum import associated_atoms, atom_spectrum, atom_support
@@ -49,9 +50,12 @@ def _load_ring(source: str, order_cap: int) -> FiniteRing:
     if head in BUILTIN_PREFIXES:
         return parse_ring_spec(source, order_cap=order_cap)
     # read as text, so no copy of the document's bytes stays alive while
-    # it is parsed and validated; newline="" keeps the text as written
+    # it is parsed and validated; newline="" keeps the text as written; a
+    # first table row wider than the cap is refused from a head of it
     try:
         with open(source, encoding="utf-8", newline="") as f:
+            if f.seekable():
+                refuse_by_head(f, order_cap)
             text = f.read()
     except OSError as exc:  # missing, a directory, or not readable
         raise DomainError(f"ring file {source!r} cannot be read: "

@@ -32,9 +32,11 @@ would give first; every witness is still a genuine counterexample.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -627,8 +629,12 @@ def _row_numbers(body: str) -> np.ndarray | None:
     return numbers
 
 
-def _read_matrix(s: str, idx: int, order_cap: int = DEFAULT_ORDER_CAP
-                 ) -> tuple[np.ndarray, int] | None:
+class _Undecided(Exception):
+    """A head of a document ends before it shows how an array is read."""
+
+
+def _read_matrix(s: str, idx: int, order_cap: int = DEFAULT_ORDER_CAP,
+                 size: int | None = None) -> tuple[np.ndarray, int] | None:
     """(table, end) for the JSON array that opens at s[idx - 1] if it is a
     k x k matrix of JSON integers 0..k-1, end being the index after its
     closing bracket; otherwise None, and json reads the array.
@@ -637,7 +643,9 @@ def _read_matrix(s: str, idx: int, order_cap: int = DEFAULT_ORDER_CAP
     each matched by _ROW and read by _row_numbers.  The first row fixes k,
     so an array that is no such matrix is declined at the first row that
     shows it.  A k above order_cap raises CapExceededError at the first
-    row, before the rest of the document is read.
+    row, before the rest of the document is read.  For s the head of a text
+    of `size` bytes, the room is size // 4 characters, the fewest it holds,
+    and a first row that needs more raises _Undecided.
     """
     out, i, end = None, 0, idx
     while True:
@@ -648,8 +656,10 @@ def _read_matrix(s: str, idx: int, order_cap: int = DEFAULT_ORDER_CAP
         if out is None:
             k = row.size
             # k rows of k numbers take 2k(k + 1) + 1 characters or more
-            if 2 * k * (k + 1) > len(s) - idx:
-                return None
+            if 2 * k * (k + 1) > (len(s) if size is None else size // 4) - idx:
+                if size is None:
+                    return None
+                raise _Undecided
             _require_order(k, order_cap)
             out = np.empty((k, k), dtype=table_dtype(k))
         if row.size != k or row.max() >= k:
@@ -672,7 +682,8 @@ class _TableDecoder(json.JSONDecoder):
     scanner would go on to about 1,000.
     """
 
-    def __init__(self, *, order_cap: int = DEFAULT_ORDER_CAP, **kwargs):
+    def __init__(self, *, order_cap: int = DEFAULT_ORDER_CAP,
+                 size: int | None = None, **kwargs):
         super().__init__(**kwargs)
         scan_json = json.scanner.make_scanner(self)
         memo: dict = {}
@@ -683,7 +694,7 @@ class _TableDecoder(json.JSONDecoder):
                 return json.decoder.JSONObject(
                     (s, idx + 1), self.strict, scan_once, None, None, memo)
             if char == "[":
-                table = _read_matrix(s, idx + 1, order_cap)
+                table = _read_matrix(s, idx + 1, order_cap, size)
                 if table is not None:
                     return table
             return scan_json(s, idx)
@@ -714,6 +725,15 @@ def _require_ints(value, depth: int, what: str) -> None:
         return
     for i, v in enumerate(value):
         _require_ints(v, depth - 1, f"{what}[{i}]")
+
+
+def refuse_by_head(f, order_cap: int) -> None:
+    """Raise the CapExceededError that parse_ring_document would raise on
+    the text of file f if its first 2^16 characters show it; rewinds f."""
+    with contextlib.suppress(ValueError, RecursionError, _Undecided):
+        json.loads(f.read(1 << 16), cls=_TableDecoder, order_cap=order_cap,
+                   size=os.fstat(f.fileno()).st_size)
+    f.seek(0)
 
 
 def _read_document(data: bytes | str, order_cap: int = DEFAULT_ORDER_CAP):

@@ -1,26 +1,22 @@
 """Atom spectrum of a finite ring: the comonoform right ideals p, found by
-the socle test of each R/p, in atoms keyed by the primitive idempotents e
-whose top(eR) is the socle of R/p; atom support, associated atoms, and
-the open-set topology, which is discrete."""
+the socle test of each R/p among the annihilators of the characters of
+(R, +), in atoms keyed by the primitive idempotents e whose top(eR) is
+the socle of R/p; atom support, associated atoms, and the open-set
+topology, which is discrete.  No lattice of right ideals is built."""
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
 
-from .modules import (
-    RightModule,
-    regular_module,
-    submodule_key,
-    submodule_lattice,
-)
+from .modules import RightModule, regular_module, submodule_key
 from .monoform import radical, socle_test
-from .rings import AtomspecError, FiniteRing
+from .rings import AtomspecError, FiniteRing, additive_generators
 
 
 class SpectrumError(AtomspecError):
@@ -68,32 +64,72 @@ def _assert_discrete(atoms: tuple[Atom, ...], supports: Mapping) -> None:
             raise AssertionError(f"atom {atom.id} has no singleton support")
 
 
+def character_annihilators(ring: FiniteRing) -> Iterator[np.ndarray]:
+    """The distinct masks Ann(phi) other than R, over the characters phi
+    of (R, +); every comonoform right ideal is one of them.
+
+    R/p monoform is uniform with a simple socle, so it embeds in the
+    injective cogenerator R* = Hom_Z(R, Z/n), (phi a)(b) = phi(ab), and p
+    is the annihilator of the image of 1 + p.  Each additive generator g
+    has some order d modulo the span H of the earlier ones, and a
+    character of H extends to H + <g> in exactly d ways: phi(g) =
+    phi(dg)/d + t n/d for t < d.  So the n characters are their values on
+    the generators, read at each x through its coordinates, and
+    Ann(phi) = {a : phi(ag) = 0 for each generator g}.
+    """
+    n, add, mul = ring.order, ring.add, ring.mul
+    gens = additive_generators(add)
+    coords = np.zeros((n, len(gens)), dtype=np.int64)  # x = sum coords[x] gens
+    chars = np.zeros((1, 0), dtype=np.int64)  # phi(gens[:i]) per phi of H
+    inside = np.arange(n) == 0  # H
+    for i, g in enumerate(gens):
+        multiples = [0]  # jg for j < d; x ends as dg, in H
+        while not inside[x := int(add[multiples[-1], g])]:
+            multiples.append(x)
+        d, span = len(multiples), np.flatnonzero(inside)
+        cosets = add[np.ix_(span, multiples)]  # h + jg
+        coords[cosets] = coords[span, None]
+        coords[cosets, i] = np.arange(d)
+        inside[cosets] = True
+        base = (chars @ coords[x, :i] % n // d)[:, None]  # phi(dg)/d
+        chars = np.column_stack([np.repeat(chars, d, axis=0),
+                                 (base + np.arange(d) * (n // d)).ravel()])
+    seen = set()
+    step = max(1, (1 << 16) // n)  # about 2^16 values in a block
+    for lo in range(1, n, step):  # character 0 is zero, with Ann = R
+        zero = chars[lo:lo + step] @ coords.T % n == 0
+        for ann in np.logical_and.reduce([zero[:, mul[:, g]] for g in gens]):
+            if (key := ann.tobytes()) not in seen:
+                seen.add(key)
+                yield ann
+
+
 @lru_cache(maxsize=None)
 def atom_spectrum(ring: FiniteRing) -> AtomSpectrum:
     """Enumerate comonoform right ideals, partition them into atoms, derive
     the atom index and the supports, and assert that the topology is
     discrete (_assert_discrete).
 
-    The socle test of R/p (`socle_test`) decides whether p is
-    comonoform, and then names the primitive e whose top(eR) is the
-    socle of R/p.  R/p and R/q are atom equivalent iff their socles are
-    isomorphic, so the first such e keys the atom of p, and each e gets
-    the atom of the top of eR, which is R/m for some maximal m.
-    Supp R/p holds the atoms of the e with R.e not inside p.  Canonical
-    class representative: the ideal with lexicographically smallest
-    sorted element tuple.
+    The socle test of R/p (`socle_test`) decides, for each p among the
+    `character_annihilators`, whether p is comonoform, and then names the
+    primitive e whose top(eR) is the socle of R/p.  R/p and R/q are atom
+    equivalent iff their socles are isomorphic, so the first such e keys
+    the atom of p, and each e gets the atom of the top of eR, which is
+    R/m for some maximal m.  Supp R/p holds the atoms of the e with R.e
+    not inside p.  Canonical class representative: the ideal with
+    lexicographically smallest sorted element tuple.
     """
     reg = regular_module(ring)
     prims = radical(ring).idempotents
     cols = ring.mul[:, prims]  # the columns R.e
     met = {}  # p -> (top(eR) is the socle of R/p, R.e outside p), per e
-    for p in submodule_lattice(reg)[:-1]:  # R sorts last
-        inside = np.zeros(ring.order, dtype=bool)
-        inside[list(p)] = True
+    for inside in character_annihilators(ring):
         monoform, tops = socle_test(reg, inside)
         if monoform:
+            p = frozenset(np.flatnonzero(inside).tolist())
             met[p] = tops, ~inside[cols].all(0)
-    classes: dict[int, list] = {}  # first e -> members, in lattice order
+    met = dict(sorted(met.items(), key=lambda item: submodule_key(item[0])))
+    classes: dict[int, list] = {}  # first e -> members, by submodule_key
     for p, (top, _) in met.items():
         classes.setdefault(int(prims[top.argmax()]), []).append(p)
     reps = [(min(ms, key=lambda s: tuple(sorted(s))), tuple(ms))

@@ -12,6 +12,7 @@ from atomspec.cli import run
 from atomspec.modules import regular_module
 from atomspec.rings import serialize_ring, zmod
 from atomspec.serre import enumerate_serre
+from atomspec.spectrum import atom_spectrum
 
 
 def capture_json(capsys, argv):
@@ -480,7 +481,8 @@ def test_module_spec_at_the_order_cap_is_built(capsys):
     assert json.loads(out)["result"]["atoms"] == [0, 1]
 
 
-@pytest.mark.parametrize("verb", ["support", "filtration", "monoform"])
+@pytest.mark.parametrize("verb", ["spectrum", "serre", "support", "ass",
+                                  "filtration", "monoform"])
 @pytest.mark.parametrize("ring, module", [
     ("zmod:12", "sum:regular+quot:0,6"),
     ("tri2:2", "sum:regular+cyclic:4"),
@@ -488,9 +490,14 @@ def test_module_spec_at_the_order_cap_is_built(capsys):
 ])
 def test_module_verbs_build_no_lattice_of_the_module(capsys, monkeypatch,
                                                      verb, ring, module):
-    # the spectrum reads the regular module's lattice; the module itself
-    # is read through colon ideals (filtration) or through columns of its
-    # action table (support, monoform), and only filtration walks one
+    # no verb but ideals and check builds a lattice, not even of R: the
+    # spectrum is read off the characters of (R, +); the module is read
+    # through colon ideals (filtration) or through columns of its action
+    # table (support, ass, monoform), and only filtration walks one; a
+    # quotient or colon table is only of R, to build a quot: summand
+    def lattice(mod):
+        raise AssertionError(f"{verb} built the lattice of {mod!r}")
+
     def guarded(fn):
         def call(mod, *args):
             assert mod == regular_module(mod.ring), (fn.__name__, mod)
@@ -502,16 +509,20 @@ def test_module_verbs_build_no_lattice_of_the_module(capsys, monkeypatch,
 
     for name, namespace in list(sys.modules.items()):
         if name.startswith("atomspec"):
-            for fn in ("submodule_lattice", "colon_table", "quotient_module"):
+            if hasattr(namespace, "submodule_lattice"):
+                monkeypatch.setattr(namespace, "submodule_lattice", lattice)
+            for fn in ("colon_table", "quotient_module"):
                 if hasattr(namespace, fn):
                     monkeypatch.setattr(namespace, fn,
                                         guarded(getattr(namespace, fn)))
             walk = "monoform_filtration"
             if verb != "filtration" and hasattr(namespace, walk):
                 monkeypatch.setattr(namespace, walk, refused)
-    code, out = capture_json(
-        capsys, [verb, "--ring", ring, "--module", module, "--format", "json"]
-    )
+    atom_spectrum.cache_clear()  # so the spectrum is computed here
+    argv = [verb, "--ring", ring, "--format", "json"]
+    if verb not in ("spectrum", "serre"):
+        argv += ["--module", module]
+    code, out = capture_json(capsys, argv)
     assert code == 0, out
 
 

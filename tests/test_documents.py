@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomspec import rings
+from atomspec import cli, rings
 from atomspec.rings import (
     DEFAULT_ORDER_CAP,
     CapExceededError,
@@ -255,3 +255,45 @@ def test_a_matrix_above_the_cap_stops_the_read():
     text = '{"order": 128, "one": 1, "add": ' + add + ', "mul": [[0, '
     with pytest.raises(CapExceededError, match="order 128 exceeds cap 64"):
         parse_ring_document(text, order_cap=64)
+
+
+def cli_outcome(tmp_path, data: bytes, order_cap: int):
+    path = tmp_path / "ring.json"
+    path.write_bytes(data)
+    try:
+        return serialize_ring(cli._load_ring(str(path), order_cap))
+    except RingError as exc:
+        return type(exc).__name__, str(exc)
+
+
+Z100 = ('{"order": 100, "one": 1, "add": %s, "mul": %s}'
+        % (json.dumps(zmod(100).add.tolist()), json.dumps(zmod(100).mul.tolist())))
+ROW = json.dumps(list(range(100)))
+PAD = " " * 400_000  # room for a 100 x 100 table even at 4 bytes a character
+
+
+@pytest.mark.parametrize("text", [
+    Z100, Z100 + PAD, Z100[:30_000] + PAD, Z100[:100_000],
+    '{"a": [%s], %s' % (ROW, Z100[1:]) + PAD,
+    '{"a": [%s],%s %s' % (ROW, PAD, Z100[1:]),
+    # room for the add table at 4 bytes a character, but not for a's
+    '{"a": [%s], %s' % (json.dumps(list(range(200))), Z100[1:]) + PAD[:130_000],
+    '{"pad": "%s", %s' % ("é" * 40_000, Z100[1:]) + PAD,
+    '{"order": 1, "one": 0, "add": [[0]] "mul": %s}' % ROW + PAD,
+], ids=["z100", "padded", "cut-in-head", "cut-after-head", "row-first",
+        "row-first-apart", "wider-row-first", "non-ascii", "bad-json-first"])
+@pytest.mark.parametrize("cap", [64, 100, 4096])
+def test_the_cli_reads_a_head_and_the_document_alike(tmp_path, text, cap):
+    # the CLI takes only a CapExceededError from the first 64 KiB of the
+    # file; everything else is left to the whole document
+    assert cli_outcome(tmp_path, text.encode(), cap) == outcome(
+        lambda data: parse_ring_document(data, order_cap=cap), text)
+
+
+def test_a_row_wider_than_the_cap_is_refused_from_the_head(tmp_path):
+    # the bytes after the head are not UTF-8, so reading them would fail
+    data = ('{"order": 100, "one": 1, "add": [%s,' % ROW + PAD).encode() + b"\xff"
+    assert cli_outcome(tmp_path, data, 64) == (
+        "CapExceededError", "order 100 exceeds cap 64")
+    with pytest.raises(RingFormatError, match="not UTF-8 text"):
+        parse_ring_document(data, order_cap=64)

@@ -1,6 +1,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomspec import checks
 from atomspec.checks import (
@@ -14,9 +16,11 @@ from atomspec.modules import (
     quotient,
     regular_module,
     sub_module,
+    submodule_key,
     submodule_lattice,
 )
-from atomspec.rings import mat, parse_ring_spec, tri2, zmod
+from atomspec.monoform import is_comonoform
+from atomspec.rings import mat, parse_ring_spec, product, tri2, zmod
 from atomspec.spectrum import (
     SpectrumError,
     atom_spectrum,
@@ -28,8 +32,11 @@ from atomspec.spectrum import (
 from conftest import (
     central_idempotents_mod_radical,
     make_zoo,
+    posets,
     trivial_extension,
 )
+from test_group_algebras import group_algebra
+from test_incidence import incidence_algebra
 
 # element id of the lower triangular ring over F_2: 4*a11 + 2*a21 + a22
 E21 = frozenset({0, 2})  # span of E21, the only non-comonoform proper ideal
@@ -202,3 +209,43 @@ def test_atoms_count_the_blocks_of_r_mod_j(ring):
     # tables, not the lattice
     atoms = len(atom_spectrum(ring).atoms)
     assert central_idempotents_mod_radical(ring) == 2 ** atoms
+
+
+def assert_characters_find_the_comonoform_ideals(ring):
+    # the definitional search: every proper right ideal of R's lattice,
+    # each by its own socle test
+    want = [p for p in submodule_lattice(regular_module(ring))[:-1]
+            if is_comonoform(ring, p)]
+    got = atom_spectrum(ring).comonoform_ideals()
+    assert sorted(got, key=submodule_key) == want
+
+
+ZOO = make_zoo()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.sampled_from(ZOO),
+    st.tuples(st.sampled_from(ZOO), st.sampled_from(ZOO))
+    .filter(lambda pair: pair[0].order * pair[1].order <= 512)
+    .map(lambda pair: product(*pair)),
+    posets().map(lambda poset: incidence_algebra(2, *poset)),
+    posets(max_points=3).map(lambda poset: incidence_algebra(3, *poset)),
+))
+def test_characters_find_the_comonoform_ideals(ring):
+    assert_characters_find_the_comonoform_ideals(ring)
+
+
+KNOWN_RINGS = [
+    pytest.param(group_algebra, p, g, id=f"F{p}[{g}]")
+    for p, g in [(2, "C3"), (3, "C4"), (5, "C4"), (2, "S3"), (3, "S3"),
+                 (2, "D4"), (2, "Q8")]
+] + [
+    pytest.param(trivial_extension, p, k, id=f"F{p} x F{p}^{k}")
+    for p, k in [(2, k) for k in range(7)] + [(3, k) for k in range(4)]
+]
+
+
+@pytest.mark.parametrize("make, p, arg", KNOWN_RINGS)
+def test_characters_find_the_comonoform_ideals_of_known_rings(make, p, arg):
+    assert_characters_find_the_comonoform_ideals(make(p, arg))
