@@ -14,7 +14,7 @@ import tempfile
 
 import pytest
 
-from atomspec.rings import zmod
+from atomspec.rings import serialize_ring, zmod
 
 SPAWN = os.path.join(os.path.dirname(__file__), "spawn.py")
 SUM12 = "sum:" + "+".join(["regular"] * 12)  # F_2^12 over F_2, order 4096
@@ -28,9 +28,11 @@ ROWS = [  # name, argv, exit code, check, seconds, MB
     ("serre F2^10", ["serre", "--ring", "prod:" + ",".join(["zmod:2"] * 10)], 0,
      lambda r: (r["result"]["count"], len(r["result"]["edges"])) == (1024, 5120),
      None, 70),
-    # the tables stay int16 from build to validation; int64 copies, 505 MB
-    ("validate zmod:4096", ["validate", "--ring", "zmod:4096"], 0, valid, None, 250),
-    ("validate F2^12", ["validate", "--ring", F2_12], 0, valid, None, 250),
+    # the tables stay int16 from build to validation, and validation makes
+    # no transposed copy or n x n temporary (146 MB each with them, 505 MB
+    # with int64 copies); F2^12 peaks building its product tables
+    ("validate zmod:4096", ["validate", "--ring", "zmod:4096"], 0, valid, None, 130),
+    ("validate F2^12", ["validate", "--ring", F2_12], 0, valid, None, 150),
     # read as text into table arrays, one row at a time; json.loads, 1.8 GB
     ("validate Z/4096 document", ["validate", "--ring", "{z4096}"], 0,
      lambda r: valid(r) and r["ring"]["hash"] == zmod(4096).content_hash(),
@@ -40,6 +42,11 @@ ROWS = [  # name, argv, exit code, check, seconds, MB
     ("validate Z/4096 document --max-order 64",
      ["validate", "--ring", "{z4096}", "--max-order", "64"], 1, capped,
      lambda took: took["validate Z/4096 document"] / 4, 60),
+    # a file with fewer than 4 bytes a character of room is refused from
+    # its head too, its characters counted from its bytes; decoding all
+    # 8.2 MB of it peaked at 48 MB
+    ("validate Z/1024 document --max-order 64",
+     ["validate", "--ring", "{z1024}", "--max-order", "64"], 1, capped, 10, 40),
     # support reads column 1 of the action table, and filtration takes 12
     # steps of colon ideals, not 4.9e11 subspaces
     ("support F2^12", ["support", "--ring", "zmod:2", "--module", SUM12], 0,
@@ -47,10 +54,11 @@ ROWS = [  # name, argv, exit code, check, seconds, MB
     ("filtration F2^12", ["filtration", "--ring", "zmod:2", "--module", SUM12], 0,
      lambda r: len(r["result"]["chain"]) == 13, None, None),
     # column 1 of the action table against the socle; the module's lattice
-    # and colon table took 3.7-4.5 s and 177 MB (2.6-3.0 s and 144 MB after)
+    # and colon table took 3.7-4.5 s and 177 MB (2.6-3.0 s and 144 MB
+    # after, 115 MB once validation made no n x n temporary)
     ("monoform zmod:4096",
      ["monoform", "--ring", "zmod:4096", "--module", "regular"], 0,
-     lambda r: r["result"]["monoform"] is False, 10, 165),
+     lambda r: r["result"]["monoform"] is False, 10, 140),
     # the whole battery at the order frontier: zmod:2048 took 149 s and
     # 1.9 GB before maps were checked on generators; at the order cap,
     # zmod:4096 took 66.9 s and 805 MB before each subquotient was built
@@ -100,12 +108,16 @@ def measure(argv, seconds):
 
 @pytest.fixture(scope="session")
 def docs():
-    """The ring documents the rows name: Z/4096 written row by row, and
-    F_2 x F_2^k (basis 1, e_1..e_k, e_i e_j = 0 for i, j >= 1), k = 6 to 9."""
+    """The ring documents the rows name: Z/4096 written row by row, the
+    canonical document of Z/1024, and F_2 x F_2^k (basis 1, e_1..e_k,
+    e_i e_j = 0 for i, j >= 1), k = 6 to 9."""
     n = 4096
     names = [str(v) for v in range(n)]
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {"z4096": os.path.join(tmp, "z4096.json")}
+        paths = {"z4096": os.path.join(tmp, "z4096.json"),
+                 "z1024": os.path.join(tmp, "z1024.json")}
+        with open(paths["z1024"], "wb") as f:
+            f.write(serialize_ring(zmod(1024)))
         with open(paths["z4096"], "w") as f:
             f.write(f'{{"order":{n},"one":1,"add":[')
             f.write(",".join("[" + ",".join(names[i:] + names[:i]) + "]"

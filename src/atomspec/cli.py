@@ -45,24 +45,30 @@ class DomainError(AtomspecError):
     pass
 
 
-def _load_ring(source: str, order_cap: int) -> FiniteRing:
-    head = source.split(":", 1)[0]
-    if head in BUILTIN_PREFIXES:
-        return parse_ring_spec(source, order_cap=order_cap)
-    # read as text, so no copy of the document's bytes stays alive while
-    # it is parsed and validated; newline="" keeps the text as written; a
-    # first table row wider than the cap is refused from a head of it
+def _read_ring_file(source: str, order_cap: int) -> str:
+    """The text of a ring file, read as text, so no copy of its bytes
+    stays alive; newline="" keeps the text as written.  A first table
+    row wider than the cap is refused from a head of the file."""
     try:
         with open(source, encoding="utf-8", newline="") as f:
             if f.seekable():
                 refuse_by_head(f, order_cap)
-            text = f.read()
+            return f.read()
     except OSError as exc:  # missing, a directory, or not readable
         raise DomainError(f"ring file {source!r} cannot be read: "
                           f"{exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise RingFormatError(f"not UTF-8 text: {exc}") from exc
-    return parse_ring_document(text, order_cap=order_cap)
+
+
+def _load_ring(source: str, order_cap: int) -> FiniteRing:
+    head = source.split(":", 1)[0]
+    if head in BUILTIN_PREFIXES:
+        return parse_ring_spec(source, order_cap=order_cap)
+    # no name is bound to the text here, so parse_ring_document frees it
+    # before validation
+    return parse_ring_document(_read_ring_file(source, order_cap),
+                               order_cap=order_cap)
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))

@@ -119,17 +119,18 @@ def monoform_filtration(module: RightModule) -> Filtration:
 
     Step i walks the elements r + L of M/L, L = L_{i-1}, in id order
     with their annihilators (L : r) = {a : r.a in L} from `coset_colons`,
-    without building M/L.  The first r whose colon ideal is comonoform
-    gives L_i = L + rR, the pull-back of the cyclic submodule of r + L.
+    without building M/L.  The first r whose colon ideal is comonoform,
+    by the socle test of R/(L : r) on its mask, gives L_i = L + rR, the
+    pull-back of the cyclic submodule of r + L.
     """
     if module.order == 1:
         raise MonoformError("the zero module has no monoform filtration")
+    reg = regular_module(module.ring)
     chain = [frozenset({0})]
     labels = []
     while len(chain[-1]) < module.order:
         for r, mask in coset_colons(module, chain[-1]):
-            colon = frozenset(np.flatnonzero(mask).tolist())
-            if is_comonoform(module.ring, colon):
+            if socle_test(reg, mask)[0]:
                 break
         else:
             # impossible for a nonzero finite module: some cyclic submodule
@@ -138,5 +139,5 @@ def monoform_filtration(module: RightModule) -> Filtration:
                 "no comonoform annihilator found in a nonzero quotient"
             )
         chain.append(submodule_sum(module, chain[-1], cyclic_submodule(module, r)))
-        labels.append(colon)
+        labels.append(frozenset(np.flatnonzero(mask).tolist()))
     return Filtration(chain=tuple(chain), labels=tuple(labels))

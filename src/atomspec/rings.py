@@ -11,17 +11,25 @@ triples.  Once the additive identity, commutativity and inverses are
 checked entry by entry, validation takes a greedy generating set A of the
 magma (R, +): each generator is the least id outside the closure of the
 earlier ones under the addition table itself, so associativity is not
-assumed.  Three reductions then make checks over A complete:
+assumed.  Four reductions then make checks over A complete:
 
 * additive associativity, by Light's test: the g with (x+g)+y = x+(g+y)
   for all x, y are closed under +, so it is enough to test each g in A
   (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961, §1.2);
-* distributivity on each side: once (R, +) is an abelian group, x -> xc and
-  x -> cx are additive when f(x+g) = f(x)+f(g) for all x and each g in A;
+* right distributivity: once (R, +) is an abelian group, x -> xc is
+  additive when (x+g)c = xc + gc for all x and c and each g in A;
+* left distributivity: once right distributivity holds, c(x+g) - cx - cg
+  is additive in c, so it vanishes for all c if it does for c in A; then
+  x -> cx is additive as above, so it is enough to test c and g in A and
+  all x, an |A| x n x |A| block rather than |A| n^2 triples;
 * multiplicative associativity: once both distributive laws hold,
   (ab)c - a(bc) is additive in each argument, so it vanishes everywhere if
   it vanishes on A^3 (Rajagopalan & Schulman, "Verification of
   identities", SIAM J. Comput. 29, 2000).
+
+No check makes a transposed copy of a table or an n x n temporary: the
+n x n checks, and the closure that finds A, read a chunk of rows at a
+time, and right distributivity compares whole rows of the mul table.
 
 Each generator that passes Light's test at least doubles the subgroup the
 earlier ones span, so |A| <= log2 n once + is associative.  Multiplicative
@@ -40,7 +48,7 @@ import os
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -263,9 +271,10 @@ def additive_generators(add: np.ndarray) -> list[int]:
     Each generator is the least id outside the closure of {0} and the
     earlier generators under the table itself, so + need not be
     associative.  Each sum of two closure members is formed once, O(n^2)
-    in all.
+    in all, a chunk of rows of new members at a time.
     """
-    inside = np.zeros(len(add), dtype=bool)
+    n = len(add)
+    inside = np.zeros(n, dtype=bool)
     inside[0] = True
     gens = []
     while not inside.all():
@@ -274,24 +283,14 @@ def additive_generators(add: np.ndarray) -> list[int]:
         inside[g] = True
         new = np.array([g])
         while new.size:
-            fresh = np.zeros(len(add), dtype=bool)
-            fresh[add[np.ix_(new, np.flatnonzero(inside))]] = True
+            span = np.flatnonzero(inside)
+            fresh = np.zeros(n, dtype=bool)
+            step = max(1, _CHUNK // span.size)
+            for start in range(0, new.size, step):
+                fresh[add[np.ix_(new[start:start + step], span)]] = True
             new = np.flatnonzero(fresh & ~inside)
             inside[new] = True
     return gens
-
-
-def _distributivity_failure(add: np.ndarray, mul: np.ndarray, g: int):
-    """First (c, x) with c(x+g) != cx + cg; with mul transposed, the same
-    test checks (x+g)c == xc + gc.  `add` must be commutative: cx + cg is
-    read as entry cx of row cg, so the gathers stay within rows.  The flat
-    index cg*n + cx is formed in intp, one chunk at a time: in the table
-    dtype it would overflow."""
-    n = len(add)
-    return _rows_failure(n, lambda c: (
-        np.take(mul[c], add[:, g], axis=1),
-        np.take(add, mul[c, g].astype(np.intp)[:, None] * n + mul[c]),
-    ))
 
 
 def validate_ring(
@@ -309,12 +308,14 @@ def validate_ring(
     above the order cap.  The checks, in order: additive identity,
     commutativity and inverses; additive associativity (x, g, y); one is a
     two-sided identity; right distributivity (x, g, c); left distributivity
-    (c, x, g); multiplicative associativity (a, b, c) on generators.
+    (c, x, g) with c and g in A; multiplicative associativity (a, b, c) on
+    generators.
 
     The shape and range checks run on an integer array as given, or else on
     the tables read as int64; then the tables are cast once to
-    table_dtype(n).  The ring keeps an array already of that dtype without
-    a copy and makes it read-only.
+    table_dtype(n), in C order, which the row gathers of the checks read.
+    The ring keeps a C-ordered array already of that dtype without a copy
+    and makes it read-only.
     """
     A = _as_table(add, "add")
     M = _as_table(mul, "mul")
@@ -328,19 +329,23 @@ def validate_ring(
     _check_entries(M, n, "mul")
     if not 0 <= one < n:
         raise RingFormatError(f"one = {one} out of range")
-    A = A.astype(table_dtype(n), copy=False)
-    M = M.astype(table_dtype(n), copy=False)
+    A = np.ascontiguousarray(A, dtype=table_dtype(n))
+    M = np.ascontiguousarray(M, dtype=table_dtype(n))
 
     # additive identity: 0 + x = x + 0 = x
     bad = _identity_failure(A, 0)
     if bad is not None:
         raise RingAxiomError("additive identity", bad)
-    # commutativity of addition
-    bad = _first_failure(A, A.T)
-    if bad is not None:
-        raise RingAxiomError("additive commutativity", bad)
-    # additive inverses
-    lacking = np.flatnonzero(~(A == 0).any(axis=1))
+    # commutativity of addition, a chunk of rows at a time from the
+    # diagonal on: a failure left of it mirrors one in an earlier row
+    step = max(1, _CHUNK // n)
+    for s in range(0, n, step):
+        bad = _first_failure(A[s:s + step, s:], A[s:, s:s + step].T)
+        if bad is not None:
+            raise RingAxiomError("additive commutativity", (s + bad[0], s + bad[1]))
+    # additive inverses: the entries are at least 0, so a row holds 0 iff
+    # its least entry is 0
+    lacking = np.flatnonzero(A.min(axis=1))
     if lacking.size:
         raise RingAxiomError("additive inverse", (int(lacking[0]),))
     gens = additive_generators(A)
@@ -355,19 +360,23 @@ def validate_ring(
     bad = _identity_failure(M, one)
     if bad is not None:
         raise RingAxiomError("one is not identity", bad)
-    # right distributivity: (x+g)c == xc + gc
-    MT = np.ascontiguousarray(M.T)
+    # right distributivity: (x+g)c == xc + gc, row x+g of mul against
+    # row x + row g, read as entry xc of row gc of add; the flat index
+    # gc*n + xc is formed in intp, where the table dtype would overflow
     for g in gens:
-        bad = _distributivity_failure(A, MT, g)
+        offsets = M[g].astype(np.intp) * n
+        bad = _rows_failure(n, lambda x: (M[A[x, g]], np.take(A, offsets + M[x])))
         if bad is not None:
-            raise RingAxiomError("right distributivity", (bad[1], g, bad[0]))
-    # left distributivity: c(x+g) == cx + cg
-    for g in gens:
-        bad = _distributivity_failure(A, M, g)
+            raise RingAxiomError("right distributivity", (bad[0], g, bad[1]))
+    # left distributivity on generators: c(x+g) == cx + cg for c, g in A
+    G = np.array(gens, dtype=np.intp)
+    for c in gens:
+        bad = _first_failure(
+            M[c][A[:, G]], np.take(A, M[c].astype(np.intp)[:, None] * n + M[c, G])
+        )
         if bad is not None:
-            raise RingAxiomError("left distributivity", (bad[0], bad[1], g))
+            raise RingAxiomError("left distributivity", (c, bad[0], gens[bad[1]]))
     # associativity of multiplication on generators: (ab)c == a(bc)
-    G = np.array(gens, dtype=np.int64)
     MG = M[np.ix_(G, G)]
     bad = _first_failure(M[MG][:, :, G], M[G[:, None, None], MG[None, :, :]])
     if bad is not None:
@@ -629,12 +638,8 @@ def _row_numbers(body: str) -> np.ndarray | None:
     return numbers
 
 
-class _Undecided(Exception):
-    """A head of a document ends before it shows how an array is read."""
-
-
 def _read_matrix(s: str, idx: int, order_cap: int = DEFAULT_ORDER_CAP,
-                 size: int | None = None) -> tuple[np.ndarray, int] | None:
+                 holds=None) -> tuple[np.ndarray, int] | None:
     """(table, end) for the JSON array that opens at s[idx - 1] if it is a
     k x k matrix of JSON integers 0..k-1, end being the index after its
     closing bracket; otherwise None, and json reads the array.
@@ -642,11 +647,14 @@ def _read_matrix(s: str, idx: int, order_cap: int = DEFAULT_ORDER_CAP,
     The table has dtype table_dtype(k) and is filled one row at a time,
     each matched by _ROW and read by _row_numbers.  The first row fixes k,
     so an array that is no such matrix is declined at the first row that
-    shows it.  A k above order_cap raises CapExceededError at the first
-    row, before the rest of the document is read.  For s the head of a text
-    of `size` bytes, the room is size // 4 characters, the fewest it holds,
-    and a first row that needs more raises _Undecided.
+    shows it, and so is a first row the document has no room for:
+    holds(m) tells whether the document has at least m characters, and s
+    is the whole document unless holds is given.  A k above order_cap
+    raises CapExceededError at the first row, before the rest of the
+    document is read.
     """
+    if holds is None:
+        holds = lambda m: m <= len(s)  # noqa: E731
     out, i, end = None, 0, idx
     while True:
         match = _ROW.match(s, end)
@@ -656,10 +664,8 @@ def _read_matrix(s: str, idx: int, order_cap: int = DEFAULT_ORDER_CAP,
         if out is None:
             k = row.size
             # k rows of k numbers take 2k(k + 1) + 1 characters or more
-            if 2 * k * (k + 1) > (len(s) if size is None else size // 4) - idx:
-                if size is None:
-                    return None
-                raise _Undecided
+            if not holds(idx + 2 * k * (k + 1)):
+                return None
             _require_order(k, order_cap)
             out = np.empty((k, k), dtype=table_dtype(k))
         if row.size != k or row.max() >= k:
@@ -682,8 +688,8 @@ class _TableDecoder(json.JSONDecoder):
     scanner would go on to about 1,000.
     """
 
-    def __init__(self, *, order_cap: int = DEFAULT_ORDER_CAP,
-                 size: int | None = None, **kwargs):
+    def __init__(self, *, order_cap: int = DEFAULT_ORDER_CAP, holds=None,
+                 **kwargs):
         super().__init__(**kwargs)
         scan_json = json.scanner.make_scanner(self)
         memo: dict = {}
@@ -694,7 +700,7 @@ class _TableDecoder(json.JSONDecoder):
                 return json.decoder.JSONObject(
                     (s, idx + 1), self.strict, scan_once, None, None, memo)
             if char == "[":
-                table = _read_matrix(s, idx + 1, order_cap, size)
+                table = _read_matrix(s, idx + 1, order_cap, holds)
                 if table is not None:
                     return table
             return scan_json(s, idx)
@@ -727,19 +733,37 @@ def _require_ints(value, depth: int, what: str) -> None:
         _require_ints(v, depth - 1, f"{what}[{i}]")
 
 
+# a head of a ring file, and the blocks its characters are counted in
+_HEAD = 1 << 16
+_CONTINUATION = bytes(range(0x80, 0xC0))
+
+
 def refuse_by_head(f, order_cap: int) -> None:
     """Raise the CapExceededError that parse_ring_document would raise on
-    the text of file f if its first 2^16 characters show it; rewinds f."""
-    with contextlib.suppress(ValueError, RecursionError, _Undecided):
-        json.loads(f.read(1 << 16), cls=_TableDecoder, order_cap=order_cap,
-                   size=os.fstat(f.fileno()).st_size)
+    the text of UTF-8 file f if its first 2^16 characters show it; rewinds f.
+
+    The room a first row needs is judged against the file's characters,
+    which number at least its bytes // 4.  Only where that leaves it open
+    are they counted exactly, as the bytes that are not UTF-8 continuation
+    bytes, a block at a time."""
+    size = os.fstat(f.fileno()).st_size
+
+    @cache
+    def length() -> int:
+        f.buffer.seek(0)
+        blocks = iter(lambda: f.buffer.read(_HEAD), b"")
+        return sum(len(block.translate(None, _CONTINUATION)) for block in blocks)
+
+    with contextlib.suppress(ValueError, RecursionError):
+        json.loads(f.read(_HEAD), cls=_TableDecoder, order_cap=order_cap,
+                   holds=lambda m: m <= size // 4 or m <= length())
     f.seek(0)
 
 
 def _read_document(data: bytes | str, order_cap: int = DEFAULT_ORDER_CAP):
     """The JSON value of a document, its square matrices of ids as arrays
-    (_read_matrix), none of order above order_cap; the text is dropped on
-    return, before validation."""
+    (_read_matrix), none of order above order_cap; text decoded from bytes
+    is dropped on return, before validation."""
     if isinstance(data, bytes):
         try:
             data = data.decode()
@@ -765,6 +789,9 @@ def parse_ring_document(data: bytes | str, *,
     here; shapes and ranges are left to validate_ring.
     """
     doc = _read_document(data, order_cap)
+    # drop this frame's reference, so that a text no caller names is
+    # freed before validation
+    del data
     if not isinstance(doc, dict):
         raise RingFormatError("ring document must be an object")
     keys = set(doc)

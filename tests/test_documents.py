@@ -9,7 +9,9 @@ order, with a duplicate key, and with single-token corruptions.
 """
 
 import json
+import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +239,28 @@ def test_reading_a_document_takes_its_text_and_tables(indent):
     tables = 2 * 512 * 512 * np.dtype(np.int16).itemsize
     _, peak = peak_bytes(lambda: parse_ring_document(data))
     assert peak < len(data) + 3 * tables + (1 << 20)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="a caller's stack keeps call arguments alive before 3.11")
+def test_the_cli_frees_the_text_before_validation(tmp_path, monkeypatch):
+    # the validation temporaries add to the tables, not to the text too
+    path = tmp_path / "z512.json"
+    path.write_bytes(serialize_ring(zmod(512)))
+    held = []
+
+    def validate(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return validate_ring(*args, **kwargs)
+
+    monkeypatch.setattr(rings, "validate_ring", validate)
+    tracemalloc.start()
+    try:
+        cli._load_ring(str(path), DEFAULT_ORDER_CAP)
+    finally:
+        tracemalloc.stop()
+    tables = 2 * 512 * 512 * np.dtype(np.int16).itemsize
+    assert held[0] < tables + path.stat().st_size // 2
 
 
 def test_a_first_row_longer_than_the_text_allows_is_declined():

@@ -108,6 +108,26 @@ def test_mat_is_refused_before_its_positions_exist():
     assert peak < 16 * 2 ** 20
 
 
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_validation_makes_no_table_sized_temporary(n):
+    # every n x n check reads a chunk of rows at a time, so the peak has a
+    # bound independent of n; a transposed copy of mul is 8 MiB at 2048,
+    # and a boolean n x n temporary 4 MiB
+    ring = zmod(n)
+    got, peak = peak_bytes(lambda: validate_ring(ring.add, ring.mul, ring.one))
+    assert got == ring
+    assert peak < 16 * rings._CHUNK
+
+
+def test_a_fortran_ordered_table_is_kept_in_c_order():
+    # np.take on a table not in C order copies it whole for every chunk;
+    # at order 2048 that made validation 15 times slower
+    ring = zmod(60)
+    got = validate_ring(np.asfortranarray(ring.add), np.asfortranarray(ring.mul), 1)
+    assert got == ring
+    assert got.add.flags.c_contiguous and got.mul.flags.c_contiguous
+
+
 def test_product_builds_no_factor_past_the_cap(monkeypatch):
     built = []
     real = rings.validate_ring

@@ -7,11 +7,12 @@ constructions the numpy builders replaced; their tables must serialize to
 the same bytes.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from atomspec.rings import (
@@ -245,18 +246,62 @@ def test_bilinear_non_associative_product_is_caught_on_generators():
         "multiplicative associativity")
 
 
-def test_right_distributive_only_table_fails_left_distributivity():
-    # On (Z/2)^2, ids 2*v1 + v2, let x*c = L_c(x) for the linear map L_c
-    # with L_c(e1) = c and L_c(e2) = [1, 0, 1, 0][c].  Each column is
-    # additive and e1 = 2 is a two-sided one, but e2 * 0 = e2 != 0.
-    add = [[x ^ y for y in range(4)] for x in range(4)]
-    mul = [[(c if x >> 1 else 0) ^ ([1, 0, 1, 0][c] if x & 1 else 0)
-            for c in range(4)] for x in range(4)]
-    with pytest.raises(RingAxiomError) as err:
-        validate_ring(add, mul, 2)
-    assert err.value.axiom == "left distributivity"
-    assert violates(add, mul, 2, err.value.axiom, err.value.witness)
-    assert scan_ring_axioms(add, mul, 2) is not None
+@st.composite
+def column_linear_tables(draw):
+    """(add, mul, one) with (R, +) = (Z/p)^d, p^d <= 81, ids enumerating
+    the vectors lexicographically, and each column map x -> xc a random
+    F_p-linear L_c with L_one = id and L_c(one) = c.  So + is an abelian
+    group, one a two-sided identity and mul right distributive; left
+    distributivity and associativity hold only by chance, always for d = 1.
+    """
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    d = draw(st.integers(1, {2: 6, 3: 4, 5: 2, 7: 2}[p]))
+    n = p ** d
+    vecs = np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
+    weights = p ** np.arange(d - 1, -1, -1)
+    add = (vecs[:, None] + vecs[None, :]) % p @ weights
+    one = draw(st.integers(1, n - 1))
+    u = vecs[one]
+    i = int(np.flatnonzero(u)[0])
+    # a linear functional with phi(one) = 1, so L_c = B + (c - B one) phi
+    # takes one to c for any linear B
+    phi = vecs[:, i] * pow(int(u[i]), -1, p) % p
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mul = np.empty((n, n), dtype=np.int64)
+    for c in range(n):
+        B = np.eye(d, dtype=np.int64) if c == one else rng.integers(0, p, (d, d))
+        mul[:, c] = (vecs @ B.T + np.outer(phi, vecs[c] - B @ u)) % p @ weights
+    return add.tolist(), mul.tolist(), one
+
+
+# On (Z/2)^2, ids 2*v1 + v2, x*c = L_c(x) for the linear map L_c with
+# L_c(e1) = c and L_c(e2) = [1, 0, 1, 0][c]: each column is additive and
+# e1 = 2 is a two-sided one, but e2 * 0 = e2 != 0
+RIGHT_ONLY = (
+    [[x ^ y for y in range(4)] for x in range(4)],
+    [[(c if x >> 1 else 0) ^ ([1, 0, 1, 0][c] if x & 1 else 0) for c in range(4)]
+     for x in range(4)],
+    2,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(column_linear_tables())
+@example(RIGHT_ONLY)
+def test_right_distributive_tables_agree_with_oracle(tables):
+    # left distributivity is checked for c and g among the generators
+    # only, which is complete once right distributivity holds
+    add, mul, one = tables
+    expected = scan_ring_axioms(add, mul, one)
+    try:
+        validate_ring(add, mul, one)
+    except RingAxiomError as err:
+        assert expected is not None
+        assert err.axiom in ("left distributivity", "multiplicative associativity")
+        assert violates(add, mul, one, err.axiom, err.witness), (
+            err.axiom, err.witness)
+    else:
+        assert expected is None
 
 
 # ---------------------------------------------------------------------------
