@@ -33,18 +33,21 @@ ROWS = [  # name, argv, exit code, check, seconds, MB
     # with int64 copies); F2^12 peaks building its product tables
     ("validate zmod:4096", ["validate", "--ring", "zmod:4096"], 0, valid, None, 130),
     ("validate F2^12", ["validate", "--ring", F2_12], 0, valid, None, 150),
-    # read as text into table arrays, one row at a time; json.loads, 1.8 GB
+    # the tables are read into arrays from a read-only map of the file,
+    # whose pages are given back behind the reader, so the cell costs what
+    # the builtin does: 337 MB with the file's bytes and text read whole,
+    # 1.8 GB through json.loads
     ("validate Z/4096 document", ["validate", "--ring", "{z4096}"], 0,
      lambda r: valid(r) and r["ring"]["hash"] == zmod(4096).content_hash(),
-     None, 380),
-    # the first table row wider than the cap is refused from a 64 KiB head
-    # of the file; reading the whole file first peaked at 334 MB
+     None, 130),
+    # the first table row wider than the cap is refused from the first
+    # pages of the map; reading the whole file first peaked at 334 MB
     ("validate Z/4096 document --max-order 64",
      ["validate", "--ring", "{z4096}", "--max-order", "64"], 1, capped,
      lambda took: took["validate Z/4096 document"] / 4, 60),
-    # a file with fewer than 4 bytes a character of room is refused from
-    # its head too, its characters counted from its bytes; decoding all
-    # 8.2 MB of it peaked at 48 MB
+    # a file with fewer than 4 bytes a character of room is refused too,
+    # its characters counted from its bytes; decoding all 8.2 MB of it
+    # peaked at 48 MB
     ("validate Z/1024 document --max-order 64",
      ["validate", "--ring", "{z1024}", "--max-order", "64"], 1, capped, 10, 40),
     # support reads column 1 of the action table, and filtration takes 12

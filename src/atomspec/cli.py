@@ -15,7 +15,10 @@ up part-way through the output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import stat
 import sys
 import time
 from collections.abc import Iterator
@@ -27,10 +30,8 @@ from .rings import (
     DEFAULT_ORDER_CAP,
     AtomspecError,
     FiniteRing,
-    RingFormatError,
     parse_ring_document,
     parse_ring_spec,
-    refuse_by_head,
 )
 from .serre import Rows, dot_lines, serre_lattice
 from .spectrum import associated_atoms, atom_spectrum, atom_support
@@ -45,30 +46,37 @@ class DomainError(AtomspecError):
     pass
 
 
-def _read_ring_file(source: str, order_cap: int) -> str:
-    """The text of a ring file, read as text, so no copy of its bytes
-    stays alive; newline="" keeps the text as written.  A first table
-    row wider than the cap is refused from a head of the file."""
+# a ring file up to this size is read whole: mapping one loads the mmap
+# module and more code, about 0.1 MB resident, as much as such a file
+_MAP_FROM = 1 << 17
+
+
+def _read_ring_file(source: str):
+    """The bytes of a ring file, as a context manager.  A regular file of
+    more than _MAP_FROM bytes is mapped read-only, and the reader gives its
+    pages back as it goes; a file truncated while it is mapped can end the
+    process with SIGBUS.  A smaller file, an empty one included, which
+    cannot be mapped, and a pipe or other file that is not regular are
+    read whole."""
     try:
-        with open(source, encoding="utf-8", newline="") as f:
-            if f.seekable():
-                refuse_by_head(f, order_cap)
-            return f.read()
+        with open(source, "rb") as f:
+            info = os.fstat(f.fileno())
+            if stat.S_ISREG(info.st_mode) and info.st_size > _MAP_FROM:
+                import mmap
+
+                return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+            return contextlib.nullcontext(f.read())
     except OSError as exc:  # missing, a directory, or not readable
         raise DomainError(f"ring file {source!r} cannot be read: "
                           f"{exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise RingFormatError(f"not UTF-8 text: {exc}") from exc
 
 
 def _load_ring(source: str, order_cap: int) -> FiniteRing:
     head = source.split(":", 1)[0]
     if head in BUILTIN_PREFIXES:
         return parse_ring_spec(source, order_cap=order_cap)
-    # no name is bound to the text here, so parse_ring_document frees it
-    # before validation
-    return parse_ring_document(_read_ring_file(source, order_cap),
-                               order_cap=order_cap)
+    with _read_ring_file(source) as data:
+        return parse_ring_document(data, order_cap=order_cap)
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))

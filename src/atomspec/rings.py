@@ -27,9 +27,12 @@ assumed.  Four reductions then make checks over A complete:
   it vanishes on A^3 (Rajagopalan & Schulman, "Verification of
   identities", SIAM J. Comput. 29, 2000).
 
-No check makes a transposed copy of a table or an n x n temporary: the
-n x n checks, and the closure that finds A, read a chunk of rows at a
-time, and right distributivity compares whole rows of the mul table.
+No check makes a transposed copy of a table or a temporary that grows
+with n: every check, the closure that finds A and the filling of zmod's
+tables go a chunk of whole rows, about 2^15 entries, at a time, and multiplicative
+associativity reads |A|^3 entries, so the largest temporary is a chunk's
+flat intp index into add (256 KiB); right distributivity compares whole
+rows of the mul table.
 
 Each generator that passes Light's test at least doubles the subgroup the
 earlier ones span, so |A| <= log2 n once + is associative.  Multiplicative
@@ -40,23 +43,25 @@ would give first; every witness is still a genuine counterexample.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
-import os
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+if TYPE_CHECKING:
+    import mmap
+
 DEFAULT_ORDER_CAP = 4096
 
-# entries per row chunk of the n x n checks and of the zmod tables, which
-# keeps each int64 or intp temporary to about 1 MB
-_CHUNK = 1 << 17
+# entries per row chunk of the checks and of the zmod tables, which
+# keeps each int64 or intp temporary to 256 KiB
+_CHUNK = 1 << 15
 
 
 class AtomspecError(Exception):
@@ -254,10 +259,11 @@ def _identity_failure(table: np.ndarray, e: int) -> tuple[int, int] | None:
     return (e, x) if table[e, x] != x else (x, e)
 
 
-def _rows_failure(n: int, sides) -> tuple[int, int] | None:
-    """First (x, y) with lhs[x, y] != rhs[x, y], where sides(rows) builds
-    both n-column sides for a slice of rows x, a chunk at a time."""
-    step = max(1, _CHUNK // n)
+def _rows_failure(n: int, width: int, sides) -> tuple[int, int] | None:
+    """First (x, y) with lhs[x, y] != rhs[x, y] and x < n, where sides(rows)
+    builds both `width`-column sides for a slice of rows x, a chunk at a
+    time."""
+    step = max(1, _CHUNK // width)
     for start in range(0, n, step):
         bad = _first_failure(*sides(slice(start, start + step)))
         if bad is not None:
@@ -352,7 +358,7 @@ def validate_ring(
     # associativity of addition, Light's test: (x+g)+y == x+(g+y)
     for g in gens:
         bad = _rows_failure(
-            n, lambda x: (A[A[x, g]], np.take(A[x], A[g], axis=1))
+            n, n, lambda x: (A[A[x, g]], np.take(A[x], A[g], axis=1))
         )
         if bad is not None:
             raise RingAxiomError("additive associativity", (bad[0], g, bad[1]))
@@ -365,20 +371,20 @@ def validate_ring(
     # gc*n + xc is formed in intp, where the table dtype would overflow
     for g in gens:
         offsets = M[g].astype(np.intp) * n
-        bad = _rows_failure(n, lambda x: (M[A[x, g]], np.take(A, offsets + M[x])))
+        bad = _rows_failure(n, n, lambda x: (M[A[x, g]], np.take(A, offsets + M[x])))
         if bad is not None:
             raise RingAxiomError("right distributivity", (bad[0], g, bad[1]))
     # left distributivity on generators: c(x+g) == cx + cg for c, g in A
     G = np.array(gens, dtype=np.intp)
     for c in gens:
-        bad = _first_failure(
-            M[c][A[:, G]], np.take(A, M[c].astype(np.intp)[:, None] * n + M[c, G])
-        )
+        bad = _rows_failure(n, G.size, lambda x: (
+            M[c][A[x][:, G]], np.take(A, M[c, x].astype(np.intp)[:, None] * n + M[c, G])))
         if bad is not None:
             raise RingAxiomError("left distributivity", (c, bad[0], gens[bad[1]]))
-    # associativity of multiplication on generators: (ab)c == a(bc)
+    # associativity of multiplication on generators: (ab)c == a(bc), read
+    # as |A|^3 entries each side
     MG = M[np.ix_(G, G)]
-    bad = _first_failure(M[MG][:, :, G], M[G[:, None, None], MG[None, :, :]])
+    bad = _first_failure(M[MG[:, :, None], G], M[G[:, None, None], MG])
     if bad is not None:
         raise RingAxiomError(
             "multiplicative associativity", tuple(int(G[i]) for i in bad)
@@ -608,11 +614,14 @@ def serialize_ring(ring: FiniteRing) -> bytes:
 
 
 # one row of a matrix: "[", digits, commas and JSON whitespace, "]", then
-# the "," before the next row or the "]" that closes the matrix
-_ROW = re.compile(r"[ \t\n\r]*\[([0-9, \t\n\r]*)\][ \t\n\r]*([,\]])")
+# the "," before the next row (group 2) or the "]" that closes the matrix;
+# matched in text or in bytes
+_ROW = r"[ \t\n\r]*\[([0-9, \t\n\r]*)\][ \t\n\r]*(?:(,)|\])"
+_TEXT_ROW = re.compile(_ROW)
+_BYTES_ROW = re.compile(_ROW.encode())
 
 
-def _row_numbers(body: str) -> np.ndarray | None:
+def _row_numbers(body: bytes | str) -> np.ndarray | None:
     """The numbers of the text between a row's brackets, or None unless
     it is JSON integers separated by commas.
 
@@ -622,49 +631,54 @@ def _row_numbers(body: str) -> np.ndarray | None:
     commas + 1 and the runs of digits, and no run starts "0" and a digit.
     A number past int64 reads as int64's largest, failing any range check.
     """
+    if isinstance(body, str):
+        body = body.encode()  # ASCII, as _ROW matched it
     try:
         numbers = np.fromstring(body, dtype=np.int64, sep=",")
     except ValueError:
         return None
     # the other characters _ROW lets in all sort below "0"
-    text = np.frombuffer(f",{body},".encode(), dtype=np.uint8)
+    text = np.frombuffer(b"," + body + b",", dtype=np.uint8)
     digit = text >= ord("0")
     first = digit[1:] > digit[:-1]  # text[i + 1] begins a number
     leading_zero = first[:-1] & digit[2:] & (text[1:-1] == ord("0"))
-    if (numbers.size != body.count(",") + 1
+    if (numbers.size != body.count(b",") + 1
             or np.count_nonzero(first) != numbers.size
             or np.count_nonzero(leading_zero)):
         return None
     return numbers
 
 
-def _read_matrix(s: str, idx: int, order_cap: int = DEFAULT_ORDER_CAP,
-                 holds=None) -> tuple[np.ndarray, int] | None:
+def _read_matrix(s, idx: int, order_cap: int = DEFAULT_ORDER_CAP,
+                 holds=None, release=None) -> tuple[np.ndarray, int] | None:
     """(table, end) for the JSON array that opens at s[idx - 1] if it is a
     k x k matrix of JSON integers 0..k-1, end being the index after its
-    closing bracket; otherwise None, and json reads the array.
+    closing bracket; otherwise None, and json reads the array.  s is text,
+    or UTF-8 bytes or a read-only map of them.
 
     The table has dtype table_dtype(k) and is filled one row at a time,
-    each matched by _ROW and read by _row_numbers.  The first row fixes k,
-    so an array that is no such matrix is declined at the first row that
-    shows it, and so is a first row the document has no room for:
-    holds(m) tells whether the document has at least m characters, and s
-    is the whole document unless holds is given.  A k above order_cap
-    raises CapExceededError at the first row, before the rest of the
-    document is read.
+    each matched by _ROW and read by _row_numbers; release(end), if given,
+    is called after each row.  The first row fixes k, so an array that is
+    no such matrix is declined at the first row that shows it, and so is a
+    first row the document has no room for: holds(idx, m) tells whether
+    the document has at least m characters from s[idx] on, and s is the
+    whole text unless holds is given.  A k above order_cap raises
+    CapExceededError at the first row, before the rest of the document is
+    read.
     """
     if holds is None:
-        holds = lambda m: m <= len(s)  # noqa: E731
+        holds = lambda i, m: len(s) - i >= m  # noqa: E731
+    row_at = (_TEXT_ROW if isinstance(s, str) else _BYTES_ROW).match
     out, i, end = None, 0, idx
     while True:
-        match = _ROW.match(s, end)
+        match = row_at(s, end)
         row = _row_numbers(match[1]) if match else None
         if row is None:
             return None
         if out is None:
             k = row.size
             # k rows of k numbers take 2k(k + 1) + 1 characters or more
-            if not holds(idx + 2 * k * (k + 1)):
+            if not holds(idx, 2 * k * (k + 1)):
                 return None
             _require_order(k, order_cap)
             out = np.empty((k, k), dtype=table_dtype(k))
@@ -672,38 +686,36 @@ def _read_matrix(s: str, idx: int, order_cap: int = DEFAULT_ORDER_CAP,
             return None
         out[i] = row
         i, end = i + 1, match.end()
-        if i == k or match[2] == "]":  # k rows must end the matrix
-            return (out, end) if i == k and match[2] == "]" else None
+        if release is not None:
+            release(end)
+        closed = match[2] is None
+        if i == k or closed:  # k rows must end the matrix
+            return (out, end) if i == k and closed else None
 
 
 class _TableDecoder(json.JSONDecoder):
-    """json's decoder, except that an array which is a square matrix of ids
-    is read straight into a table array by _read_matrix, under order_cap.
+    """json's decoder, except that value_at(s, idx) may give the value that
+    starts at s[idx] as (value, end), end being the index after it, or
+    None to leave it to json.
 
     Objects go through json.decoder.JSONObject, so that their values come
-    back here; every other value, including an array the reader declines,
-    goes to json's own scanner.  So every value but such a matrix, and
-    every error message, is the one json.loads gives, except that objects
-    nested some 500 deep exhaust Python's recursion limit where json's
-    scanner would go on to about 1,000.
+    back here; every other value that value_at leaves, and all that an
+    array holds, goes to json's own scanner.  So every value but those
+    value_at gives, and every error message, is the one json.loads gives,
+    except that objects nested some 500 deep exhaust Python's recursion
+    limit where json's scanner would go on to about 1,000.
     """
 
-    def __init__(self, *, order_cap: int = DEFAULT_ORDER_CAP, holds=None,
-                 **kwargs):
+    def __init__(self, *, value_at, **kwargs):
         super().__init__(**kwargs)
         scan_json = json.scanner.make_scanner(self)
         memo: dict = {}
 
         def scan_once(s: str, idx: int):
-            char = s[idx:idx + 1]
-            if char == "{":
+            if s[idx:idx + 1] == "{":
                 return json.decoder.JSONObject(
                     (s, idx + 1), self.strict, scan_once, None, None, memo)
-            if char == "[":
-                table = _read_matrix(s, idx + 1, order_cap, holds)
-                if table is not None:
-                    return table
-            return scan_json(s, idx)
+            return value_at(s, idx) or scan_json(s, idx)
 
         self.scan_once = scan_once
 
@@ -733,44 +745,144 @@ def _require_ints(value, depth: int, what: str) -> None:
         _require_ints(v, depth - 1, f"{what}[{i}]")
 
 
-# a head of a ring file, and the blocks its characters are counted in
-_HEAD = 1 << 16
-_CONTINUATION = bytes(range(0x80, 0xC0))
+# outside JSON strings, the next "[" (group 1), "]" (group 2) or whole
+# string, whose escapes are skipped so that no quote or bracket in it is
+# taken for one outside
+_TOKEN = re.compile(rb'(\[)|(\])|"[^"\\]*(?:\\.[^"\\]*)*"?', re.S)
+# bytes given back from a map at a time, and counted at a time
+_BLOCK = 1 << 16
 
 
-def refuse_by_head(f, order_cap: int) -> None:
-    """Raise the CapExceededError that parse_ring_document would raise on
-    the text of UTF-8 file f if its first 2^16 characters show it; rewinds f.
+def _release(buf, start: int, stop: int) -> None:
+    """Drop the pages of a read-only map from the page that holds byte
+    start up to the one that holds byte stop, from the process; touched
+    again, they are read from the file.  Bytes are left as they are."""
+    if hasattr(buf, "madvise"):
+        import mmap  # loaded by whoever made the map
 
-    The room a first row needs is judged against the file's characters,
-    which number at least its bytes // 4.  Only where that leaves it open
-    are they counted exactly, as the bytes that are not UTF-8 continuation
-    bytes, a block at a time."""
-    size = os.fstat(f.fileno()).st_size
-
-    @cache
-    def length() -> int:
-        f.buffer.seek(0)
-        blocks = iter(lambda: f.buffer.read(_HEAD), b"")
-        return sum(len(block.translate(None, _CONTINUATION)) for block in blocks)
-
-    with contextlib.suppress(ValueError, RecursionError):
-        json.loads(f.read(_HEAD), cls=_TableDecoder, order_cap=order_cap,
-                   holds=lambda m: m <= size // 4 or m <= length())
-    f.seek(0)
+        start -= start % mmap.PAGESIZE
+        stop -= stop % mmap.PAGESIZE
+        if stop > start:
+            buf.madvise(mmap.MADV_DONTNEED, start, stop - start)
 
 
-def _read_document(data: bytes | str, order_cap: int = DEFAULT_ORDER_CAP):
-    """The JSON value of a document, its square matrices of ids as arrays
-    (_read_matrix), none of order above order_cap; text decoded from bytes
-    is dropped on return, before validation."""
-    if isinstance(data, bytes):
+class _Reading:
+    """A UTF-8 document in bytes or a read-only map, read front to back:
+    the room a matrix's rows need, and pages given back behind the reader."""
+
+    def __init__(self, buf):
+        self.buf = buf
+        self.freed = 0  # the pages below this byte are given back
+        self.chars = None  # characters in the document, once counted
+        self.counted = 0, 0  # bytes counted from the start, their characters
+
+    def holds(self, idx: int, need: int) -> bool:
+        """Whether the document has `need` characters from byte idx on,
+        idx never below that of an earlier call.  A character takes 1 to
+        4 bytes, so the bytes left decide unless fewer than 4 * need are
+        left; then characters are counted, as the bytes that are not UTF-8
+        continuation bytes, each byte at most twice in all."""
+        left = len(self.buf) - idx
+        if left < need or left >= 4 * need:
+            return left >= need
+        if self.chars is None:
+            self.chars = self._count(0, len(self.buf))
+        done, before = self.counted
+        self.counted = idx, before + self._count(done, idx)
+        return self.chars - self.counted[1] >= need
+
+    def _count(self, start: int, stop: int) -> int:
+        chars = 0
+        for i in range(start, stop, _BLOCK):
+            block = np.frombuffer(self.buf[i:min(i + _BLOCK, stop)], dtype=np.uint8)
+            chars += int(np.count_nonzero(block >> 6 != 0b10))
+            _release(self.buf, i, i + block.size)
+        return chars
+
+    def release(self, end: int) -> None:
+        """Give back the pages wholly below byte `end`, _BLOCK bytes or
+        more at a time."""
+        if end - self.freed >= _BLOCK:
+            _release(self.buf, self.freed, end)
+            self.freed = end
+
+
+def _splice(buf, order_cap: int) -> tuple[str, dict]:
+    """(text, values): UTF-8 bytes or a read-only map buf, decoded, with
+    "@", which starts no JSON value, in place of each square matrix of ids
+    that json would meet as a member of an object or as the document;
+    values maps the index of each "@" to (table, index after the "@").
+
+    A "[" is tried by _read_matrix only where no array is open, as json
+    reads an array inside an array as lists.  A matrix above order_cap
+    ends the text at its "@", which maps to the CapExceededError; the
+    rest of a map is not read, but the rest of bytes must be UTF-8 too.
+    Raises UnicodeDecodeError if the text between matrices is not UTF-8.
+    """
+    reading = _Reading(buf)
+    pieces, values = [], {}
+    chars = start = pos = arrays = 0
+    while token := _TOKEN.search(buf, pos):
+        pos = token.end()
+        if token[2]:
+            arrays -= 1
+        elif token[1] and arrays:
+            arrays += 1
+        elif token[1]:
+            try:
+                found = _read_matrix(buf, pos, order_cap, reading.holds,
+                                     reading.release)
+            except CapExceededError as exc:
+                found = exc
+            if found is None:
+                arrays = 1
+                continue
+            piece = buf[start:token.start()].decode()
+            chars += len(piece)
+            pieces += piece, "@"
+            if isinstance(found, CapExceededError):
+                if isinstance(buf, bytes):  # all of it decodes, as it is read
+                    buf[token.start():].decode()
+                values[chars] = found
+                break
+            values[chars] = found[0], chars + 1
+            chars += 1
+            start = pos = found[1]
+    else:  # no matrix above the cap
+        pieces.append(buf[start:].decode())
+    _release(buf, 0, len(buf))
+    return "".join(pieces), values
+
+
+def _read_document(data, order_cap: int = DEFAULT_ORDER_CAP):
+    """The JSON value of a document, text or UTF-8 bytes or a read-only
+    map of them, its square matrices of ids as arrays (_read_matrix), none
+    of order above order_cap.
+
+    From bytes, json reads only the text _splice leaves around the
+    matrices, which are read from the bytes, a map's pages given back
+    behind the reader.  On any JSON or UTF-8 error the whole text is read
+    again, so that every error is the one it gives; a JSON error before a
+    matrix above the cap still comes first.  Text decoded from bytes is
+    dropped on return, before validation.
+    """
+    if not isinstance(data, str):
         try:
-            data = data.decode()
+            text, values = _splice(data, order_cap)
+            return json.loads(text, cls=_TableDecoder,
+                              value_at=lambda s, idx: _spliced(values, idx))
+        except (ValueError, RecursionError):  # json's error, from the text
+            pass
+        try:
+            data = str(data, "utf-8")
         except UnicodeDecodeError as exc:
             raise RingFormatError(f"not UTF-8 text: {exc}") from exc
+
+    def matrix_at(s: str, idx: int):
+        return _read_matrix(s, idx + 1, order_cap) if s[idx:idx + 1] == "[" else None
+
     try:
-        return json.loads(data, cls=_TableDecoder, order_cap=order_cap)
+        return json.loads(data, cls=_TableDecoder, value_at=matrix_at)
     except json.JSONDecodeError as exc:
         raise RingFormatError(f"not valid JSON: {exc}") from exc
     except ValueError as exc:  # an integer past Python's digit limit
@@ -779,9 +891,18 @@ def _read_document(data: bytes | str, order_cap: int = DEFAULT_ORDER_CAP):
         raise RingFormatError("JSON arrays or objects nested too deeply") from exc
 
 
-def parse_ring_document(data: bytes | str, *,
+def _spliced(values: dict, idx: int):
+    """The value _splice read for the "@" at idx, or None."""
+    value = values.get(idx)
+    if isinstance(value, CapExceededError):
+        raise value
+    return value
+
+
+def parse_ring_document(data: str | bytes | mmap.mmap, *,
                         order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
-    """Parse and fully validate a ring document (table or fp_algebra form).
+    """Parse and fully validate a ring document (table or fp_algebra form),
+    given as text, or as UTF-8 bytes or a read-only map of them.
 
     json reads the document, except that every square matrix of integers
     0..k-1 goes straight into an array, and one with k above order_cap

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -199,6 +200,35 @@ def test_missing_ring_file_is_domain_error(tmp_path, capsys, path):
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["type"] == "DomainError"
+
+
+def test_an_empty_ring_file_is_format_error(tmp_path, capsys):
+    # an empty file cannot be mapped, so it is read, and json refuses it
+    path = tmp_path / "ring.json"
+    path.write_bytes(b"")
+    code, _ = run(["validate", "--ring", str(path), "--format", "json"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "RingFormatError",
+        "message": "not valid JSON: Expecting value: line 1 column 1 (char 0)",
+    }
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_ring_file_that_is_a_pipe_is_read_whole(tmp_path, capsys):
+    path = tmp_path / "ring.json"
+    os.mkfifo(path)
+    # the write blocks until the CLI opens the pipe to read it
+    writer = threading.Thread(target=path.write_bytes,
+                              args=(serialize_ring(zmod(12)),), daemon=True)
+    writer.start()
+    code, out = capture_json(
+        capsys, ["validate", "--ring", str(path), "--format", "json"]
+    )
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert code == 0
+    assert json.loads(out)["ring"]["hash"] == zmod(12).content_hash()
 
 
 def test_bad_module_spec_exits_one(capsys):

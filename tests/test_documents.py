@@ -9,7 +9,6 @@ order, with a duplicate key, and with single-token corruptions.
 """
 
 import json
-import sys
 import time
 import tracemalloc
 
@@ -241,8 +240,17 @@ def test_reading_a_document_takes_its_text_and_tables(indent):
     assert peak < len(data) + 3 * tables + (1 << 20)
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="a caller's stack keeps call arguments alive before 3.11")
+def test_bytes_are_read_without_a_copy_of_their_text():
+    # json reads only the text between the tables, which are read from
+    # the bytes; decoding them whole took as much again as the 2 MB of bytes
+    ring = zmod(512)
+    data = serialize_ring(ring)
+    tables = 2 * 512 * 512 * np.dtype(np.int16).itemsize
+    doc, peak = peak_bytes(lambda: rings._read_document(data))
+    assert np.array_equal(doc["mul"], ring.mul)
+    assert peak < tables + (1 << 18)
+
+
 def test_the_cli_frees_the_text_before_validation(tmp_path, monkeypatch):
     # the validation temporaries add to the tables, not to the text too
     path = tmp_path / "z512.json"
@@ -308,14 +316,15 @@ PAD = " " * 400_000  # room for a 100 x 100 table even at 4 bytes a character
         "row-first-apart", "wider-row-first", "non-ascii", "bad-json-first"])
 @pytest.mark.parametrize("cap", [64, 100, 4096])
 def test_the_cli_reads_a_head_and_the_document_alike(tmp_path, text, cap):
-    # the CLI takes only a CapExceededError from the first 64 KiB of the
-    # file; everything else is left to the whole document
+    # the CLI reads the tables from a map of the file and gives json only
+    # the text between them, with the outcome of the whole text
     assert cli_outcome(tmp_path, text.encode(), cap) == outcome(
         lambda data: parse_ring_document(data, order_cap=cap), text)
 
 
 def test_a_row_wider_than_the_cap_is_refused_from_the_head(tmp_path):
-    # the bytes after the head are not UTF-8, so reading them would fail
+    # the bytes after the first row are not UTF-8: the CLI refuses the row
+    # without reading them, while bytes are decoded whole first
     data = ('{"order": 100, "one": 1, "add": [%s,' % ROW + PAD).encode() + b"\xff"
     assert cli_outcome(tmp_path, data, 64) == (
         "CapExceededError", "order 100 exceeds cap 64")

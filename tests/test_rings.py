@@ -108,15 +108,19 @@ def test_mat_is_refused_before_its_positions_exist():
     assert peak < 16 * 2 ** 20
 
 
-@pytest.mark.parametrize("n", [1024, 2048])
-def test_validation_makes_no_table_sized_temporary(n):
-    # every n x n check reads a chunk of rows at a time, so the peak has a
-    # bound independent of n; a transposed copy of mul is 8 MiB at 2048,
-    # and a boolean n x n temporary 4 MiB
-    ring = zmod(n)
+@pytest.mark.parametrize("spec", [
+    "zmod:1024", "zmod:2048", "prod:" + ",".join(["zmod:2"] * 12),
+], ids=["1024", "2048", "F2^12"])
+def test_validation_makes_no_table_sized_temporary(spec):
+    # every check reads a chunk of about 2^15 entries at a time, so the
+    # peak has a bound independent of n and of the number of generators:
+    # a transposed copy of mul is 8 MiB at 2048, a boolean n x n temporary
+    # 4 MiB, a chunk of 2^17 intp entries 1 MiB, and (ab)c gathered for
+    # all c rather than for the 12 generators of F_2^12 1.2 MB
+    ring = parse_ring_spec(spec)
     got, peak = peak_bytes(lambda: validate_ring(ring.add, ring.mul, ring.one))
     assert got == ring
-    assert peak < 16 * rings._CHUNK
+    assert peak < 768 * 1024
 
 
 def test_a_fortran_ordered_table_is_kept_in_c_order():
