@@ -47,7 +47,7 @@ import hashlib
 import json
 import math
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -108,8 +108,8 @@ class TableRecord:
     construction; an array of that dtype is not copied but made read-only
     in place.  The digest covers `_identity()`, a tuple of ints and bytes,
     and the bytes of the tables named in `_tables`, whose shapes follow
-    from it.  The hash is the digest's first 8 bytes, so it is the same in
-    every process.
+    from it.  The hash, computed once like the digest, is the digest's
+    first 8 bytes read little-endian, so it is the same in every process.
     """
 
     _tables: tuple[str, ...]
@@ -128,13 +128,17 @@ class TableRecord:
             h.update(np.ascontiguousarray(getattr(self, name)))
         return h.digest()
 
+    @cached_property
+    def _hash(self) -> int:
+        return int.from_bytes(self.digest[:8], "little")
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.digest == other.digest
 
     def __hash__(self) -> int:
-        return int.from_bytes(self.digest[:8], "little")
+        return self._hash
 
 
 @dataclass(frozen=True, eq=False)
@@ -611,6 +615,29 @@ def _document_chunks(ring: FiniteRing) -> Iterator[str]:
 def serialize_ring(ring: FiniteRing) -> bytes:
     """Canonical byte document; round-trips through parse_ring_document."""
     return "".join(_document_chunks(ring)).encode()
+
+
+class Rows(Sequence):
+    """A read-only sequence whose i-th row is row(items[i]), formatted each
+    time it is read.  A report holds its long lists as Rows, so a writer
+    builds one row at a time and never holds them all.  It is defined with
+    the rings, the layer every verb loads, so the CLI's writer can walk it
+    without loading the layers that build it."""
+
+    def __init__(self, items: Sequence, row: Callable):
+        self._items = items
+        self._row = row
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._row(item) for item in self._items[i]]
+        return self._row(self._items[i])
+
+    def __iter__(self) -> Iterator:
+        return map(self._row, self._items)
 
 
 # one row of a matrix: "[", digits, commas and JSON whitespace, "]", then

@@ -3,11 +3,11 @@ their inclusion Hasse diagram."""
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .modules import submodule_key
-from .rings import AtomspecError
+from .rings import AtomspecError, Rows
 from .spectrum import AtomSpectrum, SpectrumError, enumerate_open_sets, is_open
 
 
@@ -89,27 +89,6 @@ def inclusion_edges(subs: list[SerreSubcategory]) -> list[tuple[int, int]]:
         for j in sorted(position[s.open_set | {x}] for x in range(k)
                         if x not in s.open_set)
     ]
-
-
-class Rows(Sequence):
-    """A read-only sequence whose i-th row is row(items[i]), formatted each
-    time it is read.  A report holds its long lists as Rows, so a writer
-    builds one row at a time and never holds them all."""
-
-    def __init__(self, items: Sequence, row: Callable):
-        self._items = items
-        self._row = row
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._row(item) for item in self._items[i]]
-        return self._row(self._items[i])
-
-    def __iter__(self) -> Iterator:
-        return map(self._row, self._items)
 
 
 def _subcategory_row(s: SerreSubcategory) -> dict:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import resource
@@ -9,7 +10,7 @@ import time
 import pytest
 
 from atomspec import checks, serre
-from atomspec.cli import run
+from atomspec.cli import VERBS, run
 from atomspec.modules import regular_module
 from atomspec.rings import serialize_ring, zmod
 from atomspec.serre import enumerate_serre
@@ -276,6 +277,19 @@ def test_graph_format_restricted_to_serre():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("cap", ["-1", "0", "x"])
+def test_a_max_order_below_one_is_a_usage_error(capsys, cap):
+    # a cap below 1 refuses every ring; it was taken and reported as
+    # `order 6 exceeds cap -1`, an exit of 1
+    with pytest.raises(SystemExit) as exc:
+        run(["validate", "--ring", "zmod:6", "--max-order", cap,
+             "--format", "json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-order" in captured.err
+
+
 def test_max_lattice_flag_is_a_usage_error():
     # the lattice search is bounded by DEFAULT_LATTICE_CAP, a budget of the
     # bytes it keeps, not by a flag
@@ -325,6 +339,51 @@ def test_only_check_loads_the_checks_module():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_validate_loads_only_the_ring_layer(tmp_path):
+    path = tmp_path / "ring.json"
+    path.write_bytes(serialize_ring(zmod(12)))
+    code = (
+        "import contextlib, io, sys\n"
+        "from atomspec.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run(['validate', '--ring', 'mat:2:2'])[0] == 0\n"
+        f"    assert run(['validate', '--ring', {str(path)!r}])[0] == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('atomspec.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['atomspec.cli', 'atomspec.rings']\n"
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_the_entry_point_prints_what_run_prints(capsys, verb):
+    # main, the entry point, freezes the collector before the run; run, the
+    # in-process API, never does, and both print the same bytes
+    argv = [verb, "--ring", "zmod:12", "--format", "json"]
+    if verb in ("monoform", "support", "ass", "filtration"):
+        argv += ["--module", "regular"]
+    code, _ = run(argv)
+    in_process = capsys.readouterr().out
+    assert gc.get_freeze_count() == 0
+    proc = subprocess.run([sys.executable, "-m", "atomspec.cli", *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (code, in_process), proc.stderr
+
+
+def test_main_freezes_the_collector():
+    code = (
+        "import contextlib, gc, io\n"
+        "from atomspec.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['validate', '--ring', 'zmod:12']) == 0\n"
+        "print(gc.get_freeze_count() > 0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.stdout == "True\n", proc.stderr
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
