@@ -45,11 +45,15 @@ ROWS = [  # name, argv, exit code, check, seconds, MB
     ("validate Z/4096 document --max-order 64",
      ["validate", "--ring", "{z4096}", "--max-order", "64"], 1, capped,
      lambda took: took["validate Z/4096 document"] / 4, 60),
-    # a file with fewer than 4 bytes a character of room is refused too,
-    # its characters counted from its bytes; decoding all 8.2 MB of it
-    # peaked at 48 MB
+    # the 8.2 MB canonical document is refused at its first row too, the
+    # room for its table counted in bytes; decoding all of it peaked at 48 MB
     ("validate Z/1024 document --max-order 64",
      ["validate", "--ring", "{z1024}", "--max-order", "64"], 1, capped, 10, 40),
+    # a file small enough to be read whole, not mapped, is refused at its
+    # first row as a mapped one is, though a byte after it is not UTF-8;
+    # decoding it whole first gave RingFormatError
+    ("validate wide row, then a bad byte --max-order 64",
+     ["validate", "--ring", "{wide}", "--max-order", "64"], 1, capped, 10, 40),
     # support reads column 1 of the action table, and filtration takes 12
     # steps of colon ideals, not 4.9e11 subspaces
     ("support F2^12", ["support", "--ring", "zmod:2", "--module", SUM12], 0,
@@ -112,15 +116,20 @@ def measure(argv, seconds):
 @pytest.fixture(scope="session")
 def docs():
     """The ring documents the rows name: Z/4096 written row by row, the
-    canonical document of Z/1024, and F_2 x F_2^k (basis 1, e_1..e_k,
-    e_i e_j = 0 for i, j >= 1), k = 6 to 9."""
+    canonical document of Z/1024, a 30 KB head of a table whose first row
+    holds 100 numbers and then a byte that is not UTF-8, and F_2 x F_2^k
+    (basis 1, e_1..e_k, e_i e_j = 0 for i, j >= 1), k = 6 to 9."""
     n = 4096
     names = [str(v) for v in range(n)]
     with tempfile.TemporaryDirectory() as tmp:
         paths = {"z4096": os.path.join(tmp, "z4096.json"),
-                 "z1024": os.path.join(tmp, "z1024.json")}
+                 "z1024": os.path.join(tmp, "z1024.json"),
+                 "wide": os.path.join(tmp, "wide.json")}
         with open(paths["z1024"], "wb") as f:
             f.write(serialize_ring(zmod(1024)))
+        with open(paths["wide"], "wb") as f:
+            f.write(('{"order": 100, "one": 1, "add": [%s,' % json.dumps(list(range(100)))
+                     + " " * 30_000).encode() + b"\xff")
         with open(paths["z4096"], "w") as f:
             f.write(f'{{"order":{n},"one":1,"add":[')
             f.write(",".join("[" + ",".join(names[i:] + names[:i]) + "]"

@@ -72,7 +72,6 @@ from .rings import (
     additive_generators,
     validate_ring,
 )
-from .serre import SerreError
 from .spectrum import (
     AtomSpectrum,
     SpectrumError,
@@ -503,6 +502,8 @@ class ClosureUniverse:
     def class_of(self, module: RightModule) -> int:
         idx = _find_class(self.members, self.by_key, module)
         if idx is None:
+            from .serre import SerreError  # here, so that check never loads serre
+
             raise SerreError("module is not in the universe")
         return idx
 

@@ -641,16 +641,13 @@ class Rows(Sequence):
 
 
 # one row of a matrix: "[", digits, commas and JSON whitespace, "]", then
-# the "," before the next row (group 2) or the "]" that closes the matrix;
-# matched in text or in bytes
-_ROW = r"[ \t\n\r]*\[([0-9, \t\n\r]*)\][ \t\n\r]*(?:(,)|\])"
-_TEXT_ROW = re.compile(_ROW)
-_BYTES_ROW = re.compile(_ROW.encode())
+# the "," before the next row (group 2) or the "]" that closes the matrix
+_ROW = re.compile(rb"[ \t\n\r]*\[([0-9, \t\n\r]*)\][ \t\n\r]*(?:(,)|\])")
 
 
-def _row_numbers(body: bytes | str) -> np.ndarray | None:
-    """The numbers of the text between a row's brackets, or None unless
-    it is JSON integers separated by commas.
+def _row_numbers(body: bytes) -> np.ndarray | None:
+    """The numbers of the bytes between a row's brackets, or None unless
+    they are JSON integers separated by commas.
 
     np.fromstring raises for an empty entry or whitespace inside a number,
     or on older numpy stops there; it reads whitespace alone as 0 and
@@ -658,8 +655,6 @@ def _row_numbers(body: bytes | str) -> np.ndarray | None:
     commas + 1 and the runs of digits, and no run starts "0" and a digit.
     A number past int64 reads as int64's largest, failing any range check.
     """
-    if isinstance(body, str):
-        body = body.encode()  # ASCII, as _ROW matched it
     try:
         numbers = np.fromstring(body, dtype=np.int64, sep=",")
     except ValueError:
@@ -676,36 +671,30 @@ def _row_numbers(body: bytes | str) -> np.ndarray | None:
     return numbers
 
 
-def _read_matrix(s, idx: int, order_cap: int = DEFAULT_ORDER_CAP,
-                 holds=None, release=None) -> tuple[np.ndarray, int] | None:
-    """(table, end) for the JSON array that opens at s[idx - 1] if it is a
-    k x k matrix of JSON integers 0..k-1, end being the index after its
-    closing bracket; otherwise None, and json reads the array.  s is text,
-    or UTF-8 bytes or a read-only map of them.
+def _read_matrix(buf, idx: int, order_cap: int = DEFAULT_ORDER_CAP,
+                 release=None) -> tuple[np.ndarray, int] | None:
+    """(table, end) for the JSON array that opens at buf[idx - 1] if it is
+    a k x k matrix of JSON integers 0..k-1, end being the index after its
+    closing bracket; otherwise None, and json reads the array.  buf is
+    UTF-8 bytes or a read-only map of them.
 
     The table has dtype table_dtype(k) and is filled one row at a time,
     each matched by _ROW and read by _row_numbers; release(end), if given,
     is called after each row.  The first row fixes k, so an array that is
     no such matrix is declined at the first row that shows it, and so is a
-    first row the document has no room for: holds(idx, m) tells whether
-    the document has at least m characters from s[idx] on, and s is the
-    whole text unless holds is given.  A k above order_cap raises
-    CapExceededError at the first row, before the rest of the document is
-    read.
+    first row that buf has no room for.  A k above order_cap raises
+    CapExceededError at the first row, before the rest of buf is read.
     """
-    if holds is None:
-        holds = lambda i, m: len(s) - i >= m  # noqa: E731
-    row_at = (_TEXT_ROW if isinstance(s, str) else _BYTES_ROW).match
     out, i, end = None, 0, idx
     while True:
-        match = row_at(s, end)
+        match = _ROW.match(buf, end)
         row = _row_numbers(match[1]) if match else None
         if row is None:
             return None
         if out is None:
             k = row.size
-            # k rows of k numbers take 2k(k + 1) + 1 characters or more
-            if not holds(idx, 2 * k * (k + 1)):
+            # k rows of k numbers take 2k(k + 1) bytes or more from buf[idx]
+            if len(buf) - idx < 2 * k * (k + 1):
                 return None
             _require_order(k, order_cap)
             out = np.empty((k, k), dtype=table_dtype(k))
@@ -776,7 +765,7 @@ def _require_ints(value, depth: int, what: str) -> None:
 # string, whose escapes are skipped so that no quote or bracket in it is
 # taken for one outside
 _TOKEN = re.compile(rb'(\[)|(\])|"[^"\\]*(?:\\.[^"\\]*)*"?', re.S)
-# bytes given back from a map at a time, and counted at a time
+# bytes given back from a map at a time
 _BLOCK = 1 << 16
 
 
@@ -793,60 +782,28 @@ def _release(buf, start: int, stop: int) -> None:
             buf.madvise(mmap.MADV_DONTNEED, start, stop - start)
 
 
-class _Reading:
-    """A UTF-8 document in bytes or a read-only map, read front to back:
-    the room a matrix's rows need, and pages given back behind the reader."""
-
-    def __init__(self, buf):
-        self.buf = buf
-        self.freed = 0  # the pages below this byte are given back
-        self.chars = None  # characters in the document, once counted
-        self.counted = 0, 0  # bytes counted from the start, their characters
-
-    def holds(self, idx: int, need: int) -> bool:
-        """Whether the document has `need` characters from byte idx on,
-        idx never below that of an earlier call.  A character takes 1 to
-        4 bytes, so the bytes left decide unless fewer than 4 * need are
-        left; then characters are counted, as the bytes that are not UTF-8
-        continuation bytes, each byte at most twice in all."""
-        left = len(self.buf) - idx
-        if left < need or left >= 4 * need:
-            return left >= need
-        if self.chars is None:
-            self.chars = self._count(0, len(self.buf))
-        done, before = self.counted
-        self.counted = idx, before + self._count(done, idx)
-        return self.chars - self.counted[1] >= need
-
-    def _count(self, start: int, stop: int) -> int:
-        chars = 0
-        for i in range(start, stop, _BLOCK):
-            block = np.frombuffer(self.buf[i:min(i + _BLOCK, stop)], dtype=np.uint8)
-            chars += int(np.count_nonzero(block >> 6 != 0b10))
-            _release(self.buf, i, i + block.size)
-        return chars
-
-    def release(self, end: int) -> None:
-        """Give back the pages wholly below byte `end`, _BLOCK bytes or
-        more at a time."""
-        if end - self.freed >= _BLOCK:
-            _release(self.buf, self.freed, end)
-            self.freed = end
-
-
 def _splice(buf, order_cap: int) -> tuple[str, dict]:
     """(text, values): UTF-8 bytes or a read-only map buf, decoded, with
     "@", which starts no JSON value, in place of each square matrix of ids
     that json would meet as a member of an object or as the document;
-    values maps the index of each "@" to (table, index after the "@").
+    values maps the index of each "@" to (table, index after the "@",
+    characters of the matrix in buf).
 
     A "[" is tried by _read_matrix only where no array is open, as json
     reads an array inside an array as lists.  A matrix above order_cap
-    ends the text at its "@", which maps to the CapExceededError; the
-    rest of a map is not read, but the rest of bytes must be UTF-8 too.
-    Raises UnicodeDecodeError if the text between matrices is not UTF-8.
+    ends the text at its "@", which maps to the CapExceededError, and the
+    rest of buf is not read.  A map's pages are given back behind the
+    reader, _BLOCK bytes or more at a time.  Raises UnicodeDecodeError if
+    the text between matrices is not UTF-8.
     """
-    reading = _Reading(buf)
+    freed = 0  # the pages below this byte are given back
+
+    def release(end: int) -> None:
+        nonlocal freed
+        if end - freed >= _BLOCK:
+            _release(buf, freed, end)
+            freed = end
+
     pieces, values = [], {}
     chars = start = pos = arrays = 0
     while token := _TOKEN.search(buf, pos):
@@ -857,8 +814,7 @@ def _splice(buf, order_cap: int) -> tuple[str, dict]:
             arrays += 1
         elif token[1]:
             try:
-                found = _read_matrix(buf, pos, order_cap, reading.holds,
-                                     reading.release)
+                found = _read_matrix(buf, pos, order_cap, release)
             except CapExceededError as exc:
                 found = exc
             if found is None:
@@ -868,11 +824,9 @@ def _splice(buf, order_cap: int) -> tuple[str, dict]:
             chars += len(piece)
             pieces += piece, "@"
             if isinstance(found, CapExceededError):
-                if isinstance(buf, bytes):  # all of it decodes, as it is read
-                    buf[token.start():].decode()
                 values[chars] = found
                 break
-            values[chars] = found[0], chars + 1
+            values[chars] = found[0], chars + 1, found[1] - token.start()
             chars += 1
             start = pos = found[1]
     else:  # no matrix above the cap
@@ -882,62 +836,59 @@ def _splice(buf, order_cap: int) -> tuple[str, dict]:
 
 
 def _read_document(data, order_cap: int = DEFAULT_ORDER_CAP):
-    """The JSON value of a document, text or UTF-8 bytes or a read-only
+    """The JSON value of a document given as UTF-8 bytes or a read-only
     map of them, its square matrices of ids as arrays (_read_matrix), none
     of order above order_cap.
 
-    From bytes, json reads only the text _splice leaves around the
-    matrices, which are read from the bytes, a map's pages given back
-    behind the reader.  On any JSON or UTF-8 error the whole text is read
-    again, so that every error is the one it gives; a JSON error before a
-    matrix above the cap still comes first.  Text decoded from bytes is
-    dropped on return, before validation.
+    json reads only the text _splice leaves around the matrices, which are
+    read from data, a map's pages given back behind the reader; the text
+    is dropped on return, before validation.  If the read fails, all of
+    data is decoded first, so that a UTF-8 error anywhere comes before a
+    JSON error, which is then placed at its line and column in the
+    document.  A JSON error before a matrix above the cap comes first.
     """
-    if not isinstance(data, str):
-        try:
-            text, values = _splice(data, order_cap)
-            return json.loads(text, cls=_TableDecoder,
-                              value_at=lambda s, idx: _spliced(values, idx))
-        except (ValueError, RecursionError):  # json's error, from the text
-            pass
-        try:
-            data = str(data, "utf-8")
-        except UnicodeDecodeError as exc:
-            raise RingFormatError(f"not UTF-8 text: {exc}") from exc
-
-    def matrix_at(s: str, idx: int):
-        return _read_matrix(s, idx + 1, order_cap) if s[idx:idx + 1] == "[" else None
-
     try:
-        return json.loads(data, cls=_TableDecoder, value_at=matrix_at)
-    except json.JSONDecodeError as exc:
-        raise RingFormatError(f"not valid JSON: {exc}") from exc
-    except ValueError as exc:  # an integer past Python's digit limit
-        raise RingFormatError(f"unreadable JSON number: {exc}") from exc
-    except RecursionError as exc:
-        raise RingFormatError("JSON arrays or objects nested too deeply") from exc
+        text, values = _splice(data, order_cap)
+        return json.loads(text, cls=_TableDecoder,
+                          value_at=lambda s, idx: _spliced(values, idx))
+    except (ValueError, RecursionError) as exc:  # json's or UTF-8's error
+        error = exc
+    try:
+        text = str(data, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise RingFormatError(f"not UTF-8 text: {exc}") from exc
+    if isinstance(error, json.JSONDecodeError):
+        # each "@" before the error stood for a matrix's characters
+        pos = error.pos + sum(value[2] - 1 for at, value in values.items()
+                              if at < error.pos)
+        error = json.JSONDecodeError(error.msg, text, pos)
+        raise RingFormatError(f"not valid JSON: {error}") from error
+    if isinstance(error, RecursionError):
+        raise RingFormatError("JSON arrays or objects nested too deeply") from error
+    raise RingFormatError(f"unreadable JSON number: {error}") from error
 
 
 def _spliced(values: dict, idx: int):
-    """The value _splice read for the "@" at idx, or None."""
+    """(table, index after it) for the "@" at idx, or None."""
     value = values.get(idx)
     if isinstance(value, CapExceededError):
         raise value
-    return value
+    return value and value[:2]
 
 
-def parse_ring_document(data: str | bytes | mmap.mmap, *,
+def parse_ring_document(data: bytes | mmap.mmap, *,
                         order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """Parse and fully validate a ring document (table or fp_algebra form),
-    given as text, or as UTF-8 bytes or a read-only map of them.
+    given as UTF-8 bytes or a read-only map of them.
 
     json reads the document, except that every square matrix of integers
     0..k-1 goes straight into an array, and one with k above order_cap
-    stops the read with CapExceededError.  Only the JSON types are checked
-    here; shapes and ranges are left to validate_ring.
+    stops the read with CapExceededError, whatever follows it.  Only the
+    JSON types are checked here; shapes and ranges are left to
+    validate_ring.
     """
     doc = _read_document(data, order_cap)
-    # drop this frame's reference, so that a text no caller names is
+    # drop this frame's reference, so that bytes no caller names are
     # freed before validation
     del data
     if not isinstance(doc, dict):

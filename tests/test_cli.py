@@ -358,6 +358,20 @@ def test_validate_loads_only_the_ring_layer(tmp_path):
     assert proc.stdout == "['atomspec.cli', 'atomspec.rings']\n"
 
 
+def test_check_does_not_load_serre():
+    code = (
+        "import contextlib, io, sys\n"
+        "from atomspec.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run(['check', '--ring', 'zmod:12'])[0] == 0\n"
+        "print('atomspec.serre' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize("verb", VERBS)
 def test_the_entry_point_prints_what_run_prints(capsys, verb):
     # main, the entry point, freezes the collector before the run; run, the

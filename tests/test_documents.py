@@ -9,6 +9,8 @@ order, with a duplicate key, and with single-token corruptions.
 """
 
 import json
+import os
+import threading
 import time
 import tracemalloc
 
@@ -94,9 +96,9 @@ def oracle_parse(data, *, order_cap=DEFAULT_ORDER_CAP):
     return validate_ring(doc["add"], doc["mul"], doc["one"], order_cap=order_cap)
 
 
-def outcome(parse, text: str):
+def outcome(parse, text: str | bytes):
     try:
-        return serialize_ring(parse(text.encode()))
+        return serialize_ring(parse(text.encode() if isinstance(text, str) else text))
     except RingError as exc:
         return type(exc).__name__, str(exc)
 
@@ -210,11 +212,13 @@ def test_documents_read_as_json_reads_them(reader, text):
     TWO % "[[0, ],[1,0]]",
     TWO % "[[0,18446744073709551617],[1,0]]",
     TWO % "[ [ 0 , 1 ] , [ 1 , 0 ] ]",
+    # past two matrices, on the third line, after two-byte characters
+    '{"order": 1, "\u00e9\u00e9": 0,\n"add": [[0]],\n"mul": [[0]] "one": 0}',
 ], ids=["digit-in-scalar", "digit-in-row", "object-comma", "no-comma",
         "extra-data", "bom", "row-comma", "unclosed", "deep-table",
         "matrix-order", "matrix-document", "space-in-row", "double-comma",
         "leading-zero", "row-trailing-comma", "blank-entry", "past-uint64",
-        "padded"])
+        "padded", "error-after-tables"])
 def test_edge_documents_read_as_json_reads_them(reader, text):
     assert outcome(parse_ring_document, text) == outcome(oracle_parse, text)
 
@@ -272,11 +276,11 @@ def test_the_cli_frees_the_text_before_validation(tmp_path, monkeypatch):
 
 
 def test_a_first_row_longer_than_the_text_allows_is_declined():
-    # k numbers in the first row open a k x k matrix only if the text has
-    # room for it, so the reader allocates no 200,000^2 table
-    text = "[[" + ",".join(["0"] * 200_000) + "]]"
+    # k numbers in the first row open a k x k matrix only if the bytes
+    # have room for it, so the reader allocates no 200,000^2 table
+    data = b"[[" + b",".join([b"0"] * 200_000) + b"]]"
     start = time.monotonic()
-    assert rings._read_matrix(text, 1) is None
+    assert rings._read_matrix(data, 1) is None
     assert time.monotonic() - start < 1.0
 
 
@@ -286,12 +290,17 @@ def test_a_matrix_above_the_cap_stops_the_read():
     add = json.dumps(zmod(128).add.tolist())
     text = '{"order": 128, "one": 1, "add": ' + add + ', "mul": [[0, '
     with pytest.raises(CapExceededError, match="order 128 exceeds cap 64"):
-        parse_ring_document(text, order_cap=64)
+        parse_ring_document(text.encode(), order_cap=64)
 
 
-def cli_outcome(tmp_path, data: bytes, order_cap: int):
+def cli_outcome(tmp_path, data: bytes, order_cap: int, pipe: bool = False):
     path = tmp_path / "ring.json"
-    path.write_bytes(data)
+    if pipe:
+        os.mkfifo(path)
+        # the write blocks until the CLI opens the pipe to read it
+        threading.Thread(target=path.write_bytes, args=(data,), daemon=True).start()
+    else:
+        path.write_bytes(data)
     try:
         return serialize_ring(cli._load_ring(str(path), order_cap))
     except RingError as exc:
@@ -301,32 +310,49 @@ def cli_outcome(tmp_path, data: bytes, order_cap: int):
 Z100 = ('{"order": 100, "one": 1, "add": %s, "mul": %s}'
         % (json.dumps(zmod(100).add.tolist()), json.dumps(zmod(100).mul.tolist())))
 ROW = json.dumps(list(range(100)))
-PAD = " " * 400_000  # room for a 100 x 100 table even at 4 bytes a character
+PAD = " " * 400_000  # a file with it is mapped; room for a 100 x 100 table
+# a first row of 100, room for its table, then a byte that is not UTF-8
+HEAD = '{"order": 100, "one": 1, "add": [%s,' % ROW
+WIDE = (HEAD + PAD).encode() + b"\xff"
 
 
 @pytest.mark.parametrize("text", [
     Z100, Z100 + PAD, Z100[:30_000] + PAD, Z100[:100_000],
     '{"a": [%s], %s' % (ROW, Z100[1:]) + PAD,
     '{"a": [%s],%s %s' % (ROW, PAD, Z100[1:]),
-    # room for the add table at 4 bytes a character, but not for a's
+    # a first row of 200, wider than the add table's
     '{"a": [%s], %s' % (json.dumps(list(range(200))), Z100[1:]) + PAD[:130_000],
     '{"pad": "%s", %s' % ("é" * 40_000, Z100[1:]) + PAD,
     '{"order": 1, "one": 0, "add": [[0]] "mul": %s}' % ROW + PAD,
+    # a JSON error, a number past Python's digit limit and objects nested
+    # past the recursion limit, each before WIDE
+    b'{"a": nul, ' + WIDE[1:],
+    b'{"a": %s, ' % (b"1" * 5_000) + WIDE[1:],
+    b'{"a": ' * 600 + WIDE,
 ], ids=["z100", "padded", "cut-in-head", "cut-after-head", "row-first",
-        "row-first-apart", "wider-row-first", "non-ascii", "bad-json-first"])
+        "row-first-apart", "wider-row-first", "non-ascii", "bad-json-first",
+        "bad-json-then-bad-byte", "long-number-then-bad-byte",
+        "deep-then-bad-byte"])
 @pytest.mark.parametrize("cap", [64, 100, 4096])
 def test_the_cli_reads_a_head_and_the_document_alike(tmp_path, text, cap):
     # the CLI reads the tables from a map of the file and gives json only
     # the text between them, with the outcome of the whole text
-    assert cli_outcome(tmp_path, text.encode(), cap) == outcome(
-        lambda data: parse_ring_document(data, order_cap=cap), text)
+    data = text.encode() if isinstance(text, str) else text
+    got = cli_outcome(tmp_path, data, cap)
+    assert got == outcome(lambda data: parse_ring_document(data, order_cap=cap), data)
+    if data.endswith(b"\xff"):  # the whole is decoded before an error is given
+        assert got[1].startswith("not UTF-8 text")
 
 
-def test_a_row_wider_than_the_cap_is_refused_from_the_head(tmp_path):
-    # the bytes after the first row are not UTF-8: the CLI refuses the row
-    # without reading them, while bytes are decoded whole first
-    data = ('{"order": 100, "one": 1, "add": [%s,' % ROW + PAD).encode() + b"\xff"
-    assert cli_outcome(tmp_path, data, 64) == (
-        "CapExceededError", "order 100 exceeds cap 64")
-    with pytest.raises(RingFormatError, match="not UTF-8 text"):
-        parse_ring_document(data, order_cap=64)
+@pytest.mark.parametrize("source", ["small-file", "mapped-file", "pipe", "bytes"])
+def test_a_row_wider_than_the_cap_is_refused_from_the_head(tmp_path, source):
+    # the bytes after the first row are not UTF-8, and the row is refused
+    # without reading them, however the document is given
+    pad = PAD[:30_000] if source == "small-file" else PAD
+    data = (HEAD + pad).encode() + b"\xff"
+    assert (len(data) > cli._MAP_FROM) == (source != "small-file")
+    if source == "bytes":
+        got = outcome(lambda data: parse_ring_document(data, order_cap=64), data)
+    else:
+        got = cli_outcome(tmp_path, data, 64, pipe=source == "pipe")
+    assert got == ("CapExceededError", "order 100 exceeds cap 64")

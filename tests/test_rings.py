@@ -228,7 +228,7 @@ def test_mutated_document_reports_location():
     doc = json.loads(serialize_ring(zmod(2)))
     doc["mul"][1][0] = 9
     with pytest.raises(RingFormatError) as err:
-        parse_ring_document(json.dumps(doc))
+        parse_ring_document(json.dumps(doc).encode())
     assert "mul[1][0]" in str(err.value)
 
 
@@ -236,7 +236,7 @@ def test_unknown_fields_rejected():
     doc = json.loads(serialize_ring(zmod(2)))
     doc["extra"] = 1
     with pytest.raises(RingFormatError) as err:
-        parse_ring_document(json.dumps(doc))
+        parse_ring_document(json.dumps(doc).encode())
     assert "extra" in str(err.value)
 
 
@@ -264,7 +264,7 @@ def test_fp_algebra_document_form():
             "unit_vector": [1],
         }
     }
-    ring = parse_ring_document(json.dumps(doc))
+    ring = parse_ring_document(json.dumps(doc).encode())
     assert ring.order == 2
     assert ring.one == 1
 
