@@ -966,20 +966,19 @@ def check_monoform_implies_uniform(ring: FiniteRing):
 
 @_property("atom equivalence is an equivalence")
 def check_atom_equivalence_relation(ring: FiniteRing):
-    spec = atom_spectrum(ring)
-    ideals = spec.comonoform_ideals()
-    for p in ideals:
-        if not atom_equivalent(ring, p, p):
-            return False, sorted(p)
-    for p, q, r in itertools.product(ideals, repeat=3):
-        if atom_equivalent(ring, p, q) != atom_equivalent(ring, q, p):
-            return False, (sorted(p), sorted(q))
-        if (
-            atom_equivalent(ring, p, q)
-            and atom_equivalent(ring, q, r)
-            and not atom_equivalent(ring, p, r)
-        ):
-            return False, (sorted(p), sorted(q), sorted(r))
+    """The relation is read once, as a c x c table over the c comonoform
+    ideals, and the three laws are tested on the table."""
+    ideals = atom_spectrum(ring).comonoform_ideals()
+    eq = [[atom_equivalent(ring, p, q) for q in ideals] for p in ideals]
+    ids = range(len(ideals))
+    for i in ids:
+        if not eq[i][i]:
+            return False, sorted(ideals[i])
+    for i, j, k in itertools.product(ids, repeat=3):
+        if eq[i][j] != eq[j][i]:
+            return False, (sorted(ideals[i]), sorted(ideals[j]))
+        if eq[i][j] and eq[j][k] and not eq[i][k]:
+            return False, tuple(sorted(ideals[x]) for x in (i, j, k))
     return True, None
 
 

@@ -446,8 +446,6 @@ def _matrix_algebra(p: int, positions: list[tuple[int, int]], name: str,
     position order, and the zero matrix gets id 0.
     """
     d = len(positions)
-    _require_power_order(p, d, order_cap)  # before the d^3 constants exist
-    _require_prime(p)  # after the cap, which bounds the trial division
     index = {pos: i for i, pos in enumerate(positions)}
     consts = np.zeros((d, d, d), dtype=np.int64)
     for i, (r, t) in enumerate(positions):

@@ -3,12 +3,12 @@ their inclusion Hasse diagram."""
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 from .modules import submodule_key
 from .rings import AtomspecError, Rows
-from .spectrum import AtomSpectrum, SpectrumError, enumerate_open_sets, is_open
+from .spectrum import AtomSpectrum, enumerate_open_sets
 
 
 class SerreError(AtomspecError):
@@ -22,27 +22,20 @@ class SerreSubcategory:
     generators: tuple[frozenset, ...] = ()  # comonoform ideals q, gens R/q
 
     def __post_init__(self):
-        try:
-            opened = is_open(self.spectrum, self.open_set)
-        except SpectrumError as exc:
-            raise SerreError(str(exc)) from exc
-        if not opened:
-            raise SerreError(f"{sorted(self.open_set)} is not an open set")
+        # every set of atom ids is open: atom_spectrum asserted discreteness
+        for atom_id in self.open_set:
+            if not 0 <= atom_id < len(self.spectrum.atoms):
+                raise SerreError(f"unknown atom id {atom_id}")
 
 
 def _minimal_ideal_generators(
-    spec: AtomSpectrum, phi: frozenset
+    supports: Mapping, candidates: list[frozenset], phi: frozenset
 ) -> tuple[frozenset, ...]:
     """Greedy minimal set of comonoform ideals q with union of supports of
-    the R/q equal to phi; largest support first, canonical order tie-break."""
-    supports = spec.supports
-    candidates = sorted(
-        (q for q in spec.comonoform_ideals() if supports[q] <= phi),
-        key=lambda q: (-len(supports[q]), submodule_key(q)),
-    )
+    the R/q equal to phi, taken in the order of `candidates`."""
     chosen: list[frozenset] = []
     covered: frozenset = frozenset()
-    for q in candidates:
+    for q in (q for q in candidates if supports[q] <= phi):
         if covered == phi:
             break
         if not supports[q] <= covered:
@@ -61,12 +54,18 @@ def _minimal_ideal_generators(
 
 def enumerate_serre(spec: AtomSpectrum) -> list[SerreSubcategory]:
     """One Serre subcategory per open set, each with a minimal generating
-    set of cyclic modules, ordered by (size, atom ids)."""
+    set of cyclic modules, ordered by (size, atom ids).  The candidates
+    are sorted once: largest support first, canonical order tie-break."""
+    supports = spec.supports
+    candidates = sorted(
+        spec.comonoform_ideals(),
+        key=lambda q: (-len(supports[q]), submodule_key(q)),
+    )
     return [
         SerreSubcategory(
             spectrum=spec,
             open_set=phi,
-            generators=_minimal_ideal_generators(spec, phi),
+            generators=_minimal_ideal_generators(supports, candidates, phi),
         )
         for phi in enumerate_open_sets(spec)
     ]
@@ -91,22 +90,20 @@ def inclusion_edges(subs: list[SerreSubcategory]) -> list[tuple[int, int]]:
     ]
 
 
-def _subcategory_row(s: SerreSubcategory) -> dict:
-    return {
-        "open_set": sorted(s.open_set),
-        "generators": [sorted(q) for q in s.generators],
-    }
-
-
 def serre_lattice(spec: AtomSpectrum) -> dict:
     """The Serre subcategories and their covering edges, the `serre` verb's
     result.  The subcategories are Rows over enumerate_serre's output, so
-    a row is formatted when it is read; everything a row shows has been
+    a row is formatted when it is read, from the sorted ids of each
+    comonoform ideal, found once here; everything a row shows has been
     computed by the time this returns."""
     subs = enumerate_serre(spec)
+    ids = {q: tuple(sorted(q)) for q in spec.comonoform_ideals()}
     return {
         "count": len(subs),
-        "subcategories": Rows(subs, _subcategory_row),
+        "subcategories": Rows(subs, lambda s: {
+            "open_set": sorted(s.open_set),
+            "generators": [list(ids[q]) for q in s.generators],
+        }),
         "edges": inclusion_edges(subs),
     }
 

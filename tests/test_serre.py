@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from atomspec import cli, serre, spectrum
 from atomspec.checks import (
     build_universe,
     calculus_check,
@@ -12,6 +13,7 @@ from atomspec.modules import (
     quotient,
     regular_module,
     sub_module,
+    submodule_key,
     submodule_lattice,
 )
 from atomspec.serre import (
@@ -21,12 +23,13 @@ from atomspec.serre import (
     inclusion_edges,
     serre_lattice,
 )
-from atomspec.rings import zmod
+from atomspec.rings import fp_algebra, product, zmod
 from atomspec.spectrum import (
     atom_spectrum,
     atom_support,
     is_open,
 )
+from conftest import incidence_constants
 
 
 def test_tri2_has_four_serre_subcategories(tri2_2):
@@ -156,19 +159,110 @@ def test_calculus_identities_hold_zmod12(zmod12):
     assert report["passed"], report["violations"]
 
 
-def test_serre_generator_minimality(zmod12):
-    spec = atom_spectrum(zmod12)
-    for s in enumerate_serre(spec):
-        covered = frozenset()
-        for q in s.generators:
-            covered |= spec.support_of_ideal(q)
-        assert covered == s.open_set
-        for q in s.generators:
-            rest = frozenset().union(
-                frozenset(),
-                *(spec.support_of_ideal(o) for o in s.generators if o != q),
-            )
-            assert rest != s.open_set
+# (points, strict relations) of small posets: chains, a V, a wedge and a
+# diamond, whose incidence algebras have supports of several atoms
+POSETS = [
+    (2, [(0, 1)]),
+    (3, [(0, 1), (0, 2), (1, 2)]),
+    (3, [(0, 1), (0, 2)]),
+    (3, [(0, 2), (1, 2)]),
+    (4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]),
+    (4, list(itertools.combinations(range(4), 2))),
+]
+
+
+def _generator_rings(zoo):
+    """The zoo, then F_2 I(P) for each poset P of POSETS."""
+    incidence = [fp_algebra(2, *incidence_constants(k, less),
+                            name=f"F2I({k}, {less})") for k, less in POSETS]
+    return list(zoo) + incidence
+
+
+def _generators_by_definition(spec, phi):
+    """The generators of the Serre subcategory of phi, found from phi
+    alone: the comonoform ideals whose supports lie in phi, largest
+    support first with canonical order tie-break, taken greedily while
+    they add to the union, then each one dropped that the others cover."""
+    supports = spec.supports
+    candidates = sorted(
+        (q for q in spec.comonoform_ideals() if supports[q] <= phi),
+        key=lambda q: (-len(supports[q]), submodule_key(q)),
+    )
+    chosen, covered = [], frozenset()
+    for q in candidates:
+        if covered == phi:
+            break
+        if not supports[q] <= covered:
+            chosen.append(q)
+            covered |= supports[q]
+    for q in list(chosen):
+        if frozenset().union(*(supports[o] for o in chosen if o != q)) == phi:
+            chosen.remove(q)
+    return tuple(chosen)
+
+
+def test_serre_generator_minimality(zoo):
+    for ring in _generator_rings(zoo):
+        spec = atom_spectrum(ring)
+        for s in enumerate_serre(spec):
+            covered = frozenset()
+            for q in s.generators:
+                covered |= spec.support_of_ideal(q)
+            assert covered == s.open_set
+            for q in s.generators:
+                rest = frozenset().union(
+                    frozenset(),
+                    *(spec.support_of_ideal(o) for o in s.generators if o != q),
+                )
+                assert rest != s.open_set
+
+
+def test_generators_match_the_per_set_definition(zoo):
+    several = 0  # open sets whose generators have a support of 2+ atoms
+    for ring in _generator_rings(zoo):
+        spec = atom_spectrum(ring)
+        for s in enumerate_serre(spec):
+            assert s.generators == _generators_by_definition(spec, s.open_set)
+            several += any(len(spec.supports[q]) > 1 for q in s.generators)
+    assert several
+
+
+def test_serre_tests_no_set_for_openness_and_orders_once(capsys, monkeypatch):
+    argv = ["serre", "--ring", "prod:zmod:2,zmod:3,zmod:5", "--format", "json"]
+    assert cli.run(argv)[0] == 0
+    before = capsys.readouterr().out
+
+    def refuse(*args):
+        raise RuntimeError("is_open called")
+
+    # the spectrum is discrete, so no open set needs the definitional test
+    monkeypatch.setattr(spectrum, "is_open", refuse)
+    monkeypatch.setattr(serre, "is_open", refuse, raising=False)
+    assert cli.run(argv)[0] == 0
+    assert capsys.readouterr().out == before
+
+    keyed = []
+
+    def counted(members):
+        keyed.append(members)
+        return submodule_key(members)
+
+    monkeypatch.setattr(serre, "submodule_key", counted)
+    spec = atom_spectrum(product(zmod(2), zmod(3), zmod(5)))
+    assert len(enumerate_serre(spec)) == 2 ** len(spec.atoms) == 8
+    # one key per comonoform ideal, not one per ideal in each open set
+    assert len(keyed) <= len(spec.comonoform_ideals())
+
+
+def test_serre_rows_are_fresh_on_each_read(tri2_2):
+    # each ideal's ids are sorted once per report, and a reader's edits
+    # to a row reach no later read
+    rows = serre_lattice(atom_spectrum(tri2_2))["subcategories"]
+    first = rows[3]
+    first["generators"][0].append(99)
+    first["open_set"].clear()
+    assert rows[3] == {"open_set": [0, 1], "generators": [[0, 4]]}
+    assert list(rows)[3] == rows[3]
 
 
 def test_generators_track_support(zoo):
