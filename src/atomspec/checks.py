@@ -15,13 +15,14 @@ definition; check_suite aggregates them into a report.  A
 failed check is an implementation bug, never an acceptable state, so
 witnesses are kept small and concrete.
 
-A run (check_suite, or one property called on its own) opens one memo,
-this module's only cache, and drops it when it returns or raises.  Through
-`_once`, the run builds each subquotient once per (module, members) pair,
-and computes each fact of a ring or module (its cyclic modules R/I,
-annihilator keys, invariant key, generating sequence, minimal
-submodules, uniformity, socle criterion, colon table, closure universe,
-atom support and associated atoms) once.  Modules compare by digest, not
+A run (check_suite, or one property called on its own) opens the
+package's run memo (`rings.run_memo`) unless one is open, and drops it
+when it returns or raises.  Through `_once` (`rings.once`), the run
+builds each subquotient once per (module, members) pair, and computes
+each fact of a ring or module (its cyclic modules R/I, annihilator
+keys, invariant key, generating sequence, minimal submodules,
+uniformity, socle criterion, colon table, closure universe, atom
+support and associated atoms) once.  Modules compare by digest, not
 provenance, so a reused module keeps the provenance of its first build,
 and a failing witness names that one.
 """
@@ -32,8 +33,6 @@ import itertools
 import random
 from collections import Counter
 from collections.abc import Mapping
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import wraps
 from types import MappingProxyType
@@ -70,6 +69,8 @@ from .rings import (
     FiniteRing,
     RingAxiomError,
     additive_generators,
+    once as _once,
+    run_memo,
     validate_ring,
 )
 from .spectrum import (
@@ -81,50 +82,6 @@ from .spectrum import (
     enumerate_open_sets,
     is_open,
 )
-
-
-# ---------------------------------------------------------------------------
-# the run memo
-
-# (function, *arguments) -> value during a run, one per thread or task
-_memo: ContextVar[dict | None] = ContextVar("checks_memo", default=None)
-
-
-@contextmanager
-def _run():
-    """Open the memo unless a run holds it already; the outermost run
-    drops it when it returns or raises."""
-    if _memo.get() is not None:
-        yield
-        return
-    token = _memo.set({})
-    try:
-        yield
-    finally:
-        _memo.reset(token)
-
-
-def _once(fn, *args):
-    """fn(*args), computed once per equal arguments while a run is open,
-    and on every call outside one.  The callers pass the names of this
-    module, read at the call, so a replaced name is what a miss calls.
-
-    A module fn builds, alone or first in a pair with its map, is
-    replaced by the first equal module of the run: the memo also maps
-    each module to itself."""
-    memo = _memo.get()
-    if memo is None:
-        return fn(*args)
-    key = (fn, *args)
-    if key not in memo:
-        value = fn(*args)
-        if isinstance(value, RightModule):
-            value = memo.setdefault(value, value)
-        elif (isinstance(value, tuple) and value
-              and isinstance(value[0], RightModule)):
-            value = (memo.setdefault(value[0], value[0]), *value[1:])
-        memo[key] = value
-    return memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +731,7 @@ def _property(name: str):
     def decorate(body):
         @wraps(body)
         def check(ring):
-            with _run():
+            with run_memo():
                 return (name, *body(ring))
         check.property = name
         ALL_CHECKS.append(check)
@@ -1177,13 +1134,13 @@ def check_suite(ring: FiniteRing) -> dict:
     with witnesses.  A property that raises fails with witness
     "<Type>: <message>"; a ring with over CHECK_LATTICE_CAP right ideals
     raises CapExceededError."""
-    ideals = len(submodule_lattice(regular_module(ring)))
-    if ideals > CHECK_LATTICE_CAP:
-        raise CapExceededError(
-            f"{ideals} right ideals exceed the check cap {CHECK_LATTICE_CAP}"
-        )
     results = []
-    with _run():
+    with run_memo():
+        ideals = len(submodule_lattice(regular_module(ring)))
+        if ideals > CHECK_LATTICE_CAP:
+            raise CapExceededError(
+                f"{ideals} right ideals exceed the check cap {CHECK_LATTICE_CAP}"
+            )
         for check in ALL_CHECKS:
             try:
                 name, passed, witness = check(ring)

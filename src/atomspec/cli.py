@@ -38,6 +38,7 @@ from .rings import (
     Rows,
     parse_ring_document,
     parse_ring_spec,
+    run_memo,
 )
 
 VERBS = (
@@ -299,13 +300,14 @@ def run(argv=None) -> tuple[int, dict]:
     payload = _payload_of(args)
     start = time.monotonic()
     try:
-        ring = _load_ring(args.ring, args.max_order)
-        report = {
-            "verb": args.verb,
-            "ring": {"order": ring.order, "hash": ring.content_hash()},
-            "result": payload(ring),
-            "cap_warnings": [],
-        }
+        with run_memo():  # what the verb computes is freed with the run
+            ring = _load_ring(args.ring, args.max_order)
+            report = {
+                "verb": args.verb,
+                "ring": {"order": ring.order, "hash": ring.content_hash()},
+                "result": payload(ring),
+                "cap_warnings": [],
+            }
     except (AtomspecError, MemoryError) as exc:
         # numpy raises MemoryError subclasses such as _ArrayMemoryError
         kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__

@@ -14,7 +14,7 @@ serves the lattice search, the quotient M/N and the colon ideals: each
 element is labelled by the least element of its coset x + N, and the
 representatives are the elements that label themselves.
 
-Each module's submodule lattice is computed once, by a breadth-first
+Each module's submodule lattice is computed once per run, by a breadth-first
 search from {0} whose successors of S are the sums S + xR for x outside
 S.  The cyclic submodule xR = {x.a : a in R} is read directly off the
 action table, since it is already closed under addition and the action.
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .rings import (
     CapExceededError,
     FiniteRing,
     TableRecord,
+    memoized,
     table_dtype,
 )
 
@@ -72,7 +73,7 @@ class RightModule(TableRecord):
         return f"RightModule({tag} over {self.ring.name or self.ring.order})"
 
 
-@lru_cache(maxsize=None)
+@memoized
 def regular_module(ring: FiniteRing) -> RightModule:
     """R as a right module over itself."""
     return RightModule(
@@ -107,7 +108,7 @@ def submodule_sum(module: RightModule, a: frozenset, b: frozenset) -> frozenset:
     return frozenset(np.flatnonzero(sums).tolist())
 
 
-@lru_cache(maxsize=None)
+@memoized
 def submodule_lattice(module: RightModule) -> tuple[frozenset, ...]:
     """All submodules, sorted by (cardinality, sorted element tuple).
     The search keeps one key of m bytes, its mask over M, for each
@@ -232,7 +233,7 @@ def annihilator(module: RightModule, x: int) -> frozenset:
     return frozenset(np.flatnonzero(module.act[x] == 0).tolist())
 
 
-@lru_cache(maxsize=None)
+@memoized
 def annihilator_set(module: RightModule) -> frozenset:
     """{Ann(x) : x nonzero in M}, deduplicated.
 

@@ -1,11 +1,10 @@
 """Decision procedures for monoform modules and comonoform right ideals,
 both by one socle test (`socle_test`) of M/0 and of R/p; what the
-test reads of the ring is computed once per ring (`radical`)."""
+test reads of the ring is computed once per run (`radical`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -18,7 +17,7 @@ from .modules import (
     regular_module,
     submodule_sum,
 )
-from .rings import AtomspecError, FiniteRing
+from .rings import AtomspecError, FiniteRing, memoized
 
 
 class MonoformError(AtomspecError):
@@ -44,7 +43,7 @@ class Radical(NamedTuple):
     top_orders: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@memoized
 def radical(ring: FiniteRing) -> Radical:
     """J = {x : xR is nil}, x being nilpotent iff x^(2^t) = 0 once 2^t
     reaches n; each generator is the least element of J outside the sum
@@ -94,14 +93,14 @@ def socle_test(module: RightModule, inside: np.ndarray) -> tuple[bool, np.ndarra
                 and soc[module.act[:, rad.idempotents[k]]].all()), tops
 
 
-@lru_cache(maxsize=None)
+@memoized
 def is_monoform(module: RightModule) -> bool:
     """M nonzero and no nonzero submodule is shared between M and any M/N:
     the socle test of M/0."""
     return socle_test(module, np.arange(module.order) == 0)[0]
 
 
-@lru_cache(maxsize=None)
+@memoized
 def is_comonoform(ring: FiniteRing, ideal: frozenset) -> bool:
     """Right ideal p with R/p monoform: the socle test of R/p."""
     reg = regular_module(ring)

@@ -48,9 +48,11 @@ import json
 import math
 import re
 from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING
+from functools import cached_property, wraps
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -636,6 +638,80 @@ class Rows(Sequence):
 
     def __iter__(self) -> Iterator:
         return map(self._row, self._items)
+
+
+# ---------------------------------------------------------------------------
+# the run memo, the package's one cache: what a run computes lives as long
+# as the run
+
+# (function, *arguments) -> value during a run, one per thread or task
+_memo: ContextVar[dict | None] = ContextVar("run_memo", default=None)
+
+
+@contextmanager
+def run_memo():
+    """Open the memo unless a run holds it already; the outermost run
+    drops it when it returns or raises."""
+    if _memo.get() is not None:
+        yield
+        return
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def once(fn, *args):
+    """fn(*args), computed once per equal arguments while a run is open,
+    and on every call outside one.  A caller that passes the names of its
+    module, read at the call, has a replaced name called on a miss.
+
+    A module (a table record) that fn builds, alone or first in a pair
+    with its map, is replaced by the first equal one of the run: the memo
+    also maps each such record to itself."""
+    memo = _memo.get()
+    if memo is None:
+        return fn(*args)
+    key = (fn, *args)
+    if key not in memo:
+        value = fn(*args)
+        if isinstance(value, TableRecord):
+            value = memo.setdefault(value, value)
+        elif (isinstance(value, tuple) and value
+              and isinstance(value[0], TableRecord)):
+            value = (memo.setdefault(value[0], value[0]), *value[1:])
+        memo[key] = value
+    return memo[key]
+
+
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+
+
+def memoized(fn):
+    """fn, computed once per equal arguments in the open run, or in a run
+    opened for the call; unlike `once`, it keeps fn's values as they are.
+    cache_info() counts hits and misses over all runs."""
+    counts = {"hits": 0, "misses": 0}
+
+    @wraps(fn)
+    def call(*args):
+        memo = _memo.get()  # read first: radical is called per socle test
+        if memo is None:
+            with run_memo():
+                return call(*args)
+        key = (fn, *args)
+        if key in memo:
+            counts["hits"] += 1
+        else:
+            counts["misses"] += 1
+            memo[key] = fn(*args)
+        return memo[key]
+
+    call.cache_info = lambda: CacheInfo(**counts)
+    return call
 
 
 # one row of a matrix: "[", digits, commas and JSON whitespace, "]", then

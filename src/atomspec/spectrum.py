@@ -9,14 +9,13 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
 
 from .modules import RightModule, regular_module, submodule_key
 from .monoform import radical, socle_test
-from .rings import AtomspecError, FiniteRing, additive_generators
+from .rings import AtomspecError, FiniteRing, additive_generators, memoized
 
 
 class SpectrumError(AtomspecError):
@@ -104,7 +103,7 @@ def character_annihilators(ring: FiniteRing) -> Iterator[np.ndarray]:
                 yield ann
 
 
-@lru_cache(maxsize=None)
+@memoized
 def atom_spectrum(ring: FiniteRing) -> AtomSpectrum:
     """Enumerate comonoform right ideals, partition them into atoms, derive
     the atom index and the supports, and assert that the topology is

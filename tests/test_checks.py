@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import atomspec
-from atomspec import checks, modules, monoform, spectrum
+from atomspec import checks, rings
 from atomspec.checks import ALL_CHECKS, check_suite
 from atomspec.modules import (
     RightModule,
@@ -22,7 +22,14 @@ from atomspec.modules import (
     submodule_lattice,
 )
 from atomspec.monoform import is_monoform
-from atomspec.rings import fp_algebra, mat, parse_ring_spec, product, zmod
+from atomspec.rings import (
+    fp_algebra,
+    mat,
+    memoized,
+    parse_ring_spec,
+    product,
+    zmod,
+)
 from atomspec.spectrum import atom_spectrum
 
 from conftest import make_zoo
@@ -144,7 +151,7 @@ def test_a_run_builds_each_subquotient_once(spec, monkeypatch):
     def counting(name, make):
         def build(*args):
             builds[(name, *args)] += 1
-            open_memo.append(checks._memo.get() is not None)
+            open_memo.append(rings._memo.get() is not None)
             return make(*args)
         return build
 
@@ -174,13 +181,8 @@ def _recorded_builds(monkeypatch) -> list:
 
 
 def _assert_memo_dropped(refs):
-    # the process-wide caches keep some modules too; with them cleared,
     # a module the run memo still held would stay alive
-    assert checks._memo.get() is None
-    for layer in (modules, monoform, spectrum, checks):
-        for value in vars(layer).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+    assert rings._memo.get() is None
     gc.collect()
     assert refs and not [ref for ref in refs if ref() is not None]
 
@@ -422,12 +424,21 @@ def test_twins_live_in_checks_only(name):
         assert not {s for s in sources if s.split(".")[-1] == "checks"}
 
 
-def test_the_run_memo_is_the_only_cache_of_checks():
+@pytest.mark.parametrize("name", PIPELINE + ("checks", "cli"))
+def test_the_run_memo_is_the_only_cache_of_the_package(name):
     # what a run computes is dropped with its memo; an lru_cache would
     # keep every ring and module it saw for the life of the process
-    defined, _, _ = _defined_and_imported("checks")
-    assert not [name for name in defined
-                if hasattr(getattr(checks, name, None), "cache_info")]
+    source = Path(atomspec.__file__).with_name(f"{name}.py").read_text()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            assert not {a.name for a in node.names} & {"lru_cache", "cache"}
+    # every memoized function runs the one wrapper that memoized makes
+    wrapper = memoized(len).__code__
+    module = importlib.import_module(f"atomspec.{name}")
+    defined, _, _ = _defined_and_imported(name)
+    cached = [getattr(module, fn) for fn in defined
+              if hasattr(getattr(module, fn, None), "cache_info")]
+    assert all(fn.__code__ is wrapper for fn in cached)
 
 
 # each public name and the one module it is imported from; the package
@@ -448,9 +459,9 @@ HOMES = {
         "Filtration", "is_comonoform", "is_monoform", "monoform_filtration",
     ),
     "rings": (
-        "FiniteRing", "fp_algebra", "mat", "parse_ring_document",
-        "parse_ring_spec", "product", "serialize_ring", "tri2",
-        "validate_ring", "zmod",
+        "FiniteRing", "Rows", "fp_algebra", "mat", "memoized",
+        "parse_ring_document", "parse_ring_spec", "product", "run_memo",
+        "serialize_ring", "tri2", "validate_ring", "zmod",
     ),
     "modules": (
         "RightModule", "annihilator", "annihilator_set", "cyclic_submodule",

@@ -6,15 +6,15 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
-from atomspec import checks, serre
+from atomspec import checks, cli, serre
 from atomspec.cli import VERBS, run
-from atomspec.modules import regular_module
+from atomspec.modules import regular_module, submodule_lattice
 from atomspec.rings import serialize_ring, zmod
 from atomspec.serre import enumerate_serre
-from atomspec.spectrum import atom_spectrum
 
 
 def capture_json(capsys, argv):
@@ -400,6 +400,40 @@ def test_main_freezes_the_collector():
     assert proc.stdout == "True\n", proc.stderr
 
 
+@pytest.mark.parametrize("verb", ["spectrum", "check"])
+def test_the_ring_is_freed_when_run_returns(capsys, monkeypatch, verb):
+    # what the verb computed of the ring lives in the run's memo, which
+    # is dropped when run returns, and nothing else keeps the ring
+    refs, load_ring = [], cli._load_ring
+
+    def load(*args):
+        ring = load_ring(*args)
+        refs.append(weakref.ref(ring))
+        return ring
+
+    monkeypatch.setattr(cli, "_load_ring", load)
+    code, _ = run([verb, "--ring", "tri2:2", "--format", "json"])
+    capsys.readouterr()
+    assert code == 0
+    gc.collect()
+    assert refs and refs[0]() is None
+
+
+def test_no_lattice_carries_over_between_runs(capsys):
+    argv = ["check", "--ring", "zmod:12", "--format", "json"]
+    before = submodule_lattice.cache_info()
+    run(argv)
+    first = submodule_lattice.cache_info()
+    run(argv)
+    second = submodule_lattice.cache_info()
+    capsys.readouterr()
+    # within a run the properties read the lattices the run built; the
+    # second run builds its own again
+    assert first.hits > before.hits
+    assert first.misses > before.misses
+    assert second.misses - first.misses == first.misses - before.misses
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs /proc/self/task to count threads")
 @pytest.mark.parametrize("given", [None, "2"])
@@ -621,7 +655,6 @@ def test_module_verbs_build_no_lattice_of_the_module(capsys, monkeypatch,
             walk = "monoform_filtration"
             if verb != "filtration" and hasattr(namespace, walk):
                 monkeypatch.setattr(namespace, walk, refused)
-    atom_spectrum.cache_clear()  # so the spectrum is computed here
     argv = [verb, "--ring", ring, "--format", "json"]
     if verb not in ("spectrum", "serre"):
         argv += ["--module", module]

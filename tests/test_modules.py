@@ -158,7 +158,6 @@ def test_lattice_cap_is_enforced(monkeypatch):
     # zmod:12 has six ideals, each kept as 12 bytes; the cap is read when
     # the lattice is built
     module = regular_module(zmod(12))
-    submodule_lattice.cache_clear()
     monkeypatch.setattr(modules, "DEFAULT_LATTICE_CAP", 3 * 12)
     with pytest.raises(CapExceededError):
         submodule_lattice(module)

@@ -17,8 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomspec.cli import json_chunks, run
-from atomspec.rings import serialize_ring
-from atomspec.serre import Rows
+from atomspec.rings import Rows, serialize_ring
 from conftest import make_zoo
 
 F2_8 = "prod:" + ",".join(["zmod:2"] * 8)
