@@ -43,7 +43,6 @@ would give first; every witness is still a genuine counterexample.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
@@ -64,6 +63,38 @@ DEFAULT_ORDER_CAP = 4096
 # entries per row chunk of the checks and of the zmod tables, which
 # keeps each int64 or intp temporary to 256 KiB
 _CHUNK = 1 << 15
+
+# CPython's own sha256, as random.py loads _sha512: hashlib loads OpenSSL's
+# libcrypto, 3.5 MB and about 2.5 ms, which a process that hashes one small
+# ring never earns back
+try:
+    from _sha2 import sha256 as _builtin_sha256  # 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256 as _builtin_sha256  # 3.10 and 3.11
+    except ImportError:
+        _builtin_sha256 = None
+
+# OpenSSL (with SHA-NI) hashes at about 1.4 GB/s and the built-in at about
+# 170 MB/s, 5.3 ns more a byte, so its load pays for itself once a process
+# has hashed about 470 KB; the built-in takes the first 2^19 bytes, so no
+# process spends more than one load's time on the slower hash
+_BUILTIN_SHA256_MAX = 1 << 19
+_builtin_left = _BUILTIN_SHA256_MAX
+
+
+def _sha256(size: int) -> Callable:
+    """The sha256 constructor for the next `size` bytes to hash: the
+    built-in while the process has hashed at most 2^19 bytes in all with
+    it, OpenSSL's, loaded at the first call past that, from then on.  Both
+    give the same digest."""
+    global _builtin_left
+    if _builtin_sha256 is not None and size <= _builtin_left:
+        _builtin_left -= size
+        return _builtin_sha256
+    _builtin_left = 0
+    import hashlib
+    return hashlib.sha256
 
 
 class AtomspecError(Exception):
@@ -110,8 +141,12 @@ class TableRecord:
     construction; an array of that dtype is not copied but made read-only
     in place.  The digest covers `_identity()`, a tuple of ints and bytes,
     and the bytes of the tables named in `_tables`, whose shapes follow
-    from it.  The hash, computed once like the digest, is the digest's
-    first 8 bytes read little-endian, so it is the same in every process.
+    from it.  CPython's built-in sha256 computes it while the process has
+    hashed at most 2^19 bytes, OpenSSL's after that (see `_sha256`): loading
+    OpenSSL costs 3.5 MB and 2.5 ms, which its 5.3 ns a byte less pays back
+    only past about 470 KB.
+    The hash, computed once like the digest, is the digest's first 8 bytes
+    read little-endian, so it is the same in every process.
     """
 
     _tables: tuple[str, ...]
@@ -125,9 +160,11 @@ class TableRecord:
 
     @cached_property
     def digest(self) -> bytes:
-        h = hashlib.sha256(repr(self._identity()).encode())
-        for name in self._tables:
-            h.update(np.ascontiguousarray(getattr(self, name)))
+        head = repr(self._identity()).encode()
+        tables = [getattr(self, name) for name in self._tables]
+        h = _sha256(len(head) + sum(t.nbytes for t in tables))(head)
+        for table in tables:
+            h.update(np.ascontiguousarray(table))
         return h.digest()
 
     @cached_property
@@ -162,7 +199,16 @@ class FiniteRing(TableRecord):
         return np.array_equal(self.mul, self.mul.T)
 
     def content_hash(self) -> str:
-        h = hashlib.sha256()
+        """sha256 of serialize_ring(self), written row by row.  `_sha256`
+        is asked for 2n^2(d+1) bytes, n^2 entries of at most d digits and a
+        comma in each table, 2^19 at order 256: up to there, in a process
+        that has hashed nothing else, the built-in hashes the document, and
+        OpenSSL, whose 3.5 MB and 2.5 ms load its 5.3 ns a byte less pays
+        back only past about 470 KB, a larger one.  The estimate leaves out
+        brackets and header, and only picks the implementation, never the
+        digest."""
+        n = int(self.order)
+        h = _sha256(2 * n * n * (len(str(n - 1)) + 1))()
         for chunk in _document_chunks(self):
             h.update(chunk.encode())
         return h.hexdigest()

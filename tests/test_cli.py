@@ -358,6 +358,26 @@ def test_validate_loads_only_the_ring_layer(tmp_path):
     assert proc.stdout == "['atomspec.cli', 'atomspec.rings']\n"
 
 
+def test_small_rings_do_not_load_openssl():
+    # a ring this small hashes with CPython's built-in sha256; hashlib
+    # would load OpenSSL's libcrypto, 3.5 MB, for a few KB of text
+    code = (
+        "import contextlib, io, sys\n"
+        "from atomspec.cli import run\n"
+        "assert '_hashlib' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run(['serre', '--ring', 'zmod:12'])[0] == 0\n"
+        "    assert run(['check', '--ring', 'zmod:12'])[0] == 0\n"
+        "    assert run(['support', '--ring', 'zmod:12',\n"
+        "                '--module', 'regular'])[0] == 0\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_check_does_not_load_serre():
     code = (
         "import contextlib, io, sys\n"

@@ -336,3 +336,64 @@ def test_building_a_ring_needs_a_few_copies_of_its_tables(spec):
     ring, peak = peak_bytes(lambda: parse_ring_spec(spec))
     tables = ring.add.nbytes + ring.mul.nbytes
     assert peak <= 3 * tables + 2 ** 20, (peak, tables)
+
+
+F2_7 = "prod:" + ",".join(["zmod:2"] * 7)
+
+
+@pytest.mark.parametrize("spec, builtin", [
+    ("zmod:12", True), ("tri2:5", True), (F2_7, True),
+    ("zmod:360", False), ("mat:3:2", False),
+])
+def test_both_sha256_implementations_give_hashlibs_digests(spec, builtin,
+                                                           monkeypatch):
+    # in a process that has hashed nothing yet, the built-in sha256 takes a
+    # document estimated at up to 2^19 bytes and OpenSSL's a larger one;
+    # either must give hashlib's digests
+    ring = parse_ring_spec(spec)
+    pick, picked = rings._sha256, []
+
+    def spy(size):
+        picked.append(pick(size))
+        return picked[-1]
+
+    monkeypatch.setattr(rings, "_sha256", spy)
+    monkeypatch.setattr(rings, "_builtin_left", rings._BUILTIN_SHA256_MAX)
+    doc = serialize_ring(ring)
+    assert ring.content_hash() == hashlib.sha256(doc).hexdigest()
+    assert (picked[0] is rings._builtin_sha256) == builtin
+    head = repr((ring.order, ring.one)).encode()
+    want = hashlib.sha256(head + ring.add.tobytes() + ring.mul.tobytes())
+    assert ring.digest == want.digest()
+
+
+def test_the_builtin_sha256_takes_the_first_2_19_bytes(monkeypatch):
+    top = rings._BUILTIN_SHA256_MAX
+    data = bytes(range(256)) * (top // 256) + b"x"
+    for size, want in ((top, rings._builtin_sha256), (top + 1, hashlib.sha256)):
+        monkeypatch.setattr(rings, "_builtin_left", top)
+        sha = rings._sha256(size)
+        assert sha is want
+        assert sha(data[:size]).digest() == hashlib.sha256(data[:size]).digest()
+        # past the first 2^19 bytes, OpenSSL hashes everything
+        assert rings._sha256(1) is hashlib.sha256
+
+
+def test_without_the_builtin_sha256_hashlibs_is_used():
+    code = (
+        "import sys\n"
+        "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+        "import hashlib\n"
+        "from atomspec import rings\n"
+        "assert rings._builtin_sha256 is None\n"
+        "assert rings._sha256(0) is hashlib.sha256\n"
+        "ring = rings.tri2(5)\n"
+        "doc = rings.serialize_ring(ring)\n"
+        "assert ring.content_hash() == hashlib.sha256(doc).hexdigest()\n"
+        "head = repr((ring.order, ring.one)).encode()\n"
+        "tables = ring.add.tobytes() + ring.mul.tobytes()\n"
+        "assert ring.digest == hashlib.sha256(head + tables).digest()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -224,6 +224,10 @@ def assert_characters_find_the_comonoform_ideals(ring):
 
 ZOO = make_zoo()
 
+# the strategy draws the same ring again and again; its lattice search
+# gives the same answer each time, so each ring is searched once
+VERIFIED = set()
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(
@@ -235,7 +239,9 @@ ZOO = make_zoo()
     posets(max_points=3).map(lambda poset: incidence_algebra(3, *poset)),
 ))
 def test_characters_find_the_comonoform_ideals(ring):
-    assert_characters_find_the_comonoform_ideals(ring)
+    if ring not in VERIFIED:
+        assert_characters_find_the_comonoform_ideals(ring)
+        VERIFIED.add(ring)
 
 
 KNOWN_RINGS = [
